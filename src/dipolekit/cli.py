@@ -17,14 +17,14 @@ from dataclasses import dataclass, field, fields
 
 from .design import DipoleGeometry, Substrate, check_design_rules, \
     load_substrates, synthesize_geometry
-from .errors import ConfigError, DesignRuleError, SolverError
+from .errors import ConfigError, DesignRuleError, NoResonanceError, \
+    SolverError
 from .farfield import PatternCut
 from .metrics import SweepResult, fractional_bandwidth, resonant_frequency, \
     s11_minimum
-from .errors import NoResonanceError
 from .mom import sweep
-from .studies import StudyRow, length_study, optimize_for_max_rl, \
-    optimize_length, study_pattern, width_study
+from .studies import StudyRow, length_study, optimize_length, \
+    study_pattern, width_study
 
 _MHZ = 1e6
 

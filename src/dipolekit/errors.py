@@ -33,5 +33,8 @@ class NoResonanceError(SolverError):
     """A sweep contains no inductive-going reactance zero crossing."""
 
 
-class NonPassiveError(ValueError):
-    """Input impedance with negative real part was passed to a metric."""
+class NonPassiveError(SolverError, ValueError):
+    """Input impedance with negative real part was passed to a metric.
+
+    A ValueError too, so callers that catch bad values keep working.
+    """

@@ -7,16 +7,17 @@ pinned to zero; Galerkin testing against the same functions yields a
 symmetric Toeplitz system. The radiated-field kernel e^{-jkR}/(4*pi*R) is
 integrated with an arcsinh substitution around each of the three kernel
 centers of a basis function, which keeps the quadrature accurate even when
-the node spacing approaches the wire radius.
+the node spacing approaches the wire radius. The quadrature geometry does
+not depend on frequency, so the mesh carries it and each per-frequency
+assembly only evaluates the k-dependent factors.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_design_rules, \
     eps_eff_microstrip
@@ -33,6 +34,7 @@ MIN_SEGMENTS = 11
 
 #: Gauss-Legendre points per kernel integral
 _N_QUAD = 16
+_XQ, _WQ = np.polynomial.legendre.leggauss(_N_QUAD)
 
 #: relative condition limit before the solve is refused
 _COND_LIMIT = 1e12
@@ -65,6 +67,13 @@ class SegmentMesh:
     segment_centers follow the n equal segments of length delta = L/n; the
     current expansion lives on the interior node grid `nodes` (spacing
     L/(n+1)), whose end half-bases terminate exactly at the wire tips.
+
+    The kernel quadrature is laid out once per mesh. Axis 0 of the quad_*
+    arrays runs over the six (knot, test half) blocks: knots -1, 0, +1 of
+    the source basis, each against the lower then upper half of the test
+    basis. Axis 1 is the node separation of the Toeplitz column, axis 2 the
+    Gauss-Legendre arcsinh nodes. quad_dz holds |z - z'|, quad_r the reduced
+    distance R, and quad_w the node weights td*wq.
     """
 
     n: int
@@ -74,6 +83,9 @@ class SegmentMesh:
     feed_index: int
     total_length: float
     radius: float
+    quad_dz: np.ndarray = field(repr=False)
+    quad_r: np.ndarray = field(repr=False)
+    quad_w: np.ndarray = field(repr=False)
 
 
 def strip_to_wire(W: float) -> float:
@@ -118,8 +130,20 @@ def build_mesh(model: WireModel, n: int = DEFAULT_N_SEGMENTS) -> SegmentMesh:
     centers = (np.arange(n) - (n - 1) / 2.0) * delta
     h = L / (n + 1)
     nodes = (np.arange(n) - (n - 1) / 2.0) * h
+    offsets = np.arange(n) * h          # node separation per column entry
+    knot = np.repeat((-1.0, 0.0, 1.0), 2)[:, None]
+    lo = np.tile((-1.0, 0.0), 3)[:, None]
+    hi = lo + 1.0
+    t1 = np.arcsinh((offsets + (lo - knot) * h) / a)
+    t2 = np.arcsinh((offsets + (hi - knot) * h) / a)
+    tm = (t2 + t1) / 2.0
+    td = (t2 - t1) / 2.0
+    t = tm[..., None] + _XQ * td[..., None]
+    dz = np.abs(a * np.sinh(t) + knot[..., None] * h - offsets[:, None])
     return SegmentMesh(n=n, delta=delta, segment_centers=centers, nodes=nodes,
-                       feed_index=(n - 1) // 2, total_length=L, radius=a)
+                       feed_index=(n - 1) // 2, total_length=L, radius=a,
+                       quad_dz=dz, quad_r=a * np.cosh(t),
+                       quad_w=td[..., None] * _WQ)
 
 
 def wavenumber(f: float, eps_e: float) -> float:
@@ -131,29 +155,23 @@ def wavenumber(f: float, eps_e: float) -> float:
 
 def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray:
     """Dense complex Galerkin matrix; symmetric and Toeplitz by construction."""
+    if mesh.total_length != model.total_length or mesh.radius != model.radius:
+        raise MeshError("mesh built for L=%g mm, a=%g mm used with a model of "
+                        "L=%g mm, a=%g mm" % (mesh.total_length, mesh.radius,
+                                              model.total_length, model.radius))
     k = wavenumber(f, model.eps_e)
     eta = ETA0 / np.sqrt(model.eps_e)
-    a = model.radius
     n = mesh.n
     h = model.total_length / (n + 1)
     sk = np.sin(k * h)
-    xq, wq = np.polynomial.legendre.leggauss(_N_QUAD)
-    offsets = np.arange(n) * h          # node separation per column entry
-    col = np.zeros(n, dtype=complex)
     # field of one basis = three spherical-wave centers at its knots
-    for j, c in zip((-1.0, 0.0, 1.0), (1.0, -2.0 * np.cos(k * h), 1.0)):
-        for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):   # two halves of the test basis
-            t1 = np.arcsinh((offsets + (lo - j) * h) / a)
-            t2 = np.arcsinh((offsets + (hi - j) * h) / a)
-            tm = (t2 + t1) / 2.0
-            td = (t2 - t1) / 2.0
-            t = tm[:, None] + xq[None, :] * td[:, None]
-            z_rel = a * np.sinh(t) + j * h - offsets[:, None]
-            R = a * np.cosh(t)
-            fm = np.sin(k * (h - np.abs(z_rel))) / sk
-            col += c * td * np.sum(wq[None, :] * fm * np.exp(-1j * k * R), axis=1)
-    col *= 1j * eta / (4.0 * np.pi * sk)
-    return toeplitz(col, col)
+    blocks = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
+                    * np.exp(-1j * k * mesh.quad_r), axis=2)
+    col = np.array((1.0, -2.0 * np.cos(k * h), 1.0)) \
+        @ blocks.reshape(3, 2, n).sum(axis=1)
+    col *= 1j * eta / (4.0 * np.pi * sk * sk)
+    i = np.arange(n)
+    return col[np.abs(i[:, None] - i)]
 
 
 @dataclass(frozen=True)

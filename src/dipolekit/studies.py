@@ -19,7 +19,7 @@ from .farfield import h_plane_cut, pattern_from_current
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, SweepResult, \
     fractional_bandwidth, s11_minimum
 from .mom import assemble_system, build_mesh, default_segments, \
-    geometry_model, impedance_at, solve_current, sweep
+    geometry_model, impedance_at, input_impedance, solve_current, sweep
 
 #: golden-section stopping span, mm
 _GOLDEN_TOL_MM = 0.1
@@ -50,10 +50,11 @@ def _evaluate(geometry: DipoleGeometry, substrate: Substrate, param: float,
     result = sweep(geometry, substrate, f_start, f_stop, f_step, z0=z0)
     best = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
-    z_probe = impedance_at(geometry_model(geometry, substrate), f_probe)
-    f_dir = bw.f_center if bw.percent > 0 else best.f
     model = geometry_model(geometry, substrate)
     mesh = build_mesh(model, default_segments(model.total_length, model.radius))
+    z_probe = input_impedance(
+        solve_current(assemble_system(mesh, f_probe, model), mesh))
+    f_dir = bw.f_center if bw.percent > 0 else best.f
     current = solve_current(assemble_system(mesh, f_dir, model), mesh)
     cut = pattern_from_current(current, mesh, f_dir, model.eps_e)
     return StudyRow(param_mm=param, z_in=z_probe, vswr=best.vswr,
@@ -112,12 +113,6 @@ class OptimizeResult:
     note: str = ""
 
 
-def _fixed_mesh_impedance(geometry: DipoleGeometry, substrate: Substrate,
-                          f: float, n: int) -> complex:
-    model = geometry_model(geometry, substrate)
-    return impedance_at(model, f, n=n)
-
-
 def optimize_length(substrate: Substrate, f: float,
                     l_low: float, l_high: float,
                     width_mm: float = 6.0, gap_mm: float = 0.0,
@@ -134,7 +129,7 @@ def optimize_length(substrate: Substrate, f: float,
     n = default_segments(l_low, model.radius)
 
     def x_of(L: float) -> complex:
-        return _fixed_mesh_impedance(replace(base, L=L), substrate, f, n)
+        return impedance_at(geometry_model(replace(base, L=L), substrate), f, n)
 
     z_lo, z_hi = x_of(l_low), x_of(l_high)
     if np.sign(z_lo.imag) == np.sign(z_hi.imag):
@@ -182,13 +177,16 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
     n = default_segments(l_low, model.radius)
 
     def z_of(L: float) -> complex:
-        return _fixed_mesh_impedance(replace(base, L=L), substrate, f, n)
+        return impedance_at(geometry_model(replace(base, L=L), substrate), f, n)
 
-    if objective is None:
+    def s11_of(z: complex) -> float:
+        gamma = abs((z - z0) / (z + z0))
+        return 20.0 * np.log10(gamma) if gamma > 0 else -np.inf
+
+    default_objective = objective is None
+    if default_objective:
         def objective(L: float) -> float:
-            z = z_of(L)
-            gamma = abs((z - z0) / (z + z0))
-            return 20.0 * np.log10(gamma) if gamma > 0 else -np.inf
+            return s11_of(z_of(L))
 
     grid = np.linspace(l_low, l_high, 9)
     vals = np.array([objective(L) for L in grid])
@@ -224,8 +222,8 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
             fd = objective(d)
     length = 0.5 * (lo + hi)
     z = z_of(length)
-    return OptimizeResult(length_mm=length, z_in=z,
-                          s11_db=float(objective(length)),
+    s11 = s11_of(z) if default_objective else objective(length)
+    return OptimizeResult(length_mm=length, z_in=z, s11_db=float(s11),
                           iterations=iterations, converged=True)
 
 

@@ -11,7 +11,8 @@ from dipolekit.cli import (
     resolve_config,
     resolve_substrate,
 )
-from dipolekit.errors import ConfigError
+from dipolekit import mom
+from dipolekit.errors import ConfigError, NonPassiveError
 from dipolekit.farfield import PatternCut
 from dipolekit.metrics import SweepResult, make_sample
 from dipolekit.studies import StudyRow
@@ -190,6 +191,15 @@ def test_cli_exit_code_io_error(tmp_path, capsys):
     rc = main(["analyze", "--band", "1050:1150:50",
                "--out", str(tmp_path / "nope" / "x.csv")])
     assert rc == 5
+
+
+def test_cli_exit_code_non_passive(monkeypatch, capsys):
+    # a negative input resistance reaching the metrics is a solver failure
+    monkeypatch.setattr(mom, "input_impedance", lambda current: -10.0 + 5.0j)
+    rc = main(["analyze", "--band", "1050:1150:50"])
+    assert rc == 4
+    assert "solver error" in capsys.readouterr().err
+    assert issubclass(NonPassiveError, ValueError)
 
 
 def test_cli_unknown_substrate_exit(capsys):

@@ -5,6 +5,7 @@ from dipolekit.design import DipoleGeometry, Substrate
 from dipolekit.errors import DesignRuleError, MeshError
 from dipolekit.metrics import SweepResult
 from dipolekit.mom import (
+    ETA0,
     WireModel,
     assemble_system,
     build_mesh,
@@ -26,6 +27,32 @@ LAMBDA_18 = 166.55136555555555   # mm at 1.8 GHz in free space
 
 def thin_half_wave():
     return WireModel(total_length=LAMBDA_18 / 2, radius=LAMBDA_18 / 1000)
+
+
+def loop_assemble(n: int, f: float, model: WireModel) -> np.ndarray:
+    """Reference Galerkin fill: the six quadrature blocks in a Python loop,
+    all geometry recomputed from (n, h, a) at every frequency."""
+    k = wavenumber(f, model.eps_e)
+    eta = ETA0 / np.sqrt(model.eps_e)
+    a = model.radius
+    h = model.total_length / (n + 1)
+    sk = np.sin(k * h)
+    xq, wq = np.polynomial.legendre.leggauss(16)
+    offsets = np.arange(n) * h
+    col = np.zeros(n, dtype=complex)
+    for j, c in zip((-1.0, 0.0, 1.0), (1.0, -2.0 * np.cos(k * h), 1.0)):
+        for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
+            t1 = np.arcsinh((offsets + (lo - j) * h) / a)
+            t2 = np.arcsinh((offsets + (hi - j) * h) / a)
+            tm = (t2 + t1) / 2.0
+            td = (t2 - t1) / 2.0
+            t = tm[:, None] + xq[None, :] * td[:, None]
+            z_rel = a * np.sinh(t) + j * h - offsets[:, None]
+            R = a * np.cosh(t)
+            fm = np.sin(k * (h - np.abs(z_rel))) / sk
+            col += c * td * np.sum(wq[None, :] * fm * np.exp(-1j * k * R), axis=1)
+    col *= 1j * eta / (4.0 * np.pi * sk)
+    return np.array([[col[abs(r - s)] for s in range(n)] for r in range(n)])
 
 
 def test_strip_to_wire():
@@ -91,6 +118,43 @@ def test_system_is_symmetric_toeplitz():
     for d in range(1, 5):
         diag = np.diagonal(A, offset=d)
         assert np.allclose(diag, diag[0])
+
+
+@pytest.mark.parametrize("n", [11, 21, 83, 321])
+@pytest.mark.parametrize("eps_e", [1.0, 3.3])
+def test_assemble_matches_loop_reference(n, eps_e):
+    base = thin_half_wave()
+    model = WireModel(base.total_length, base.radius, eps_e)
+    mesh = build_mesh(model, n=n)
+    for f in (0.9e9, 1.8e9, 2.6e9):
+        ref = loop_assemble(n, f, model)
+        # relative to the matrix scale: the far entries come out of a
+        # three-term cancellation, so any change in summation order moves
+        # them by a few ulps of the near entries
+        err = np.abs(assemble_system(mesh, f, model) - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max()
+
+
+def test_mesh_reused_across_frequencies():
+    model = WireModel(60.0, 0.3, 3.3)
+    shared = build_mesh(model, n=83)
+    for f in (0.9e9, 1.8e9, 2.6e9):
+        fresh = build_mesh(model, n=83)
+        assert np.array_equal(assemble_system(shared, f, model),
+                              assemble_system(fresh, f, model))
+
+
+def test_assemble_rejects_mesh_of_another_wire():
+    model = WireModel(60.0, 0.3, 3.3)
+    mesh = build_mesh(model, n=21)
+    with pytest.raises(MeshError, match="L=61"):
+        assemble_system(mesh, 1.8e9, WireModel(61.0, 0.3, 3.3))
+    with pytest.raises(MeshError, match="a=0.25"):
+        assemble_system(mesh, 1.8e9, WireModel(60.0, 0.25, 3.3))
+    # the medium is not baked into the mesh
+    other = WireModel(60.0, 0.3, 1.0)
+    assert np.array_equal(assemble_system(mesh, 1.8e9, other),
+                          assemble_system(build_mesh(other, n=21), 1.8e9, other))
 
 
 def test_current_symmetric_and_peaked_at_feed():

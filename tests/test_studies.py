@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dipolekit import mom, studies
 from dipolekit.design import Substrate
 from dipolekit.errors import BracketError
 from dipolekit.studies import (
@@ -76,6 +77,37 @@ def test_optimize_max_rl():
     assert res.converged
     assert res.s11_db < -15.0
     assert 35.0 < res.length_mm < 48.0
+
+
+def test_max_rl_solves_final_length_once(monkeypatch):
+    calls = []
+    solve = studies.impedance_at
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "impedance_at", counted)
+    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0)
+    # 9 presamples, 2 initial golden points, one per further iteration,
+    # and one for the final length
+    assert len(calls) == res.iterations + 3
+
+
+def test_study_row_shares_one_mesh_for_probe_and_pattern(monkeypatch):
+    meshes = []
+    build = mom.build_mesh
+
+    def counted(*args, **kwargs):
+        meshes.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mom, "build_mesh", counted)
+    monkeypatch.setattr(studies, "build_mesh", counted)
+    rows = length_study([65.0], FR4, *BAND)
+    assert rows[0].error is None
+    # one mesh for the band sweep, one for the probe and pattern solves
+    assert len(meshes) == 2
 
 
 def test_optimizers_agree():
