@@ -19,11 +19,11 @@ def main():
     result = dk.sweep(geometry, fr4, 1.0e9, 2.6e9, 10e6)
 
     f_res = dk.resonant_frequency(result)
-    best = dk.s11_minimum(result)
+    i = dk.s11_minimum(result)              # index of the deepest sample
     bw = dk.fractional_bandwidth(result)
     print("first resonance (X crosses zero): %.1f MHz" % (f_res / 1e6))
     print("deepest match: S11 = %.2f dB (VSWR %.4f) at %.1f MHz"
-          % (best.s11_db, best.vswr, best.f / 1e6))
+          % (result.s11_db[i], result.vswr[i], result.f[i] / 1e6))
     print("-10 dB bandwidth: %.2f%% (%.1f to %.1f MHz)"
           % (bw.percent, bw.f_low / 1e6, bw.f_high / 1e6))
 
@@ -35,7 +35,7 @@ def main():
 
     emit_sweep_csv(result, OUT)
     print()
-    print("full sweep written to %s (%d rows)" % (OUT, len(result.samples)))
+    print("full sweep written to %s (%d rows)" % (OUT, len(result.f)))
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from .farfield import PatternCut, h_plane_cut, pattern_from_current
 from .metrics import (
     BandwidthResult,
     SweepResult,
-    SweepSample,
     fractional_bandwidth,
     reflection_coefficient,
     resonant_frequency,

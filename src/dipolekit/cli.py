@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 design-rule violation,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -58,8 +59,15 @@ class RunConfig:
         return self.provenance.get(key, "default")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%r is not a finite number" % text)
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(p) for p in text.split(",") if p.strip())
+    values = tuple(_finite(p) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError("empty list")
     return values
@@ -69,7 +77,7 @@ def _band(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("band must be start:stop:step in MHz")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite(p) for p in parts)
     if step <= 0 or stop < start:
         raise ValueError("band must have stop >= start and step > 0")
     return start, stop, step
@@ -89,20 +97,20 @@ def _plane(text: str) -> str:
 
 _CONVERTERS = {
     "substrate": str,
-    "freq_mhz": float,
+    "freq_mhz": _finite,
     "band_mhz": _band,
-    "length_mm": float,
-    "width_mm": float,
-    "gap_mm": float,
+    "length_mm": _finite,
+    "width_mm": _finite,
+    "gap_mm": _finite,
     "feed": _feed,
     "mesh": int,
-    "bw_threshold_db": float,
-    "z0_ohm": float,
+    "bw_threshold_db": _finite,
+    "z0_ohm": _finite,
     "plane": _plane,
     "lengths_mm": _float_list,
     "widths_mm": _float_list,
-    "opt_low_mm": float,
-    "opt_high_mm": float,
+    "opt_low_mm": _finite,
+    "opt_high_mm": _finite,
     "out": str,
     "catalog": str,
 }
@@ -154,7 +162,7 @@ def resolve_substrate(config: RunConfig) -> Substrate:
             raise ConfigError("inline substrate must be eps_r:h_mm:tand, got %r"
                               % text)
         try:
-            eps_r, h, tand = (float(p) for p in parts)
+            eps_r, h, tand = (_finite(p) for p in parts)
             return Substrate(name="inline", eps_r=eps_r, h=h, tan_delta=tand)
         except ValueError as exc:
             raise ConfigError("bad inline substrate %r: %s" % (text, exc)) from exc
@@ -168,8 +176,7 @@ def resolve_substrate(config: RunConfig) -> Substrate:
 def _geometry(config: RunConfig) -> DipoleGeometry:
     try:
         return DipoleGeometry(L=config.length_mm, W=config.width_mm,
-                              g=config.gap_mm,
-                              feed_style=_FEED_NAMES[config.feed])
+                              g=config.gap_mm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -193,12 +200,10 @@ def _write(path: str | None, text: str) -> None:
 
 def emit_sweep_csv(result: SweepResult, path: str | None) -> None:
     """`freq_hz,r_ohm,x_ohm,s11_db,vswr`, one row per sample."""
-    if not result.samples:
-        raise ValueError("empty sweep")
     lines = ["freq_hz,r_ohm,x_ohm,s11_db,vswr"]
-    for s in result.samples:
-        lines.append(",".join((_fmt(s.f), _fmt(s.z_in.real), _fmt(s.z_in.imag),
-                               _fmt(s.s11_db), _fmt(s.vswr))))
+    for row in zip(result.f, result.z_in.real, result.z_in.imag,
+                   result.s11_db, result.vswr):
+        lines.append(",".join(map(_fmt, row)))
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -235,7 +240,7 @@ def _band_hz(config: RunConfig) -> tuple[float, float, float]:
 
 
 def _summary_line(result: SweepResult, threshold_db: float) -> str:
-    best = s11_minimum(result)
+    i = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
     try:
         f_res = resonant_frequency(result)
@@ -243,7 +248,8 @@ def _summary_line(result: SweepResult, threshold_db: float) -> str:
     except NoResonanceError:
         res_txt = "none in band"
     return ("resonance %s, best RL %.2f dB at %.1f MHz, BW %.2f%%, VSWR %.4f"
-            % (res_txt, best.s11_db, best.f / _MHZ, bw.percent, best.vswr))
+            % (res_txt, result.s11_db[i], result.f[i] / _MHZ, bw.percent,
+               result.vswr[i]))
 
 
 def cmd_design(config: RunConfig) -> None:
@@ -346,19 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--substrate", dest="substrate",
                        help="catalog name or inline eps_r:h_mm:tand")
-        p.add_argument("--freq", dest="freq_mhz", type=float,
+        p.add_argument("--freq", dest="freq_mhz", type=_finite,
                        help="spot frequency, MHz")
         p.add_argument("--band", dest="band_mhz", type=_band,
                        help="start:stop:step, MHz")
-        p.add_argument("--length", dest="length_mm", type=float, help="mm")
-        p.add_argument("--width", dest="width_mm", type=float, help="mm")
-        p.add_argument("--gap", dest="gap_mm", type=float, help="mm")
+        p.add_argument("--length", dest="length_mm", type=_finite, help="mm")
+        p.add_argument("--width", dest="width_mm", type=_finite, help="mm")
+        p.add_argument("--gap", dest="gap_mm", type=_finite, help="mm")
         p.add_argument("--feed", dest="feed", choices=sorted(_FEED_NAMES))
         p.add_argument("--mesh", dest="mesh", type=int,
                        help="odd segment count")
-        p.add_argument("--bw-threshold", dest="bw_threshold_db", type=float,
+        p.add_argument("--bw-threshold", dest="bw_threshold_db", type=_finite,
                        help="bandwidth threshold, dB")
-        p.add_argument("--z0", dest="z0_ohm", type=float,
+        p.add_argument("--z0", dest="z0_ohm", type=_finite,
                        help="reference impedance, ohm")
         p.add_argument("--plane", dest="plane", type=_plane,
                        help="pattern cut: E or H")
@@ -366,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list, mm")
         p.add_argument("--widths", dest="widths_mm", type=_float_list,
                        help="comma list, mm")
-        p.add_argument("--opt-low", dest="opt_low_mm", type=float, help="mm")
-        p.add_argument("--opt-high", dest="opt_high_mm", type=float, help="mm")
+        p.add_argument("--opt-low", dest="opt_low_mm", type=_finite, help="mm")
+        p.add_argument("--opt-high", dest="opt_high_mm", type=_finite, help="mm")
         p.add_argument("--catalog", dest="catalog",
                        help="substrate catalog path")
         p.add_argument("--out", dest="out", help="output path (default stdout)")
@@ -388,6 +394,10 @@ def run(argv: list[str] | None = None) -> int:
             return 2
         file_values = parse_config_text(text, source=args.config)
     config = resolve_config(file_values, flag_values)
+    if config.feed != "ideal" and args.command != "design":
+        raise ConfigError("feed %r is not modelled: the solver has only an "
+                          "ideal center feed (feed network: ROADMAP item 5)"
+                          % config.feed)
     _COMMANDS[args.command](config)
     return 0
 
@@ -395,15 +405,15 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except DesignRuleError as exc:
         print("design-rule violation: %s" % exc, file=sys.stderr)
         return 3
     except SolverError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 4
+    except (ConfigError, ValueError) as exc:  # NonPassiveError exits 4 above
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 5

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DipolekitError
+from .errors import SolverError
 from .mom import CurrentDistribution, SegmentMesh, wavenumber
 
 
-class DegeneratePattern(DipolekitError):
+class DegeneratePattern(SolverError):
     """The sampled pattern carries no power."""
 
 
@@ -74,7 +74,7 @@ def hpbw_from_cut(angles_deg: np.ndarray, field_db: np.ndarray) -> float:
     i_pk = int(np.argmax(db))
     level = db[i_pk] - 3.0
 
-    def _edge(idx_range, forward):
+    def _edge(idx_range):
         prev = i_pk
         for i in idx_range:
             if db[i] <= level:
@@ -84,8 +84,8 @@ def hpbw_from_cut(angles_deg: np.ndarray, field_db: np.ndarray) -> float:
             prev = i
         return None
 
-    right = _edge(range(i_pk + 1, len(db)), True)
-    left = _edge(range(i_pk - 1, -1, -1), False)
+    right = _edge(range(i_pk + 1, len(db)))
+    left = _edge(range(i_pk - 1, -1, -1))
     if right is None or left is None:
         return float(angles[-1] - angles[0])
     return float(right - left)

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .errors import NonPassiveError, NoResonanceError
+import numpy as np
 
-#: sign convention: return loss is reported as a negative dB number
-#: (a deeper, more negative value means a better match).
-RETURN_LOSS_SIGN = -1.0
+from .errors import NonPassiveError, NoResonanceError
 
 #: reference impedance for every sweep, ohm
 DEFAULT_Z0 = 50.0
@@ -17,37 +14,36 @@ DEFAULT_Z0 = 50.0
 #: default match threshold for bandwidth extraction, dB (VSWR ~ 2)
 DEFAULT_BW_THRESHOLD_DB = -10.0
 
-#: sentinel for a perfect match, displayed as "< -100 dB"
-PERFECT_MATCH_DB = float("-inf")
 
-
-def reflection_coefficient(z_in: complex, z0: float = DEFAULT_Z0) -> complex:
-    """Gamma = (Z - Z0) / (Z + Z0) against a real reference impedance."""
-    if z0 <= 0:
+def reflection_coefficient(z_in, z0: float = DEFAULT_Z0):
+    """Gamma = (Z - Z0) / (Z + Z0) for a scalar or array Z and a real Z0 > 0."""
+    if not z0 > 0:
         raise ValueError("reference impedance must be > 0")
-    if z_in.real < 0:
-        raise NonPassiveError("Re(Z_in) = %g < 0 is not passive" % z_in.real)
+    r = np.real(z_in)
+    if np.count_nonzero(r < 0):
+        raise NonPassiveError("Re(Z_in) = %g < 0 is not passive" % np.min(r))
     return (z_in - z0) / (z_in + z0)
 
 
-def return_loss_db(gamma: complex) -> float:
-    """20*log10|gamma|, always <= 0; -inf for a perfect match."""
-    mag = abs(gamma)
-    if mag > 1.0 + 1e-12:
-        raise ValueError("|gamma| = %g > 1 is not passive" % mag)
-    if mag == 0.0:
-        return PERFECT_MATCH_DB
-    return 20.0 * math.log10(min(mag, 1.0))
+def _passive_magnitude(gamma):
+    mag = np.abs(gamma)
+    if np.count_nonzero(mag > 1.0 + 1e-12):
+        raise ValueError("|gamma| = %g > 1 is not passive" % np.max(mag))
+    return np.minimum(mag, 1.0)
 
 
-def vswr(gamma: complex) -> float:
+def return_loss_db(gamma):
+    """20*log10|gamma|, always <= 0 (negative-dB convention: more negative is
+    a better match); -inf for a perfect match."""
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(_passive_magnitude(gamma))
+
+
+def vswr(gamma):
     """(1+|gamma|)/(1-|gamma|); infinite for total reflection."""
-    mag = abs(gamma)
-    if mag > 1.0 + 1e-12:
-        raise ValueError("|gamma| = %g > 1 is not passive" % mag)
-    if mag >= 1.0:
-        return math.inf
-    return (1.0 + mag) / (1.0 - mag)
+    mag = _passive_magnitude(gamma)
+    with np.errstate(divide="ignore"):
+        return (1.0 + mag) / (1.0 - mag)
 
 
 def gamma_from_vswr(s: float) -> float:
@@ -64,36 +60,35 @@ def gamma_from_return_loss(rl_db: float) -> float:
     return 10.0 ** (rl_db / 20.0)
 
 
-@dataclass(frozen=True)
-class SweepSample:
-    f: float            # Hz
-    z_in: complex       # ohm
-    gamma: complex
-    s11_db: float
-    vswr: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Ordered impedance / S11 / VSWR samples over a frequency band."""
+    """Impedance and match figures over a strictly ascending frequency grid.
 
+    f (Hz) and z_in (ohm) hold one entry per frequency; gamma, s11_db and
+    vswr are derived from them against the real reference impedance z0.
+    """
+
+    f: np.ndarray
+    z_in: np.ndarray
     z0: float = DEFAULT_Z0
-    samples: tuple[SweepSample, ...] = field(default_factory=tuple)
+    gamma: np.ndarray = field(init=False, repr=False)
+    s11_db: np.ndarray = field(init=False, repr=False)
+    vswr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        fs = [s.f for s in self.samples]
-        if any(b <= a for a, b in zip(fs, fs[1:])):
+        f = np.asarray(self.f, dtype=float)
+        z = np.asarray(self.z_in, dtype=complex)
+        if f.ndim != 1 or f.shape != z.shape:
+            raise ValueError("f and z_in must be 1-D arrays of equal length")
+        if not f.size:
+            raise ValueError("empty sweep")
+        if np.any(np.diff(f) <= 0):
             raise ValueError("sweep samples must be strictly ascending in f")
-
-    @property
-    def frequencies(self) -> list[float]:
-        return [s.f for s in self.samples]
-
-
-def make_sample(f: float, z_in: complex, z0: float = DEFAULT_Z0) -> SweepSample:
-    g = reflection_coefficient(z_in, z0)
-    return SweepSample(f=f, z_in=z_in, gamma=g,
-                       s11_db=return_loss_db(g), vswr=vswr(g))
+        gamma = reflection_coefficient(z, self.z0)
+        derived = dict(f=f, z_in=z, gamma=gamma, s11_db=return_loss_db(gamma),
+                       vswr=vswr(gamma))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -115,31 +110,29 @@ def fractional_bandwidth(sweep: SweepResult,
     """
     if threshold_db >= 0:
         raise ValueError("threshold must be negative dB")
-    s = sweep.samples
-    if not s:
-        raise ValueError("empty sweep")
-    i0 = min(range(len(s)), key=lambda i: s[i].s11_db)
-    f_c = s[i0].f
-    if s[i0].s11_db > threshold_db:
+    f, s = sweep.f.tolist(), sweep.s11_db.tolist()
+    i0 = s11_minimum(sweep)
+    f_c = f[i0]
+    if s[i0] > threshold_db:
         return BandwidthResult(0.0, f_c, f_c, f_c, False)
     lo = i0
-    while lo > 0 and s[lo - 1].s11_db <= threshold_db:
+    while lo > 0 and s[lo - 1] <= threshold_db:
         lo -= 1
     hi = i0
-    while hi < len(s) - 1 and s[hi + 1].s11_db <= threshold_db:
+    while hi < len(s) - 1 and s[hi + 1] <= threshold_db:
         hi += 1
     clipped = False
 
     def cross(inside: int, outside: int) -> float:
-        a, b = s[inside], s[outside]
-        return a.f + (b.f - a.f) * (threshold_db - a.s11_db) / (b.s11_db - a.s11_db)
+        return f[inside] + (f[outside] - f[inside]) \
+            * (threshold_db - s[inside]) / (s[outside] - s[inside])
 
     if lo == 0:
-        f_lo, clipped = s[0].f, True
+        f_lo, clipped = f[0], True
     else:
         f_lo = cross(lo, lo - 1)
     if hi == len(s) - 1:
-        f_hi, clipped = s[-1].f, True
+        f_hi, clipped = f[-1], True
     else:
         f_hi = cross(hi, hi + 1)
     return BandwidthResult(100.0 * (f_hi - f_lo) / f_c, f_lo, f_hi, f_c, clipped)
@@ -147,16 +140,14 @@ def fractional_bandwidth(sweep: SweepResult,
 
 def resonant_frequency(sweep: SweepResult) -> float:
     """Lowest capacitive-to-inductive reactance zero crossing, interpolated."""
-    s = sweep.samples
-    for a, b in zip(s, s[1:]):
-        xa, xb = a.z_in.imag, b.z_in.imag
-        if xa < 0.0 <= xb:
-            return a.f + (b.f - a.f) * (-xa) / (xb - xa)
-    raise NoResonanceError("no - to + reactance crossing inside the sweep band")
+    x, f = sweep.z_in.imag, sweep.f
+    up = np.flatnonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))
+    if not up.size:
+        raise NoResonanceError("no - to + reactance crossing inside the sweep band")
+    i = up[0]
+    return float(f[i] + (f[i + 1] - f[i]) * (-x[i]) / (x[i + 1] - x[i]))
 
 
-def s11_minimum(sweep: SweepResult) -> SweepSample:
-    """The deepest-match sample of a sweep."""
-    if not sweep.samples:
-        raise ValueError("empty sweep")
-    return min(sweep.samples, key=lambda smp: smp.s11_db)
+def s11_minimum(sweep: SweepResult) -> int:
+    """Index of the deepest-match sample of a sweep."""
+    return int(np.argmin(sweep.s11_db))

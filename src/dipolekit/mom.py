@@ -22,15 +22,18 @@ import numpy as np
 from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_design_rules, \
     eps_eff_microstrip
 from .errors import DesignRuleError, MeshError, SolverError
-from .metrics import DEFAULT_Z0, SweepResult, make_sample
+from .metrics import DEFAULT_Z0, SweepResult
 
 #: free-space wave impedance, ohm
 ETA0 = 376.730313668
 
-#: default segment count for sweeps (thin-wire regime)
+#: largest automatic segment count (thin-wire regime), see default_segments
 DEFAULT_N_SEGMENTS = 41
 
 MIN_SEGMENTS = 11
+
+#: most frequencies one sweep may hold
+MAX_GRID_POINTS = 1_000_000
 
 #: Gauss-Legendre points per kernel integral
 _N_QUAD = 16
@@ -109,15 +112,16 @@ def default_segments(total_length: float, radius: float,
 
     Falls back to MIN_SEGMENTS for very fat wires; capped at n_max.
     """
-    n = int(total_length / (2.0 * radius)) - 1
-    n = min(n, n_max)
+    n = int(min(total_length / (2.0 * radius), n_max + 1)) - 1
     if n % 2 == 0:
         n -= 1
     return max(n, MIN_SEGMENTS)
 
 
-def build_mesh(model: WireModel, n: int = DEFAULT_N_SEGMENTS) -> SegmentMesh:
-    """Uniform odd-count mesh with the feed at the center segment."""
+def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
+    """Uniform odd-count mesh (default_segments if n is None), center feed."""
+    if n is None:
+        n = default_segments(model.total_length, model.radius)
     if n % 2 == 0:
         raise MeshError("segment count must be odd, got %d" % n)
     if n < MIN_SEGMENTS:
@@ -164,6 +168,8 @@ def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray
     n = mesh.n
     h = model.total_length / (n + 1)
     sk = np.sin(k * h)
+    if sk * sk == 0.0:
+        raise SolverError("sin(kh) underflows at %g Hz" % f)
     # field of one basis = three spherical-wave centers at its knots
     blocks = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
                     * np.exp(-1j * k * mesh.quad_r), axis=2)
@@ -190,7 +196,10 @@ class CurrentDistribution:
 def solve_current(system: np.ndarray, mesh: SegmentMesh,
                   voltage: float = 1.0) -> CurrentDistribution:
     """Delta-gap excitation at the center node, dense direct solve."""
-    cond = np.linalg.cond(system)
+    try:
+        cond = np.linalg.cond(system)
+    except np.linalg.LinAlgError:      # the SVD of a non-finite matrix
+        cond = np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SolverError("system condition estimate %.3g exceeds %.1g"
                           % (cond, _COND_LIMIT))
@@ -216,8 +225,7 @@ def input_impedance(current: CurrentDistribution) -> complex:
 
 def impedance_at(model: WireModel, f: float, n: int | None = None) -> complex:
     """Convenience: mesh, assemble and solve for a single frequency."""
-    mesh = build_mesh(model, n if n is not None else
-                      default_segments(model.total_length, model.radius))
+    mesh = build_mesh(model, n)
     current = solve_current(assemble_system(mesh, f, model), mesh)
     return input_impedance(current)
 
@@ -236,30 +244,30 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
         raise ValueError("f_step must be > 0")
     if f_start == f_stop:
         return np.array([f_start])
-    count = int(round((f_stop - f_start) / f_step))
+    steps = (f_stop - f_start) / f_step
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError("band has %.3g steps, limit %d" % (steps, MAX_GRID_POINTS))
+    count = int(round(steps))
     grid = f_start + f_step * np.arange(count + 1)
     return grid[grid <= f_stop * (1 + 1e-12)]
 
 
 def sweep(geometry: DipoleGeometry, substrate: Substrate,
           f_start: float, f_stop: float, f_step: float,
-          n: int | None = None, z0: float = DEFAULT_Z0,
-          check_rules: bool = True) -> SweepResult:
+          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
     """Impedance and match metrics over a frequency band."""
-    if check_rules:
-        rules = check_design_rules(geometry, substrate, 0.5 * (f_start + f_stop))
-        if not rules.ok:
-            names = ", ".join(e.rule for e in rules.violations)
-            raise DesignRuleError("geometry violates restriction(s): %s" % names)
+    rules = check_design_rules(geometry, substrate, 0.5 * (f_start + f_stop))
+    if not rules.ok:
+        names = ", ".join(e.rule for e in rules.violations)
+        raise DesignRuleError("geometry violates restriction(s): %s" % names)
     model = geometry_model(geometry, substrate)
-    mesh = build_mesh(model, n if n is not None else
-                      default_segments(model.total_length, model.radius))
-    samples = []
-    for f in frequency_grid(f_start, f_stop, f_step):
+    mesh = build_mesh(model, n)
+    freqs = frequency_grid(f_start, f_stop, f_step)
+    z_in = np.empty(freqs.size, dtype=complex)
+    for i, f in enumerate(freqs):
         try:
             current = solve_current(assemble_system(mesh, float(f), model), mesh)
-            z_in = input_impedance(current)
+            z_in[i] = input_impedance(current)
         except SolverError as exc:
             raise SolverError("at %g Hz: %s" % (f, exc)) from exc
-        samples.append(make_sample(float(f), z_in, z0))
-    return SweepResult(z0=z0, samples=tuple(samples))
+    return SweepResult(freqs, z_in, z0)

@@ -8,6 +8,7 @@ the error message instead of aborting the table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -16,8 +17,8 @@ import numpy as np
 from .design import DipoleGeometry, Substrate
 from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
-from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, SweepResult, \
-    fractional_bandwidth, s11_minimum
+from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, \
+    fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
 from .mom import assemble_system, build_mesh, default_segments, \
     geometry_model, impedance_at, input_impedance, solve_current, sweep
 
@@ -51,14 +52,14 @@ def _evaluate(geometry: DipoleGeometry, substrate: Substrate, param: float,
     best = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
     model = geometry_model(geometry, substrate)
-    mesh = build_mesh(model, default_segments(model.total_length, model.radius))
+    mesh = build_mesh(model)
     z_probe = input_impedance(
         solve_current(assemble_system(mesh, f_probe, model), mesh))
-    f_dir = bw.f_center if bw.percent > 0 else best.f
+    f_dir = bw.f_center if bw.percent > 0 else float(result.f[best])
     current = solve_current(assemble_system(mesh, f_dir, model), mesh)
     cut = pattern_from_current(current, mesh, f_dir, model.eps_e)
-    return StudyRow(param_mm=param, z_in=z_probe, vswr=best.vswr,
-                    rl_db=best.s11_db, bw_pct=bw.percent,
+    return StudyRow(param_mm=param, z_in=z_probe, vswr=result.vswr[best],
+                    rl_db=result.s11_db[best], bw_pct=bw.percent,
                     directivity_dbi=cut.directivity_dbi)
 
 
@@ -79,24 +80,24 @@ def _study(params: Sequence[float],
 
 def length_study(lengths_mm: Sequence[float], substrate: Substrate,
                  f_start: float, f_stop: float, f_step: float,
-                 width_mm: float = 6.0, gap_mm: float = 0.0,
-                 f_probe: float = 1.8e9, z0: float = DEFAULT_Z0,
+                 width_mm: float = 6.0, f_probe: float = 1.8e9,
+                 z0: float = DEFAULT_Z0,
                  threshold_db: float = DEFAULT_BW_THRESHOLD_DB) -> list[StudyRow]:
     """Sweep the dipole length at fixed strip width."""
     return _study(lengths_mm,
-                  lambda L: DipoleGeometry(L=L, W=width_mm, g=gap_mm),
+                  lambda L: DipoleGeometry(L=L, W=width_mm),
                   substrate, f_start, f_stop, f_step, f_probe, z0,
                   threshold_db)
 
 
 def width_study(widths_mm: Sequence[float], substrate: Substrate,
                 f_start: float, f_stop: float, f_step: float,
-                length_mm: float = 60.0, gap_mm: float = 0.0,
-                f_probe: float = 1.8e9, z0: float = DEFAULT_Z0,
+                length_mm: float = 60.0, f_probe: float = 1.8e9,
+                z0: float = DEFAULT_Z0,
                 threshold_db: float = DEFAULT_BW_THRESHOLD_DB) -> list[StudyRow]:
     """Sweep the strip width at fixed dipole length."""
     return _study(widths_mm,
-                  lambda W: DipoleGeometry(L=length_mm, W=W, g=gap_mm),
+                  lambda W: DipoleGeometry(L=length_mm, W=W),
                   substrate, f_start, f_stop, f_step, f_probe, z0,
                   threshold_db)
 
@@ -113,25 +114,28 @@ class OptimizeResult:
     note: str = ""
 
 
-def optimize_length(substrate: Substrate, f: float,
-                    l_low: float, l_high: float,
-                    width_mm: float = 6.0, gap_mm: float = 0.0,
-                    z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Bisect for the length whose input reactance crosses zero at f.
-
-    The segment count is fixed from the lower bound so the objective is a
-    continuous function of length.
-    """
+def _impedance_of_length(substrate: Substrate, f: float, l_low: float,
+                         l_high: float, width_mm: float) -> Callable:
+    """Cached Z_in(L) at f; the segment count is fixed from l_low so Z is a
+    continuous function of length."""
     if not l_low < l_high:
         raise ValueError("need l_low < l_high")
-    base = DipoleGeometry(L=l_low, W=width_mm, g=gap_mm)
-    model = geometry_model(base, substrate)
+    model = geometry_model(DipoleGeometry(L=l_low, W=width_mm), substrate)
     n = default_segments(l_low, model.radius)
 
-    def x_of(L: float) -> complex:
-        return impedance_at(geometry_model(replace(base, L=L), substrate), f, n)
+    @functools.cache
+    def z_of(L: float) -> complex:
+        return impedance_at(replace(model, total_length=L), f, n)
+    return z_of
 
-    z_lo, z_hi = x_of(l_low), x_of(l_high)
+
+def optimize_length(substrate: Substrate, f: float,
+                    l_low: float, l_high: float,
+                    width_mm: float = 6.0,
+                    z0: float = DEFAULT_Z0) -> OptimizeResult:
+    """Bisect for the length whose input reactance crosses zero at f."""
+    z_of = _impedance_of_length(substrate, f, l_low, l_high, width_mm)
+    z_lo, z_hi = z_of(l_low), z_of(l_high)
     if np.sign(z_lo.imag) == np.sign(z_hi.imag):
         raise BracketError(
             "reactance does not change sign on [%g, %g] mm: "
@@ -143,7 +147,7 @@ def optimize_length(substrate: Substrate, f: float,
     iterations = 0
     for iterations in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
-        z_mid = x_of(mid)
+        z_mid = z_of(mid)
         if np.sign(z_mid.imag) == np.sign(x_lo):
             lo, x_lo = mid, z_mid.imag
         else:
@@ -151,9 +155,8 @@ def optimize_length(substrate: Substrate, f: float,
         if hi - lo < _BISECT_TOL_MM and abs(z_mid.imag) < _REACTANCE_TOL_OHM:
             break
     length = 0.5 * (lo + hi)
-    z_fin = x_of(length)
-    gamma = (z_fin - z0) / (z_fin + z0)
-    s11 = 20.0 * np.log10(abs(gamma)) if abs(gamma) > 0 else -np.inf
+    z_fin = z_of(length)
+    s11 = return_loss_db(reflection_coefficient(z_fin, z0))
     return OptimizeResult(length_mm=length, z_in=z_fin, s11_db=float(s11),
                           iterations=iterations,
                           converged=abs(z_fin.imag) < _REACTANCE_TOL_OHM)
@@ -161,7 +164,7 @@ def optimize_length(substrate: Substrate, f: float,
 
 def optimize_for_max_rl(substrate: Substrate, f: float,
                         l_low: float, l_high: float,
-                        width_mm: float = 6.0, gap_mm: float = 0.0,
+                        width_mm: float = 6.0,
                         z0: float = DEFAULT_Z0,
                         objective: Callable[[float], float] | None = None
                         ) -> OptimizeResult:
@@ -170,24 +173,13 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
     A 9-point presample checks unimodality; if the samples are not
     unimodal the best grid point is returned with a "non-unimodal" note.
     """
-    if not l_low < l_high:
-        raise ValueError("need l_low < l_high")
-    base = DipoleGeometry(L=l_low, W=width_mm, g=gap_mm)
-    model = geometry_model(base, substrate)
-    n = default_segments(l_low, model.radius)
+    z_of = _impedance_of_length(substrate, f, l_low, l_high, width_mm)
 
-    def z_of(L: float) -> complex:
-        return impedance_at(geometry_model(replace(base, L=L), substrate), f, n)
+    def s11_of(L: float) -> float:
+        return return_loss_db(reflection_coefficient(z_of(L), z0))
 
-    def s11_of(z: complex) -> float:
-        gamma = abs((z - z0) / (z + z0))
-        return 20.0 * np.log10(gamma) if gamma > 0 else -np.inf
-
-    default_objective = objective is None
-    if default_objective:
-        def objective(L: float) -> float:
-            return s11_of(z_of(L))
-
+    if objective is None:
+        objective = s11_of
     grid = np.linspace(l_low, l_high, 9)
     vals = np.array([objective(L) for L in grid])
     i_best = int(np.argmin(vals))
@@ -221,9 +213,8 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
             d = lo + _PHI * (hi - lo)
             fd = objective(d)
     length = 0.5 * (lo + hi)
-    z = z_of(length)
-    s11 = s11_of(z) if default_objective else objective(length)
-    return OptimizeResult(length_mm=length, z_in=z, s11_db=float(s11),
+    return OptimizeResult(length_mm=length, z_in=z_of(length),
+                          s11_db=float(objective(length)),
                           iterations=iterations, converged=True)
 
 
@@ -231,7 +222,7 @@ def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
                   f: float) -> tuple:
     """Both principal-plane cuts for one geometry."""
     model = geometry_model(geometry, substrate)
-    mesh = build_mesh(model, default_segments(model.total_length, model.radius))
+    mesh = build_mesh(model)
     current = solve_current(assemble_system(mesh, f, model), mesh)
     e_cut = pattern_from_current(current, mesh, f, model.eps_e)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

@@ -1,5 +1,9 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dipolekit.cli import (
     RunConfig,
@@ -14,7 +18,7 @@ from dipolekit.cli import (
 from dipolekit import mom
 from dipolekit.errors import ConfigError, NonPassiveError
 from dipolekit.farfield import PatternCut
-from dipolekit.metrics import SweepResult, make_sample
+from dipolekit.metrics import SweepResult
 from dipolekit.studies import StudyRow
 
 
@@ -72,8 +76,7 @@ def test_inline_substrate_eps_below_one_rejected():
 
 
 def _sweep():
-    return SweepResult(samples=(make_sample(1.0e9, 40 - 5j),
-                                make_sample(1.1e9, 50 + 2j)))
+    return SweepResult([1.0e9, 1.1e9], [40 - 5j, 50 + 2j])
 
 
 def test_emit_sweep_csv(tmp_path):
@@ -88,7 +91,7 @@ def test_emit_sweep_csv(tmp_path):
 
 def test_emit_sweep_single_sample(tmp_path):
     p = tmp_path / "s.csv"
-    emit_sweep_csv(SweepResult(samples=(make_sample(1.8e9, 50 + 0j),)), str(p))
+    emit_sweep_csv(SweepResult([1.8e9], [50 + 0j]), str(p))
     assert len(p.read_text().splitlines()) == 2
 
 
@@ -220,3 +223,88 @@ def test_cli_optimize(capsys):
     rc = main(["optimize", "--opt-low", "35", "--opt-high", "48"])
     assert rc == 0
     assert "optimize: L=" in capsys.readouterr().out
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:      # argparse rejected a flag value
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--length", "20", "--width", "6"],     # thin-wire limit
+    ["analyze", "--z0", "-5"],
+    ["analyze", "--z0", "nan"],
+    ["pattern", "--freq", "0"],
+    ["optimize", "--opt-low", "48", "--opt-high", "35"],
+    ["analyze", "--bw-threshold", "3"],
+    ["analyze", "--length", "inf"],
+    ["pattern", "--freq", "inf"],
+    ["analyze", "--band", "1000:inf:50"],
+    ["analyze", "--band", "1000:2000:1e-310"],        # step count overflows
+], ids=" ".join)
+def test_cli_bad_values_exit_2(argv, capsys):
+    assert _exit_code(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--freq=1e-300"],                       # sin(kh) underflows
+    ["pattern", "--freq=1e305"],                        # non-finite matrix
+    ["pattern", "--length=1e10", "--width=1e-300"],     # L/(2a) overflows
+], ids=" ".join)
+def test_cli_degenerate_solves_exit_4(argv, capsys):
+    assert main(argv) == 4
+    assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["z0_ohm = nan", "length_mm = -inf",
+                                  "band_mhz = 1000:inf:50",
+                                  "lengths_mm = 63,inf"])
+def test_parse_config_rejects_non_finite(text):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_text(text + "\n")
+
+
+def test_inline_substrate_rejects_non_finite():
+    with pytest.raises(ConfigError, match="finite"):
+        resolve_substrate(RunConfig(substrate="inf:1.6:0"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "pattern", "study-length",
+                                     "study-width", "optimize"])
+def test_cli_rejects_unmodelled_feed(command, tmp_path, capsys):
+    assert main([command, "--feed", "stub"]) == 2
+    assert "ROADMAP item 5" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("feed = via\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "ideal center feed" in capsys.readouterr().err
+    assert main([command, "--feed", "ideal", "--band", "1700:1900:100",
+                 "--lengths", "63", "--widths", "6"]) == 0
+
+
+def test_cli_design_keeps_feed_styles(capsys):
+    for feed in ("ideal", "stub", "via"):
+        assert main(["design", "--feed", feed]) == 0
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["analyze", "pattern", "optimize"]),
+       length=_ANY_FLOAT, width=_ANY_FLOAT, z0=_ANY_FLOAT, freq=_ANY_FLOAT,
+       bw_threshold=_ANY_FLOAT)
+def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
+                                           bw_threshold):
+    # a fixed 3-point band and the automatic mesh keep every solve small
+    argv = [command, "--band", "1700:1900:100", "--length=%r" % length,
+            "--width=%r" % width, "--z0=%r" % z0, "--freq=%r" % freq,
+            "--bw-threshold=%r" % bw_threshold]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _exit_code(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err.getvalue()

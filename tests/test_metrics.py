@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +11,6 @@ from dipolekit.metrics import (
     fractional_bandwidth,
     gamma_from_return_loss,
     gamma_from_vswr,
-    make_sample,
     reflection_coefficient,
     resonant_frequency,
     return_loss_db,
@@ -64,7 +64,47 @@ def test_passive_impedance_gives_passive_gamma(z):
 
 
 def _sweep_from(fz):
-    return SweepResult(samples=tuple(make_sample(f, z) for f, z in fz))
+    f, z = zip(*fz)
+    return SweepResult(f, z)
+
+
+def test_sweep_result_guards():
+    with pytest.raises(ValueError, match="equal length"):
+        SweepResult([1.0e9, 1.1e9], [50 + 0j])
+    with pytest.raises(ValueError, match="equal length"):
+        SweepResult([[1.0e9]], [[50 + 0j]])
+    with pytest.raises(ValueError, match="empty sweep"):
+        SweepResult([], [])
+    with pytest.raises(ValueError, match="ascending"):
+        SweepResult([1.0e9, 1.0e9], [50 + 0j, 50 + 0j])
+    for z0 in (0.0, -50.0):
+        with pytest.raises(ValueError, match="reference impedance"):
+            SweepResult([1.0e9], [50 + 0j], z0=z0)
+    with pytest.raises(NonPassiveError, match=r"Re\(Z_in\) = -5 < 0 is not passive"):
+        SweepResult([1.0e9, 1.1e9], [50 + 0j, -5 + 1j])
+
+
+def test_sweep_result_derived_arrays():
+    sw = SweepResult([1.0e9, 1.1e9, 1.2e9], [100 + 0j, 50 + 0j, 25 + 0j])
+    assert sw.gamma == pytest.approx([1 / 3, 0.0, -1 / 3])
+    assert sw.vswr == pytest.approx([2.0, 1.0, 2.0])
+    assert sw.s11_db[1] == -math.inf
+    assert sw.s11_db[[0, 2]] == pytest.approx([-9.542425094393249] * 2)
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                   allow_infinity=False)
+                .filter(lambda z: z.real >= 0), min_size=1, max_size=8),
+       st.floats(1e-3, 1e4))
+def test_array_figures_equal_scalar_calls(zs, z0):
+    gamma = reflection_coefficient(np.array(zs), z0)
+    s11, swr = return_loss_db(gamma), vswr(gamma)
+    for k, z in enumerate(zs):
+        g = reflection_coefficient(z, z0)
+        # numpy and Python complex division may round the last ulp apart
+        assert gamma[k] == pytest.approx(g, rel=1e-14, abs=1e-300)
+        assert s11[k] == return_loss_db(gamma[k])
+        assert swr[k] == vswr(gamma[k])
 
 
 def test_sweep_ordering_enforced():
@@ -93,12 +133,12 @@ def _parabolic_sweep():
         return -30.0 + 20.0 * ((f - 1.8e9) / 0.18e9) ** 2
 
     fs = [1.5e9 + i * 0.03e9 for i in range(21)]
-    samples = []
+    zs = []
     for f in fs:
         mag = 10 ** (s11(f) / 20.0) if s11(f) < 0 else 0.999
         z = 50.0 * (1 + mag) / (1 - mag)   # real Z with that |gamma|
-        samples.append(make_sample(f, complex(z, 0.0)))
-    return SweepResult(samples=tuple(samples))
+        zs.append(complex(z, 0.0))
+    return SweepResult(fs, zs)
 
 
 def test_fractional_bandwidth_exact():
@@ -126,4 +166,4 @@ def test_bandwidth_edge_clipped():
 
 def test_s11_minimum():
     sw = _sweep_from([(1.0e9, 80 + 0j), (1.1e9, 52 + 0j), (1.2e9, 80 + 0j)])
-    assert s11_minimum(sw).f == 1.1e9
+    assert sw.f[s11_minimum(sw)] == 1.1e9

@@ -1,11 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dipolekit.design import DipoleGeometry, Substrate
-from dipolekit.errors import DesignRuleError, MeshError
+from dipolekit.errors import DesignRuleError, MeshError, SolverError
 from dipolekit.metrics import SweepResult
 from dipolekit.mom import (
     ETA0,
+    SegmentMesh,
     WireModel,
     assemble_system,
     build_mesh,
@@ -98,6 +101,27 @@ def test_build_mesh_rejects_bad_n():
     with pytest.raises(MeshError, match="n <="):
         build_mesh(fat, n=45)
     assert max_segments(67.0, 1.5) == 43
+
+
+def test_build_mesh_defaults_to_default_segments():
+    for model in (thin_half_wave(), WireModel(67.0, 1.5, 3.3)):
+        auto = build_mesh(model)
+        explicit = build_mesh(model, default_segments(model.total_length,
+                                                      model.radius))
+        for name in fields(SegmentMesh):
+            assert np.array_equal(getattr(auto, name.name),
+                                  getattr(explicit, name.name))
+
+
+def test_degenerate_systems_raise_solver_error():
+    model = WireModel(67.0, 1.5, 3.3)
+    mesh = build_mesh(model)
+    with pytest.raises(SolverError, match="underflows"):
+        assemble_system(mesh, 1e-294, model)
+    with pytest.raises(SolverError, match="condition"):
+        solve_current(np.full((mesh.n, mesh.n), np.nan, dtype=complex), mesh)
+    # L/(2a) overflows to inf: still the capped count, not an OverflowError
+    assert default_segments(1e300, 1e-10) == 41
 
 
 def test_default_segments_cap():
@@ -209,6 +233,9 @@ def test_frequency_grid():
         frequency_grid(2e9, 1e9, 0.1e9)
     with pytest.raises(ValueError):
         frequency_grid(1e9, 2e9, 0.0)
+    for step in (1e-310, 1e-3):     # inf steps; 1e12 steps
+        with pytest.raises(ValueError, match="limit"):
+            frequency_grid(1e9, 2e9, step)
 
 
 def test_geometry_model_uses_fringing_eps():
@@ -220,9 +247,9 @@ def test_geometry_model_uses_fringing_eps():
 def test_sweep_returns_metrics_result():
     res = sweep(DipoleGeometry(L=67, W=6, g=3), FR4, 1.0e9, 1.2e9, 0.1e9)
     assert isinstance(res, SweepResult)
-    assert len(res.samples) == 3
-    assert res.frequencies == [1.0e9, 1.1e9, 1.2e9]
-    assert all(s.z_in.real > 0 for s in res.samples)
+    assert len(res.f) == 3
+    assert res.f.tolist() == [1.0e9, 1.1e9, 1.2e9]
+    assert all(res.z_in.real > 0)
 
 
 def test_sweep_rejects_rule_violations():

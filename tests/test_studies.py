@@ -127,6 +127,25 @@ def test_max_rl_non_unimodal_flagged():
     assert res.length_mm == pytest.approx(38.0, abs=1.0)
 
 
+def test_max_rl_non_unimodal_reuses_grid_solves(monkeypatch):
+    # two reactance dips, at 38 and 46 mm, seen through the default objective
+    calls = []
+
+    def two_dips(model, f, n=None):
+        L = model.total_length
+        calls.append(L)
+        return complex(50.0, 20.0 * min(abs(L - 38.0), abs(L - 46.0) + 0.5))
+
+    monkeypatch.setattr(studies, "impedance_at", two_dips)
+    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0)
+    assert res.note == "non-unimodal"
+    assert not res.converged
+    assert res.length_mm == 38.25          # grid point 2 of 9
+    assert res.z_in == 50 + 5j
+    # the nine presamples only: the returned grid point is not solved again
+    assert len(calls) == 9
+
+
 def test_max_rl_degenerate_flagged():
     res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0, objective=lambda L: -3.0)
     assert res.note == "degenerate"
