@@ -1,8 +1,10 @@
 """Command-line surface: config resolution and deterministic CSV emission.
 
-Configuration is a flat ``key = value`` text file with '#' comments; flags
-override file values, file values override defaults, and each resolved
-field records where it came from. All CSV output is byte-deterministic:
+Each option is declared once, as a RunConfig field: the field name is its
+config-file key, and its metadata holds the flag, the help text and the
+parser that reads both the flag and the config line. Configuration is a
+flat ``key = value`` text file with '#' comments; flags override file
+values, file values override defaults. All CSV output is byte-deterministic:
 full-precision repr formatting, '.' decimal, newline-terminated rows.
 
 Exit codes: 0 success, 2 config error, 3 design-rule violation,
@@ -30,33 +32,6 @@ from .studies import StudyRow, length_study, optimize_length, \
 _MHZ = 1e6
 
 _FEED_NAMES = {"ideal": "ideal_center", "stub": "open_stub", "via": "via_hole"}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters with per-field provenance."""
-
-    substrate: str = "fr4"
-    freq_mhz: float = 1800.0
-    band_mhz: tuple[float, float, float] = (1000.0, 2600.0, 10.0)
-    length_mm: float = 67.0
-    width_mm: float = 6.0
-    gap_mm: float = 3.0
-    feed: str = "ideal"
-    mesh: int = 41
-    bw_threshold_db: float = -10.0
-    z0_ohm: float = 50.0
-    plane: str = "E"
-    lengths_mm: tuple[float, ...] = (63.0, 65.0, 67.0)
-    widths_mm: tuple[float, ...] = (5.0, 6.0, 7.0, 8.0)
-    opt_low_mm: float = 35.0
-    opt_high_mm: float = 48.0
-    out: str | None = None
-    catalog: str | None = None
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def source(self, key: str) -> str:
-        return self.provenance.get(key, "default")
 
 
 def _finite(text: str) -> float:
@@ -95,25 +70,43 @@ def _plane(text: str) -> str:
     return text.upper()
 
 
-_CONVERTERS = {
-    "substrate": str,
-    "freq_mhz": _finite,
-    "band_mhz": _band,
-    "length_mm": _finite,
-    "width_mm": _finite,
-    "gap_mm": _finite,
-    "feed": _feed,
-    "mesh": int,
-    "bw_threshold_db": _finite,
-    "z0_ohm": _finite,
-    "plane": _plane,
-    "lengths_mm": _float_list,
-    "widths_mm": _float_list,
-    "opt_low_mm": _finite,
-    "opt_high_mm": _finite,
-    "out": str,
-    "catalog": str,
-}
+def _opt(default, parse, flag: str, help: str):
+    """A RunConfig field that is also the CLI flag `flag`."""
+    return field(default=default,
+                 metadata={"parse": parse, "flag": flag, "help": help})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved run parameters, one field per option."""
+
+    substrate: str = _opt("fr4", str, "--substrate",
+                          "catalog name or inline eps_r:h_mm:tand")
+    freq_mhz: float = _opt(1800.0, _finite, "--freq", "spot frequency, MHz")
+    band_mhz: tuple[float, float, float] = _opt(
+        (1000.0, 2600.0, 10.0), _band, "--band", "start:stop:step, MHz")
+    length_mm: float = _opt(67.0, _finite, "--length", "mm")
+    width_mm: float = _opt(6.0, _finite, "--width", "mm")
+    feed: str = _opt("ideal", _feed, "--feed",
+                     "ideal|stub|via; non-ideal feeds for design only")
+    mesh: int | None = _opt(None, int, "--mesh",
+                            "odd segment count (default: automatic)")
+    bw_threshold_db: float = _opt(-10.0, _finite, "--bw-threshold",
+                                  "bandwidth threshold, dB")
+    z0_ohm: float = _opt(50.0, _finite, "--z0", "reference impedance, ohm")
+    plane: str = _opt("E", _plane, "--plane", "pattern cut: E or H")
+    lengths_mm: tuple[float, ...] = _opt((63.0, 65.0, 67.0), _float_list,
+                                         "--lengths", "comma list, mm")
+    widths_mm: tuple[float, ...] = _opt((5.0, 6.0, 7.0, 8.0), _float_list,
+                                        "--widths", "comma list, mm")
+    opt_low_mm: float = _opt(35.0, _finite, "--opt-low", "mm")
+    opt_high_mm: float = _opt(48.0, _finite, "--opt-high", "mm")
+    out: str | None = _opt(None, str, "--out", "output path (default stdout)")
+    catalog: str | None = _opt(None, str, "--catalog",
+                               "substrate catalog path")
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -128,10 +121,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                               % (source, lineno, raw.strip()))
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONVERTERS:
+        if key not in _PARSERS:
             raise ConfigError("%s:%d: unknown key %r" % (source, lineno, key))
         try:
-            values[key] = _CONVERTERS[key](value)
+            values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError("%s:%d: bad value for %r: %s"
                               % (source, lineno, key, exc)) from exc
@@ -139,18 +132,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
-    """Merge defaults < file < flags, recording provenance per field."""
-    config = RunConfig()
-    names = {f.name for f in fields(RunConfig)} - {"provenance"}
-    for key, value in file_values.items():
-        setattr(config, key, value)
-        config.provenance[key] = "file"
-    for key, value in flag_values.items():
-        if key not in names:
+    """Merge defaults < file < flags."""
+    values = {**file_values, **flag_values}
+    for key in values:
+        if key not in _PARSERS:
             raise ConfigError("unknown key %r" % key)
-        setattr(config, key, value)
-        config.provenance[key] = "flag"
-    return config
+    return RunConfig(**values)
 
 
 def resolve_substrate(config: RunConfig) -> Substrate:
@@ -174,16 +161,7 @@ def resolve_substrate(config: RunConfig) -> Substrate:
 
 
 def _geometry(config: RunConfig) -> DipoleGeometry:
-    try:
-        return DipoleGeometry(L=config.length_mm, W=config.width_mm,
-                              g=config.gap_mm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _mesh_arg(config: RunConfig) -> int | None:
-    # default mesh is auto-capped for fat strips; explicit values are honored
-    return None if config.source("mesh") == "default" else config.mesh
+    return DipoleGeometry(L=config.length_mm, W=config.width_mm)
 
 
 def _fmt(x) -> str:
@@ -274,7 +252,7 @@ def cmd_analyze(config: RunConfig) -> None:
     substrate = resolve_substrate(config)
     start, stop, step = _band_hz(config)
     result = sweep(_geometry(config), substrate, start, stop, step,
-                   n=_mesh_arg(config), z0=config.z0_ohm)
+                   n=config.mesh, z0=config.z0_ohm)
     emit_sweep_csv(result, config.out)
     print("analyze: " + _summary_line(result, config.bw_threshold_db))
 
@@ -346,37 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dipolekit",
         description="Planar strip-dipole design, analysis, and studies.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--substrate", dest="substrate",
-                       help="catalog name or inline eps_r:h_mm:tand")
-        p.add_argument("--freq", dest="freq_mhz", type=_finite,
-                       help="spot frequency, MHz")
-        p.add_argument("--band", dest="band_mhz", type=_band,
-                       help="start:stop:step, MHz")
-        p.add_argument("--length", dest="length_mm", type=_finite, help="mm")
-        p.add_argument("--width", dest="width_mm", type=_finite, help="mm")
-        p.add_argument("--gap", dest="gap_mm", type=_finite, help="mm")
-        p.add_argument("--feed", dest="feed", choices=sorted(_FEED_NAMES))
-        p.add_argument("--mesh", dest="mesh", type=int,
-                       help="odd segment count")
-        p.add_argument("--bw-threshold", dest="bw_threshold_db", type=_finite,
-                       help="bandwidth threshold, dB")
-        p.add_argument("--z0", dest="z0_ohm", type=_finite,
-                       help="reference impedance, ohm")
-        p.add_argument("--plane", dest="plane", type=_plane,
-                       help="pattern cut: E or H")
-        p.add_argument("--lengths", dest="lengths_mm", type=_float_list,
-                       help="comma list, mm")
-        p.add_argument("--widths", dest="widths_mm", type=_float_list,
-                       help="comma list, mm")
-        p.add_argument("--opt-low", dest="opt_low_mm", type=_finite, help="mm")
-        p.add_argument("--opt-high", dest="opt_high_mm", type=_finite, help="mm")
-        p.add_argument("--catalog", dest="catalog",
-                       help="substrate catalog path")
-        p.add_argument("--out", dest="out", help="output path (default stdout)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="flat key=value config file")
+    for f in fields(RunConfig):
+        parser.add_argument(f.metadata["flag"], dest=f.name,
+                            type=f.metadata["parse"], help=f.metadata["help"])
     return parser
 
 

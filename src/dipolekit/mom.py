@@ -120,6 +120,9 @@ def default_segments(total_length: float, radius: float,
 
 def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     """Uniform odd-count mesh (default_segments if n is None), center feed."""
+    if not np.isfinite(model.total_length / model.radius):
+        raise MeshError("L/a overflows (L=%g mm, a=%g mm)"
+                        % (model.total_length, model.radius))
     if n is None:
         n = default_segments(model.total_length, model.radius)
     if n % 2 == 0:
@@ -164,6 +167,8 @@ def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray
                         "L=%g mm, a=%g mm" % (mesh.total_length, mesh.radius,
                                               model.total_length, model.radius))
     k = wavenumber(f, model.eps_e)
+    if not np.isfinite(k):
+        raise SolverError("wavenumber is not finite at %g Hz" % f)
     eta = ETA0 / np.sqrt(model.eps_e)
     n = mesh.n
     h = model.total_length / (n + 1)

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dipolekit.cli import (
     RunConfig,
+    build_parser,
     emit_pattern_csv,
     emit_study_table,
     emit_sweep_csv,
@@ -26,20 +29,93 @@ def test_defaults():
     cfg = resolve_config({}, {})
     assert cfg.substrate == "fr4"
     assert cfg.band_mhz == (1000.0, 2600.0, 10.0)
-    assert cfg.mesh == 41
+    assert cfg.mesh is None
     assert cfg.bw_threshold_db == -10.0
     assert cfg.freq_mhz == 1800.0
-    assert (cfg.length_mm, cfg.width_mm, cfg.gap_mm) == (67.0, 6.0, 3.0)
-    assert cfg.source("mesh") == "default"
+    assert (cfg.length_mm, cfg.width_mm) == (67.0, 6.0)
 
 
 def test_flag_overrides_file():
     cfg = resolve_config({"length_mm": 60.0}, {"length_mm": 63.0})
     assert cfg.length_mm == 63.0
-    assert cfg.source("length_mm") == "flag"
     cfg2 = resolve_config({"length_mm": 60.0}, {})
     assert cfg2.length_mm == 60.0
-    assert cfg2.source("length_mm") == "file"
+
+
+#: a non-default value for each option, as flag or config-file text
+_SAMPLE_TEXT = {
+    "substrate": "3.5:1.0:0.001", "freq_mhz": "1120",
+    "band_mhz": "1000:1600:20", "length_mm": "63.5", "width_mm": "5",
+    "feed": "stub", "mesh": "83", "bw_threshold_db": "-6", "z0_ohm": "75",
+    "plane": "h", "lengths_mm": "63,65", "widths_mm": "5,7",
+    "opt_low_mm": "30", "opt_high_mm": "50", "out": "x.csv",
+    "catalog": "cat.txt",
+}
+
+
+@pytest.mark.parametrize("option", fields(RunConfig), ids=lambda f: f.name)
+def test_each_option_is_one_flag_and_one_config_key(option):
+    parser = build_parser()
+    flags = [a.option_strings for a in parser._actions
+             if a.dest == option.name]
+    assert flags == [[option.metadata["flag"]]]
+    text = _SAMPLE_TEXT[option.name]
+    args = parser.parse_args(
+        ["analyze", "%s=%s" % (option.metadata["flag"], text)])
+    from_file = parse_config_text("%s = %s\n" % (option.name, text))
+    assert getattr(args, option.name) == from_file[option.name]
+    assert from_file[option.name] != option.default
+
+
+def test_gap_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gap", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(ConfigError, match="unknown key 'gap_mm'"):
+        parse_config_text("gap_mm = 3\n")
+    for file_values, flag_values in (({"gap_mm": 3.0}, {}),
+                                     ({}, {"gap_mm": 3.0})):
+        with pytest.raises(ConfigError, match="unknown key 'gap_mm'"):
+            resolve_config(file_values, flag_values)
+
+
+def _mesh_sizes(monkeypatch, argv):
+    built = []
+
+    def spy(model, n=None):
+        mesh = real(model, n)
+        built.append((mesh.n, mom.default_segments(model.total_length,
+                                                   model.radius)))
+        return mesh
+
+    real = mom.build_mesh
+    monkeypatch.setattr(mom, "build_mesh", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return built
+
+
+def test_analyze_mesh_is_automatic_unless_given(monkeypatch):
+    argv = ["analyze", "--band", "1050:1150:50"]
+    (n, auto), = _mesh_sizes(monkeypatch, argv)
+    assert n == auto == 21
+    (n, auto), = _mesh_sizes(monkeypatch, argv + ["--mesh", "41"])
+    assert (n, auto) == (41, 21)
+
+
+def test_help_lists_each_flag_once(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ["--config"] + [f.metadata["flag"] for f in fields(RunConfig)]:
+        assert len(re.findall(r"^  %s\b(?!-)" % flag, text, re.M)) == 1, flag
+    assert "--gap" not in text
+
+
+def test_options_may_precede_the_command(capsys):
+    assert main(["--band", "1050:1150:50", "analyze"]) == 0
+    assert "analyze:" in capsys.readouterr().out
 
 
 def test_parse_config_text():
@@ -254,6 +330,7 @@ def test_cli_bad_values_exit_2(argv, capsys):
     ["pattern", "--freq=1e305"],                        # non-finite matrix
     ["pattern", "--length=1e10", "--width=1e-300"],     # L/(2a) overflows
 ], ids=" ".join)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_degenerate_solves_exit_4(argv, capsys):
     assert main(argv) == 4
     assert "solver error" in capsys.readouterr().err
