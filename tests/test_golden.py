@@ -3,7 +3,8 @@
 CSV numbers compare with tolerances rather than bytes, so a change that
 only reorders float sums still passes: Z_in (r_ohm + j x_ohm) at rel 1e-9,
 every other CSV number at rel 1e-9 or abs 1e-9, and each number printed to
-stdout to one unit of its last printed digit.
+stdout to one unit of its last printed digit. CSV text fields (the pattern
+plane, a study's error cells) must match exactly.
 
 The fixtures change only with a justified change of the numbers; then
 regenerate them with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -54,7 +55,15 @@ def _close(got: float, want: float) -> bool:
     return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _field(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _assert_csv_close(got: str, want: str) -> None:
+    """Field by field: numbers within the tolerances above, text exactly."""
     got_lines, want_lines = got.splitlines(), want.splitlines()
     assert len(got_lines) == len(want_lines)
     assert got_lines[0] == want_lines[0]
@@ -64,17 +73,21 @@ def _assert_csv_close(got: str, want: str) -> None:
             (gk, gv), (wk, wv) = g.split("="), w.split("=")
             assert gk == wk and _close(float(gv), float(wv)), (g, w)
             continue
-        try:
-            row_g = dict(zip(header, map(float, g.split(","))))
-            row_w = dict(zip(header, map(float, w.split(","))))
-        except ValueError:                       # text fields: error rows
-            assert g == w
-            continue
-        z_g = complex(row_g.pop("r_ohm"), row_g.pop("x_ohm"))
-        z_w = complex(row_w.pop("r_ohm"), row_w.pop("x_ohm"))
-        assert abs(z_g - z_w) <= 1e-9 * abs(z_w), (g, w)
+        fields_g, fields_w = g.split(","), w.split(",")
+        assert len(fields_g) == len(fields_w) == len(header), (g, w)
+        row_g = dict(zip(header, map(_field, fields_g)))
+        row_w = dict(zip(header, map(_field, fields_w)))
+        assert [type(v) for v in row_g.values()] \
+            == [type(v) for v in row_w.values()], (g, w)
+        if isinstance(row_w.get("r_ohm"), float):
+            z_g = complex(row_g.pop("r_ohm"), row_g.pop("x_ohm"))
+            z_w = complex(row_w.pop("r_ohm"), row_w.pop("x_ohm"))
+            assert abs(z_g - z_w) <= 1e-9 * abs(z_w), (g, w)
         for key, value in row_w.items():
-            assert _close(row_g[key], value), (key, g, w)
+            if isinstance(value, str):           # plane letter, error text
+                assert row_g[key] == value, (key, g, w)
+            else:
+                assert _close(row_g[key], value), (key, g, w)
 
 
 def _last_digit_unit(token: str) -> float:
@@ -106,6 +119,14 @@ def test_fixture_comparison_has_teeth():
     lines[1] = ",".join((f, repr(float(r) * (1 + 1e-8)), x, s11, vswr))
     with pytest.raises(AssertionError):
         _assert_csv_close("\n".join(lines) + "\n", want)
+    pattern = (FIXTURES / "pattern.csv").read_text()
+    lines = pattern.splitlines()
+    plane, angle, db = lines[1].split(",")
+    for row in ((plane, angle, repr(float(db) * (1 + 1e-8))),
+                ("H", angle, db)):
+        lines[1] = ",".join(row)
+        with pytest.raises(AssertionError):
+            _assert_csv_close("\n".join(lines) + "\n", pattern)
     with pytest.raises(AssertionError):
         _assert_printed_close("VSWR 1.0082", "VSWR 1.0080")
     _assert_printed_close("VSWR 1.0081", "VSWR 1.0080")
