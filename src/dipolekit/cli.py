@@ -320,6 +320,16 @@ _COMMANDS = {
 }
 
 
+def _flag_type(parse):
+    """`parse` for argparse, which then prints the ValueError's reason."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dipolekit",
@@ -328,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     for f in fields(RunConfig):
         parser.add_argument(f.metadata["flag"], dest=f.name,
-                            type=f.metadata["parse"], help=f.metadata["help"])
+                            type=_flag_type(f.metadata["parse"]),
+                            help=f.metadata["help"])
     return parser
 
 

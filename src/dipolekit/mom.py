@@ -9,7 +9,9 @@ integrated with an arcsinh substitution around each of the three kernel
 centers of a basis function, which keeps the quadrature accurate even when
 the node spacing approaches the wire radius. The quadrature geometry does
 not depend on frequency, so the mesh carries it and each per-frequency
-assembly only evaluates the k-dependent factors.
+assembly only evaluates the k-dependent factors. The matrix is also
+centrosymmetric and the center feed excites only its even mode, so each
+solve folds it to the (n+1)/2 even-mode unknowns.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ _XQ, _WQ = np.polynomial.legendre.leggauss(_N_QUAD)
 _COND_LIMIT = 1e12
 
 _RESIDUAL_LIMIT = 1e-8
+
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -198,24 +202,70 @@ class CurrentDistribution:
         return complex(self.currents[self.feed_index])
 
 
+def _fold(system: np.ndarray, p: int) -> np.ndarray:
+    """Even and odd blocks of a centrosymmetric matrix about its center p.
+
+    They are the diagonal blocks of Q^T A Q, with Q the orthogonal symmetry
+    transform (u_i +- u_{n-1-i})/sqrt(2), so sigma(A) is the union of their
+    singular values. One (2, p+1, p+1) buffer holds both: [0] is the even
+    block, [1] the p x p odd block padded with a zero row and column.
+    """
+    m = p + 1
+    blocks = np.zeros((2, m, m), dtype=system.dtype)
+    a = system[:p, :p]
+    right = system[:p, :p:-1]
+    np.add(a, right, out=blocks[0, :p, :p])
+    np.subtract(a, right, out=blocks[1, :p, :p])
+    np.multiply(system[:m, p], _SQRT2, out=blocks[0, :, p])
+    np.multiply(system[p, :p], _SQRT2, out=blocks[0, p, :p])
+    blocks[0, p, p] = system[p, p]
+    return blocks
+
+
+def _condition(blocks: np.ndarray) -> float:
+    """2-norm condition number of the matrix that _fold split into blocks."""
+    try:
+        s = np.linalg.svd(blocks, compute_uv=False)
+    except np.linalg.LinAlgError:      # the SVD of a non-finite matrix
+        return np.inf
+    s_min = min(s[0, -1], s[1, -2])    # s[1, -1] is the padding's zero
+    return max(s[0, 0], s[1, 0]) / s_min if s_min > 0 else np.inf
+
+
 def solve_current(system: np.ndarray, mesh: SegmentMesh,
                   voltage: float = 1.0) -> CurrentDistribution:
-    """Delta-gap excitation at the center node, dense direct solve."""
-    try:
-        cond = np.linalg.cond(system)
-    except np.linalg.LinAlgError:      # the SVD of a non-finite matrix
-        cond = np.inf
+    """Delta-gap excitation at the center node, solved in the even mode.
+
+    `system` must be assemble_system's matrix, which is centrosymmetric
+    (symmetric Toeplitz). The center feed then excites only the even mode,
+    so the solve runs on the (p+1) x (p+1) even block (p = feed_index) and
+    the current is mirrored back, exactly symmetric. The condition guard is
+    unchanged: sigma(A) is the union of the even and odd blocks' singular
+    values, so their combined ratio is np.linalg.cond(A). The residual is
+    checked on the full system, so an input that is not centrosymmetric is
+    refused rather than solved wrongly.
+    """
+    p = mesh.feed_index
+    with np.errstate(over="ignore", invalid="ignore"):  # inf: refused below
+        blocks = _fold(system, p)
+    cond = _condition(blocks)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SolverError("system condition estimate %.3g exceeds %.1g"
                           % (cond, _COND_LIMIT))
-    b = np.zeros(mesh.n, dtype=complex)
-    b[mesh.feed_index] = voltage
-    currents = np.linalg.solve(system, b)
-    residual = np.linalg.norm(system @ currents - b) / np.linalg.norm(b)
+    b = np.zeros(p + 1, dtype=complex)
+    b[p] = voltage
+    y = np.linalg.solve(blocks[0], b)
+    currents = np.empty(mesh.n, dtype=y.dtype)
+    np.divide(y[:p], _SQRT2, out=currents[:p])
+    currents[p] = y[p]
+    currents[p + 1:] = currents[:p][::-1]
+    excess = system @ currents
+    excess[p] -= voltage
+    residual = np.linalg.norm(excess) / abs(voltage)
     if residual > _RESIDUAL_LIMIT:
         raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
     return CurrentDistribution(currents=currents, feed_voltage=voltage,
-                               feed_index=mesh.feed_index)
+                               feed_index=p)
 
 
 def input_impedance(current: CurrentDistribution) -> complex:

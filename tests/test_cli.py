@@ -362,6 +362,21 @@ def test_cli_rejects_unmodelled_feed(command, tmp_path, capsys):
                  "--lengths", "63", "--widths", "6"]) == 0
 
 
+@pytest.mark.parametrize("key, text, reason", [
+    ("feed", "bogus", "feed must be one of ideal|stub|via"),
+    ("band_mhz", "1000:900:10", "band must have stop >= start and step > 0"),
+])
+def test_flag_and_config_give_the_same_reason(key, text, reason, tmp_path,
+                                              capsys):
+    flag = next(f.metadata["flag"] for f in fields(RunConfig) if f.name == key)
+    assert _exit_code(["analyze", flag, text]) == 2
+    assert reason in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = %s\n" % (key, text))
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_cli_design_keeps_feed_styles(capsys):
     for feed in ("ideal", "stub", "via"):
         assert main(["design", "--feed", feed]) == 0

@@ -10,6 +10,8 @@ from dipolekit.mom import (
     ETA0,
     SegmentMesh,
     WireModel,
+    _condition,
+    _fold,
     assemble_system,
     build_mesh,
     default_segments,
@@ -113,13 +115,17 @@ def test_build_mesh_defaults_to_default_segments():
                                   getattr(explicit, name.name))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_systems_raise_solver_error():
     model = WireModel(67.0, 1.5, 3.3)
     mesh = build_mesh(model)
     with pytest.raises(SolverError, match="underflows"):
         assemble_system(mesh, 1e-294, model)
-    with pytest.raises(SolverError, match="condition"):
-        solve_current(np.full((mesh.n, mesh.n), np.nan, dtype=complex), mesh)
+    # non-finite; sigma_min = 0; overflow in the fold: refused, no warning
+    for value in (np.nan, 0.0, np.inf, 1e308):
+        with pytest.raises(SolverError, match="condition"):
+            solve_current(np.full((mesh.n, mesh.n), value, dtype=complex),
+                          mesh)
     # L/(2a) overflows to inf: still the capped count, not an OverflowError
     assert default_segments(1e300, 1e-10) == 41
 
@@ -191,6 +197,50 @@ def test_current_symmetric_and_peaked_at_feed():
     assert mags[mesh.feed_index] >= 0.97 * mags.max()
     assert abs(int(np.argmax(mags)) - mesh.feed_index) <= 2
     assert np.allclose(mags, mags[::-1], rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [11, 21, 83, 321])
+@pytest.mark.parametrize("eps_e", [1.0, 3.3])
+def test_even_mode_solve_matches_full_solve(n, eps_e):
+    base = thin_half_wave()
+    model = WireModel(base.total_length, base.radius, eps_e)
+    mesh = build_mesh(model, n=n)
+    p = mesh.feed_index
+    for f in (0.9e9, 1.8e9, 2.6e9):
+        system = assemble_system(mesh, f, model)
+        b = np.zeros(n, dtype=complex)
+        b[p] = 1.0
+        z_full = 1.0 / np.linalg.solve(system, b)[p]
+        cur = solve_current(system, mesh)
+        assert input_impedance(cur) == pytest.approx(z_full, rel=1e-12)
+        assert np.array_equal(cur.currents, cur.currents[::-1])
+        # sigma(A) = sigma(even) | sigma(odd): the guard sees cond(A) itself
+        assert _condition(_fold(system, p)) \
+            == pytest.approx(np.linalg.cond(system), rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_odd_mode_singularity_still_refused():
+    # centrosymmetric, even block the identity, odd block singular: the
+    # feed never excites the odd mode, but the guard covers the whole system
+    mesh = build_mesh(thin_half_wave(), n=21)
+    u = np.zeros(mesh.n)
+    u[:mesh.feed_index] = np.arange(1.0, mesh.feed_index + 1)
+    u -= u[::-1]
+    u /= np.linalg.norm(u)
+    system = np.eye(mesh.n) - np.outer(u, u)
+    assert np.array_equal(system, system[::-1, ::-1])
+    with pytest.raises(SolverError, match="condition"):
+        solve_current(system, mesh)
+
+
+def test_non_centrosymmetric_system_fails_residual():
+    mesh = build_mesh(thin_half_wave(), n=21)
+    rng = np.random.default_rng(6)
+    system = np.eye(mesh.n) + 0.1 * rng.standard_normal((mesh.n, mesh.n))
+    assert np.linalg.cond(system) < 10
+    with pytest.raises(SolverError, match="residual"):
+        solve_current(system, mesh)
 
 
 def test_half_wave_impedance_reference():
