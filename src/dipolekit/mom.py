@@ -246,7 +246,7 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
     refused rather than solved wrongly.
     """
     p = mesh.feed_index
-    with np.errstate(over="ignore", invalid="ignore"):  # inf: refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
         blocks = _fold(system, p)
     cond = _condition(blocks)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
