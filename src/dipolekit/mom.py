@@ -7,11 +7,15 @@ pinned to zero; Galerkin testing against the same functions yields a
 symmetric Toeplitz system. The radiated-field kernel e^{-jkR}/(4*pi*R) is
 integrated with an arcsinh substitution around each of the three kernel
 centers of a basis function, which keeps the quadrature accurate even when
-the node spacing approaches the wire radius. The quadrature geometry does
-not depend on frequency, so the mesh carries it and each per-frequency
-assembly only evaluates the k-dependent factors. The matrix is also
-centrosymmetric and the center feed excites only its even mode, so each
-solve folds it to the (n+1)/2 even-mode unknowns.
+the node spacing approaches the wire radius. Each such integral depends
+only on the test half and on the separation between kernel center and test
+node, so the three centers are three shifted views of one set of n+2
+integrals. The quadrature geometry does not depend on frequency, so the
+mesh carries it and each per-frequency assembly only evaluates the
+k-dependent factors, then copies the Toeplitz column into the matrix
+through a strided view. The matrix is also centrosymmetric and the center
+feed excites only its even mode, so each solve folds it to the (n+1)/2
+even-mode unknowns.
 """
 
 from __future__ import annotations
@@ -75,12 +79,14 @@ class SegmentMesh:
     current expansion lives on the interior node grid `nodes` (spacing
     L/(n+1)), whose end half-bases terminate exactly at the wire tips.
 
-    The kernel quadrature is laid out once per mesh. Axis 0 of the quad_*
-    arrays runs over the six (knot, test half) blocks: knots -1, 0, +1 of
-    the source basis, each against the lower then upper half of the test
-    basis. Axis 1 is the node separation of the Toeplitz column, axis 2 the
-    Gauss-Legendre arcsinh nodes. quad_dz holds |z - z'|, quad_r the reduced
-    distance R, and quad_w the node weights td*wq.
+    The kernel quadrature is laid out once per mesh, each distinct integral
+    once. Axis 0 of the (2, n+2, 16) quad_* arrays is the test half (lower,
+    then upper half of the test basis). Axis 1 is the separation d = (j - c)h
+    between a source knot c in {-1, 0, +1} and the column entry j, for
+    j - c = -1..n; the three knots of column entry j read d indices j + 2,
+    j + 1 and j. Axis 2 holds the Gauss-Legendre arcsinh nodes. quad_dz
+    holds |z - z'|, quad_r the reduced distance R, and quad_w the node
+    weights td*wq.
     """
 
     n: int
@@ -141,16 +147,16 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     centers = (np.arange(n) - (n - 1) / 2.0) * delta
     h = L / (n + 1)
     nodes = (np.arange(n) - (n - 1) / 2.0) * h
-    offsets = np.arange(n) * h          # node separation per column entry
-    knot = np.repeat((-1.0, 0.0, 1.0), 2)[:, None]
-    lo = np.tile((-1.0, 0.0), 3)[:, None]
-    hi = lo + 1.0
-    t1 = np.arcsinh((offsets + (lo - knot) * h) / a)
-    t2 = np.arcsinh((offsets + (hi - knot) * h) / a)
+    # source knot c against test half [lo, lo + 1] of column entry j depends
+    # on j and c only through the separation d = (j - c) h, j - c = -1..n
+    d = np.arange(-1.0, n + 1.0) * h
+    lo = np.array((-1.0, 0.0))[:, None]
+    t1 = np.arcsinh((d + lo * h) / a)
+    t2 = np.arcsinh((d + (lo + 1.0) * h) / a)
     tm = (t2 + t1) / 2.0
     td = (t2 - t1) / 2.0
     t = tm[..., None] + _XQ * td[..., None]
-    dz = np.abs(a * np.sinh(t) + knot[..., None] * h - offsets[:, None])
+    dz = np.abs(a * np.sinh(t) - d[:, None])
     return SegmentMesh(n=n, delta=delta, segment_centers=centers, nodes=nodes,
                        feed_index=(n - 1) // 2, total_length=L, radius=a,
                        quad_dz=dz, quad_r=a * np.cosh(t),
@@ -179,14 +185,17 @@ def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray
     sk = np.sin(k * h)
     if sk * sk == 0.0:
         raise SolverError("sin(kh) underflows at %g Hz" % f)
-    # field of one basis = three spherical-wave centers at its knots
-    blocks = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
-                    * np.exp(-1j * k * mesh.quad_r), axis=2)
-    col = np.array((1.0, -2.0 * np.cos(k * h), 1.0)) \
-        @ blocks.reshape(3, 2, n).sum(axis=1)
+    # field of one basis = three spherical-wave centers at its knots, each
+    # a shifted view of the per-separation integrals s
+    s = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
+               * np.exp(-1j * k * mesh.quad_r), axis=(0, 2))
+    col = s[2:] - 2.0 * np.cos(k * h) * s[1:-1] + s[:-2]
     col *= 1j * eta / (4.0 * np.pi * sk * sk)
-    i = np.arange(n)
-    return col[np.abs(i[:, None] - i)]
+    # A[i, j] = col[|i - j|] = ramp[n - 1 - i + j]
+    ramp = np.concatenate((col[:0:-1], col))
+    step = ramp.itemsize
+    return np.ndarray((n, n), ramp.dtype, ramp, (n - 1) * step,
+                      (-step, step)).copy()
 
 
 @dataclass(frozen=True)
@@ -224,9 +233,11 @@ def _fold(system: np.ndarray, p: int) -> np.ndarray:
 
 def _condition(blocks: np.ndarray) -> float:
     """2-norm condition number of the matrix that _fold split into blocks."""
+    if not np.isfinite(blocks).all():   # else LAPACK prints to fd 2
+        return np.inf
     try:
         s = np.linalg.svd(blocks, compute_uv=False)
-    except np.linalg.LinAlgError:      # the SVD of a non-finite matrix
+    except np.linalg.LinAlgError:      # the SVD did not converge
         return np.inf
     s_min = min(s[0, -1], s[1, -2])    # s[1, -1] is the padding's zero
     return max(s[0, 0], s[1, 0]) / s_min if s_min > 0 else np.inf
@@ -243,8 +254,12 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
     unchanged: sigma(A) is the union of the even and odd blocks' singular
     values, so their combined ratio is np.linalg.cond(A). The residual is
     checked on the full system, so an input that is not centrosymmetric is
-    refused rather than solved wrongly.
+    refused rather than solved wrongly. A zero or non-finite voltage is
+    refused before any array math.
     """
+    if not 0.0 < abs(voltage) < np.inf:
+        raise SolverError("feed voltage must be finite and nonzero, got %r"
+                          % (voltage,))
     p = mesh.feed_index
     with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
         blocks = _fold(system, p)

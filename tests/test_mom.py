@@ -150,6 +150,35 @@ def test_system_is_symmetric_toeplitz():
         assert np.allclose(diag, diag[0])
 
 
+@pytest.mark.parametrize("n", [11, 21, 83])
+def test_mesh_lays_out_each_separation_once(n):
+    mesh = build_mesh(thin_half_wave(), n=n)
+    for quad in (mesh.quad_dz, mesh.quad_r, mesh.quad_w):
+        assert quad.shape == (2, n + 2, 16)
+
+
+@pytest.mark.parametrize("n", [11, 21, 83])
+def test_system_is_exactly_symmetric_toeplitz(n):
+    model = WireModel(60.0, 0.3, 3.3)
+    A = assemble_system(build_mesh(model, n=n), 1.8e9, model)
+    assert np.array_equal(A, A.T)
+    col = A[0]
+    for d in range(n):
+        assert np.array_equal(np.diagonal(A, offset=d), np.full(n - d, col[d]))
+        assert np.array_equal(np.diagonal(A, offset=-d), np.full(n - d, col[d]))
+
+
+def test_assemble_returns_an_owned_writeable_matrix():
+    model = WireModel(60.0, 0.3, 3.3)
+    mesh = build_mesh(model, n=21)
+    A = assemble_system(mesh, 1.8e9, model)
+    assert A.flags.c_contiguous and A.flags.writeable and A.flags.owndata
+    assert A.base is None
+    expected = A.copy()
+    A[:] = 0.0
+    assert np.array_equal(assemble_system(mesh, 1.8e9, model), expected)
+
+
 @pytest.mark.parametrize("n", [11, 21, 83, 321])
 @pytest.mark.parametrize("eps_e", [1.0, 3.3])
 def test_assemble_matches_loop_reference(n, eps_e):
@@ -241,6 +270,26 @@ def test_non_centrosymmetric_system_fails_residual():
     assert np.linalg.cond(system) < 10
     with pytest.raises(SolverError, match="residual"):
         solve_current(system, mesh)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_or_non_finite_voltage_refused():
+    model = thin_half_wave()
+    mesh = build_mesh(model, n=21)
+    system = assemble_system(mesh, 1.8e9, model)
+    for voltage in (0.0, 0j, np.nan, np.inf, -np.inf):
+        with pytest.raises(SolverError, match="voltage"):
+            solve_current(system, mesh, voltage=voltage)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+def test_non_finite_system_refused_without_lapack_output(value, capfd):
+    # LAPACK reports bad arguments by printing to the process's fd 2
+    mesh = build_mesh(thin_half_wave(), n=21)
+    with pytest.raises(SolverError, match="condition"):
+        solve_current(np.full((mesh.n, mesh.n), value, dtype=complex), mesh)
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
 
 
 def test_half_wave_impedance_reference():
