@@ -7,15 +7,12 @@ pinned to zero; Galerkin testing against the same functions yields a
 symmetric Toeplitz system. The radiated-field kernel e^{-jkR}/(4*pi*R) is
 integrated with an arcsinh substitution around each of the three kernel
 centers of a basis function, which keeps the quadrature accurate even when
-the node spacing approaches the wire radius. Each such integral depends
-only on the test half and on the separation between kernel center and test
-node, so the three centers are three shifted views of one set of n+2
-integrals. The quadrature geometry does not depend on frequency, so the
-mesh carries it and each per-frequency assembly only evaluates the
-k-dependent factors, then copies the Toeplitz column into the matrix
-through a strided view. The matrix is also centrosymmetric and the center
-feed excites only its even mode, so each solve folds it to the (n+1)/2
-even-mode unknowns.
+the node spacing approaches the wire radius. The three centers are shifted
+views of one set of n+2 integrals per test half, whose geometry does not
+depend on frequency, so the mesh carries it and each assembly only
+evaluates the k-dependent factors. The matrix is also centrosymmetric and
+the center feed excites only its even mode, so each solve folds it to the
+(n+1)/2 even-mode unknowns.
 """
 
 from __future__ import annotations
@@ -79,14 +76,12 @@ class SegmentMesh:
     current expansion lives on the interior node grid `nodes` (spacing
     L/(n+1)), whose end half-bases terminate exactly at the wire tips.
 
-    The kernel quadrature is laid out once per mesh, each distinct integral
-    once. Axis 0 of the (2, n+2, 16) quad_* arrays is the test half (lower,
-    then upper half of the test basis). Axis 1 is the separation d = (j - c)h
-    between a source knot c in {-1, 0, +1} and the column entry j, for
-    j - c = -1..n; the three knots of column entry j read d indices j + 2,
-    j + 1 and j. Axis 2 holds the Gauss-Legendre arcsinh nodes. quad_dz
-    holds |z - z'|, quad_r the reduced distance R, and quad_w the node
-    weights td*wq.
+    The kernel quadrature is laid out once per mesh, as (2, n+2, 16) quad_*
+    arrays. Axis 0 is the lower then upper half of the test basis; axis 1
+    the separation d = (j - c)h, j - c = -1..n, of source knot c in
+    {-1, 0, +1} from column entry j; axis 2 the Gauss-Legendre arcsinh
+    nodes. quad_dz holds |z - z'|, quad_r the reduced distance R, quad_w
+    the weights td*wq.
     """
 
     n: int
@@ -147,9 +142,7 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     centers = (np.arange(n) - (n - 1) / 2.0) * delta
     h = L / (n + 1)
     nodes = (np.arange(n) - (n - 1) / 2.0) * h
-    # source knot c against test half [lo, lo + 1] of column entry j depends
-    # on j and c only through the separation d = (j - c) h, j - c = -1..n
-    d = np.arange(-1.0, n + 1.0) * h
+    d = np.arange(-1.0, n + 1.0) * h    # knot c to column entry j: (j - c)h
     lo = np.array((-1.0, 0.0))[:, None]
     t1 = np.arcsinh((d + lo * h) / a)
     t2 = np.arcsinh((d + (lo + 1.0) * h) / a)
@@ -185,14 +178,12 @@ def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray
     sk = np.sin(k * h)
     if sk * sk == 0.0:
         raise SolverError("sin(kh) underflows at %g Hz" % f)
-    # field of one basis = three spherical-wave centers at its knots, each
-    # a shifted view of the per-separation integrals s
+    # field of one basis = three spherical-wave centers at its knots
     s = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
                * np.exp(-1j * k * mesh.quad_r), axis=(0, 2))
     col = s[2:] - 2.0 * np.cos(k * h) * s[1:-1] + s[:-2]
     col *= 1j * eta / (4.0 * np.pi * sk * sk)
-    # A[i, j] = col[|i - j|] = ramp[n - 1 - i + j]
-    ramp = np.concatenate((col[:0:-1], col))
+    ramp = np.concatenate((col[:0:-1], col))    # A[i, j] = ramp[n-1-i+j]
     step = ramp.itemsize
     return np.ndarray((n, n), ramp.dtype, ramp, (n - 1) * step,
                       (-step, step)).copy()
