@@ -12,7 +12,10 @@ views of one set of n+2 integrals per test half, whose geometry does not
 depend on frequency, so the mesh carries it and each assembly only
 evaluates the k-dependent factors. The matrix is also centrosymmetric and
 the center feed excites only its even mode, so each solve folds it to the
-(n+1)/2 even-mode unknowns.
+(n+1)/2 even-mode unknowns. The condition guard first tries to prove the
+limit with a Cholesky test on each block's Gram matrix, with a margin for
+rounding, and computes the exact condition number by SVD only when that
+test fails.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ _XQ, _WQ = np.polynomial.legendre.leggauss(_N_QUAD)
 
 #: relative condition limit before the solve is refused
 _COND_LIMIT = 1e12
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+#: squared norms _certified covers: far enough from underflow that absolute
+#: rounding stays under its margin, and from overflow that no Gram entry
+#: can be inf or nan
+_GRAM_RANGE = (np.finfo(float).tiny / _UNIT_ROUNDOFF,
+               _UNIT_ROUNDOFF / np.finfo(float).tiny)
 
 _RESIDUAL_LIMIT = 1e-8
 
@@ -234,6 +245,36 @@ def _condition(blocks: np.ndarray) -> float:
     return max(s[0, 0], s[1, 0]) / s_min if s_min > 0 else np.inf
 
 
+def _certified(blocks: np.ndarray) -> bool:
+    """Prove that the matrix _fold split into blocks has cond <= _COND_LIMIT.
+
+    With s^2 the larger squared Frobenius norm of the two blocks, s bounds
+    sigma_max. If G - tau*I is positive definite for each block's Gram
+    matrix G = E^H E, with tau = s^2 (_COND_LIMIT^-2 + 8(m+1)u), then every
+    sigma^2 > s^2 / _COND_LIMIT^2. A Cholesky factorization of the computed
+    G - tau*I that succeeds proves it for the exact G: the 8(m+1)u s^2 part
+    of tau covers the rounding of the complex Gram product and of the
+    factorization (Higham 2002, ch. 10; Rump, BIT 46, 2006). The odd
+    block's zero padding is set to s^2, an eigenvalue that passes. An s^2
+    outside _GRAM_RANGE, nan included, is not certified. False means
+    unproven, not refused.
+    """
+    m = blocks.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):   # range check below
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        diag = gram.reshape(2, m * m)[:, ::m + 1]
+        s2 = diag.real.sum(axis=1).max()
+    if not _GRAM_RANGE[0] < s2 < _GRAM_RANGE[1]:
+        return False
+    gram[1, -1, -1] = s2
+    diag -= s2 * (_COND_LIMIT ** -2 + 8 * (m + 1) * _UNIT_ROUNDOFF)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def solve_current(system: np.ndarray, mesh: SegmentMesh,
                   voltage: float = 1.0) -> CurrentDistribution:
     """Delta-gap excitation at the center node, solved in the even mode.
@@ -241,9 +282,11 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
     `system` must be assemble_system's matrix, which is centrosymmetric
     (symmetric Toeplitz). The center feed then excites only the even mode,
     so the solve runs on the (p+1) x (p+1) even block (p = feed_index) and
-    the current is mirrored back, exactly symmetric. The condition guard is
-    unchanged: sigma(A) is the union of the even and odd blocks' singular
-    values, so their combined ratio is np.linalg.cond(A). The residual is
+    the current is mirrored back, exactly symmetric. The condition guard
+    covers both blocks, whose singular values together are sigma(A):
+    _certified proves cond(A) <= _COND_LIMIT by a Cholesky test, and only
+    if that fails does _condition compute np.linalg.cond(A) by SVD, so the
+    verdict is that of the SVD alone. The residual is
     checked on the full system, so an input that is not centrosymmetric is
     refused rather than solved wrongly. A zero or non-finite voltage is
     refused before any array math.
@@ -254,10 +297,11 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
     p = mesh.feed_index
     with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
         blocks = _fold(system, p)
-    cond = _condition(blocks)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SolverError("system condition estimate %.3g exceeds %.1g"
-                          % (cond, _COND_LIMIT))
+    if not _certified(blocks):
+        cond = _condition(blocks)
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SolverError("system condition estimate %.3g exceeds %.1g"
+                              % (cond, _COND_LIMIT))
     b = np.zeros(p + 1, dtype=complex)
     b[p] = voltage
     y = np.linalg.solve(blocks[0], b)
@@ -313,10 +357,11 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
     return grid[grid <= f_stop * (1 + 1e-12)]
 
 
-def sweep(geometry: DipoleGeometry, substrate: Substrate,
-          f_start: float, f_stop: float, f_step: float,
-          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
-    """Impedance and match metrics over a frequency band."""
+def _sweep_on_mesh(geometry: DipoleGeometry, substrate: Substrate,
+                   f_start: float, f_stop: float, f_step: float,
+                   n: int | None, z0: float
+                   ) -> tuple[SweepResult, WireModel, SegmentMesh]:
+    """sweep, also returning the model and mesh it solved on."""
     rules = check_design_rules(geometry, substrate, 0.5 * (f_start + f_stop))
     if not rules.ok:
         names = ", ".join(e.rule for e in rules.violations)
@@ -331,4 +376,12 @@ def sweep(geometry: DipoleGeometry, substrate: Substrate,
             z_in[i] = input_impedance(current)
         except SolverError as exc:
             raise SolverError("at %g Hz: %s" % (f, exc)) from exc
-    return SweepResult(freqs, z_in, z0)
+    return SweepResult(freqs, z_in, z0), model, mesh
+
+
+def sweep(geometry: DipoleGeometry, substrate: Substrate,
+          f_start: float, f_stop: float, f_step: float,
+          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
+    """Impedance and match metrics over a frequency band."""
+    return _sweep_on_mesh(geometry, substrate, f_start, f_stop, f_step, n,
+                          z0)[0]

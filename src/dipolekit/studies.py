@@ -19,8 +19,9 @@ from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, \
     fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
-from .mom import assemble_system, build_mesh, default_segments, \
-    geometry_model, impedance_at, input_impedance, solve_current, sweep
+from .mom import _sweep_on_mesh, assemble_system, build_mesh, \
+    default_segments, geometry_model, impedance_at, input_impedance, \
+    solve_current
 
 #: golden-section stopping span, mm
 _GOLDEN_TOL_MM = 0.1
@@ -48,11 +49,10 @@ def _evaluate(geometry: DipoleGeometry, substrate: Substrate, param: float,
               f_start: float, f_stop: float, f_step: float,
               f_probe: float, z0: float,
               threshold_db: float) -> StudyRow:
-    result = sweep(geometry, substrate, f_start, f_stop, f_step, z0=z0)
+    result, model, mesh = _sweep_on_mesh(geometry, substrate, f_start,
+                                         f_stop, f_step, None, z0)
     best = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
-    model = geometry_model(geometry, substrate)
-    mesh = build_mesh(model)
     z_probe = input_impedance(
         solve_current(assemble_system(mesh, f_probe, model), mesh))
     f_dir = bw.f_center if bw.percent > 0 else float(result.f[best])

@@ -6,6 +6,7 @@ import pytest
 from dipolekit.design import DipoleGeometry, Substrate
 from dipolekit.errors import DesignRuleError, MeshError, SolverError
 from dipolekit.metrics import SweepResult
+from dipolekit import mom
 from dipolekit.mom import (
     ETA0,
     SegmentMesh,
@@ -259,6 +260,70 @@ def test_odd_mode_singularity_still_refused():
     assert np.array_equal(system, system[::-1, ::-1])
     with pytest.raises(SolverError, match="condition"):
         solve_current(system, mesh)
+
+
+def condition_spy(monkeypatch):
+    """Record each call of the SVD condition number that solve_current makes."""
+    calls = []
+    condition = mom._condition
+
+    def spy(blocks):
+        calls.append(condition(blocks))
+        return calls[-1]
+
+    monkeypatch.setattr(mom, "_condition", spy)
+    return calls
+
+
+def odd_mode_system(n, delta):
+    """I - (1 - delta) u u^T with u odd: centrosymmetric, cond 1/delta."""
+    u = np.zeros(n)
+    u[:n // 2] = np.arange(1.0, n // 2 + 1)
+    u -= u[::-1]
+    u /= np.linalg.norm(u)
+    return np.eye(n) - (1.0 - delta) * np.outer(u, u)
+
+
+@pytest.mark.parametrize("n", [11, 21, 83, 161, 321])
+@pytest.mark.parametrize("eps_e", [1.0, 3.3])
+def test_assembled_systems_are_certified_without_svd(n, eps_e, monkeypatch):
+    calls = condition_spy(monkeypatch)
+    base = thin_half_wave()
+    model = WireModel(base.total_length, base.radius, eps_e)
+    mesh = build_mesh(model, n=n)
+    for f in (0.9e9, 1.8e9, 2.6e9):
+        solve_current(assemble_system(mesh, f, model), mesh)
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uncertified_condition_falls_back_to_svd(monkeypatch):
+    calls = condition_spy(monkeypatch)
+    mesh = build_mesh(thin_half_wave(), n=21)
+    # cond 1e4 is certified; 1e10 is not, but the SVD accepts it
+    solve_current(odd_mode_system(mesh.n, 1e-4), mesh)
+    assert calls == []
+    cur = solve_current(odd_mode_system(mesh.n, 1e-10), mesh)
+    assert calls == [pytest.approx(1e10, rel=1e-4)]
+    assert cur.feed_current == 1.0
+    with pytest.raises(SolverError, match="condition estimate"):
+        solve_current(odd_mode_system(mesh.n, 1e-13), mesh)
+    assert calls[1] == pytest.approx(1e13, rel=1e-2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+@pytest.mark.parametrize("n", [21, 83])
+def test_scaled_system_solved_silently(scale, n, capfd):
+    # the Gram matrix under- or overflows at these scales, the SVD does not
+    model = thin_half_wave()
+    mesh = build_mesh(model, n=n)
+    system = assemble_system(mesh, 1.8e9, model)
+    cur = solve_current(system, mesh).currents
+    scaled = solve_current(system * scale, mesh).currents
+    assert np.abs(scaled * scale - cur).max() <= 1e-11 * np.abs(cur).max()
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
 
 
 def test_non_centrosymmetric_system_fails_residual():

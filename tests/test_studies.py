@@ -46,6 +46,13 @@ def test_length_study_error_rows():
     assert rows[1].z_in is None
 
 
+def test_width_study_rule_violation_row_keeps_its_message():
+    # W/h = 40 breaks the w_over_h restriction before any mesh is built
+    rows = width_study([6.0, 64.0], FR4, *BAND, length_mm=300.0)
+    assert rows[0].error is None
+    assert rows[1].error == "geometry violates restriction(s): w_over_h"
+
+
 def test_width_study_bandwidth_trend():
     rows = width_study([5.0, 6.0, 7.0, 8.0], FR4, *BAND, length_mm=60.0)
     bws = [r.bw_pct for r in rows]
@@ -94,7 +101,7 @@ def test_max_rl_solves_final_length_once(monkeypatch):
     assert len(calls) == res.iterations + 3
 
 
-def test_study_row_shares_one_mesh_for_probe_and_pattern(monkeypatch):
+def test_study_row_builds_one_mesh(monkeypatch):
     meshes = []
     build = mom.build_mesh
 
@@ -106,8 +113,8 @@ def test_study_row_shares_one_mesh_for_probe_and_pattern(monkeypatch):
     monkeypatch.setattr(studies, "build_mesh", counted)
     rows = length_study([65.0], FR4, *BAND)
     assert rows[0].error is None
-    # one mesh for the band sweep, one for the probe and pattern solves
-    assert len(meshes) == 2
+    # the band sweep's mesh also serves the probe and pattern solves
+    assert len(meshes) == 1
 
 
 def test_optimizers_agree():
