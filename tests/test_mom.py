@@ -3,14 +3,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from dipolekit import mom
 from dipolekit.design import DipoleGeometry, Substrate
 from dipolekit.errors import DesignRuleError, MeshError, SolverError
 from dipolekit.metrics import SweepResult
-from dipolekit import mom
 from dipolekit.mom import (
     ETA0,
     SegmentMesh,
     WireModel,
+    _certified,
     _condition,
     _fold,
     assemble_system,
@@ -309,6 +310,16 @@ def test_uncertified_condition_falls_back_to_svd(monkeypatch):
     with pytest.raises(SolverError, match="condition estimate"):
         solve_current(odd_mode_system(mesh.n, 1e-13), mesh)
     assert calls[1] == pytest.approx(1e13, rel=1e-2)
+
+
+def test_certificate_uses_the_conjugate_transpose():
+    # E = [[1, 1e5 j], [0, 1e-3]] has cond ~1e13, but the product E E that
+    # a symmetric block would allow in place of E^H E looks well scaled
+    blocks = np.zeros((2, 2, 2), dtype=complex)
+    blocks[0] = [[1.0, 1e5j], [0.0, 1e-3]]
+    blocks[1, 0, 0] = 1.0
+    assert _condition(blocks) > 1e12
+    assert not _certified(blocks)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
