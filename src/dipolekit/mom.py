@@ -12,8 +12,9 @@ views of one set of n+2 integrals per test half, whose geometry does not
 depend on frequency, so the mesh carries it and each assembly only
 evaluates the k-dependent factors. The matrix is also centrosymmetric and
 the center feed excites only its even mode, so each solve folds it to the
-(n+1)/2 even-mode unknowns. The condition guard first tries to prove the
-limit with a Cholesky test on each block's Gram matrix, with a margin for
+(n+1)/2 even-mode unknowns. Both blocks are complex symmetric, so the
+condition guard first tries to prove the limit with one real Cholesky test
+of each block's real part after a small phase turn, with a margin for
 rounding, and computes the exact condition number by SVD only when that
 test fails.
 """
@@ -50,11 +51,15 @@ _COND_LIMIT = 1e12
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-#: squared norms _certified covers: far enough from underflow that absolute
-#: rounding stays under its margin, and from overflow that no Gram entry
-#: can be inf or nan
-_GRAM_RANGE = (np.finfo(float).tiny / _UNIT_ROUNDOFF,
-               _UNIT_ROUNDOFF / np.finfo(float).tiny)
+#: squared Frobenius norms _certified covers: far enough from underflow
+#: that absolute rounding stays under its margin, and from overflow that no
+#: sum or Cholesky entry can be inf or nan
+_SQUARED_NORM_RANGE = (np.finfo(float).tiny / _UNIT_ROUNDOFF,
+                       _UNIT_ROUNDOFF / np.finfo(float).tiny)
+
+#: e^{i theta}, theta = 5 degrees: _certified's phase turn, under which
+#: resistance and capacitive reactance both add to the real part
+_ROTATION = np.exp(1j * np.pi / 36)
 
 _RESIDUAL_LIMIT = 1e-8
 
@@ -248,28 +253,55 @@ def _condition(blocks: np.ndarray) -> float:
 def _certified(blocks: np.ndarray) -> bool:
     """Prove that the matrix _fold split into blocks has cond <= _COND_LIMIT.
 
-    With s^2 the larger squared Frobenius norm of the two blocks, s bounds
-    sigma_max. If G - tau*I is positive definite for each block's Gram
-    matrix G = E^H E, with tau = s^2 (_COND_LIMIT^-2 + 8(m+1)u), then every
-    sigma^2 > s^2 / _COND_LIMIT^2. A Cholesky factorization of the computed
-    G - tau*I that succeeds proves it for the exact G: the 8(m+1)u s^2 part
-    of tau covers the rounding of the complex Gram product and of the
-    factorization (Higham 2002, ch. 10; Rump, BIT 46, 2006). The odd
-    block's zero padding is set to s^2, an eigenvalue that passes. An s^2
-    outside _GRAM_RANGE, nan included, is not certified. False means
-    unproven, not refused.
+    Let rho be _ROTATION, r = |rho|, L = _COND_LIMIT, and for each m x m
+    block E let M = Re(rho E). If E^T = E, which is checked exactly and
+    which _fold gives for a symmetric matrix, M is the Hermitian part of
+    rho E, so for unit x (the field of values; Horn & Johnson, Topics in
+    Matrix Analysis, ch. 1) r ||Ex|| >= |x^H rho E x| >= x^H M x, and
+    sigma_min(E) >= lambda_min(M)/r. With s^2 the squared Frobenius norm of
+    both blocks, s >= sigma_max, so lambda_min(M) > r s/L for each block
+    proves cond <= L. Let tau = s (1/L + 2(m+1)^1.5 u). A Cholesky
+    factorization of the computed H = M - tau*I that runs to completion
+    proves it for the exact M and s. With gamma_k = ku/(1 - ku), u' = u(1 +
+    O(mu)) and each bound for H_ii > 0, as a completed Cholesky needs:
+
+    - rho E: each real part errs by <= gamma_2 (|Re rho||Re E_ij| +
+      |Im rho||Im E_ij|) <= gamma_2 r |E_ij|, so M by <= 2u' r s in norm.
+    - the shift: fl(M_ii - tau) errs by <= u M_ii <= u' r s.
+    - the Cholesky (Higham 2002, Thm 10.3; Rump, BIT 46, 2006): H + dH =
+      R^T R with |dH_ij| <= gamma_{m+1}/(1 - gamma_{m+1}) sqrt(h_ii h_jj),
+      so lambda_min(H) >= -||dH||_2 >= -(m+1) u' tr(H), where tr(H) <=
+      (1 + 3u') r sum |E_ii| <= (1 + 3u') r sqrt(m) s.
+    - s: the 4m^2 terms of s^2 are nonnegative, so the computed s^2 is at
+      least (1 - gamma_{4m^2}) times the exact one, and the computed tau at
+      least (1 - (2m^2 + 4)u') times the exact one.
+
+    So lambda_min(M) >= tau - ((m+1) sqrt(m) + 3) u' r s, and the margin
+    2(m+1)^1.5 u s in tau exceeds what the errors take, with r <= 1 + 2u,
+    by at least (m+1)^1.5 u s - 3u' s - (2m^2 + 6) u' s/L > 0 (m >= 2 and
+    m^2 << L). Only the lower triangle is read, which the symmetry check
+    makes the whole matrix. The odd block's zero padding is its last row
+    and column, so the bound holds for its leading p x p part, and the pad
+    is set to s, which passes. An s^2 outside _SQUARED_NORM_RANGE, nan
+    included, is not certified; inside it underflow's absolute errors are
+    far below the margin and nothing overflows. False means unproven, not
+    refused.
     """
     m = blocks.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):   # range check below
-        gram = blocks.conj().transpose(0, 2, 1) @ blocks
-        diag = gram.reshape(2, m * m)[:, ::m + 1]
-        s2 = diag.real.sum(axis=1).max()
-    if not _GRAM_RANGE[0] < s2 < _GRAM_RANGE[1]:
+    # E^T = E, compared as float pairs, which numpy does faster than complex
+    if not np.array_equal(blocks.view(float),
+                          blocks.transpose(0, 2, 1).copy().view(float)):
         return False
-    gram[1, -1, -1] = s2
-    diag -= s2 * (_COND_LIMIT ** -2 + 8 * (m + 1) * _UNIT_ROUNDOFF)
+    s2 = np.vdot(blocks, blocks).real
+    if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
+        return False
+    s = np.sqrt(s2)
+    turned = blocks * _ROTATION
+    turned[1, -1, -1] = s
+    turned.reshape(2, m * m)[:, ::m + 1] -= s * (
+        _COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(turned.real)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -284,9 +316,10 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
     so the solve runs on the (p+1) x (p+1) even block (p = feed_index) and
     the current is mirrored back, exactly symmetric. The condition guard
     covers both blocks, whose singular values together are sigma(A):
-    _certified proves cond(A) <= _COND_LIMIT by a Cholesky test, and only
-    if that fails does _condition compute np.linalg.cond(A) by SVD, so the
-    verdict is that of the SVD alone. The residual is
+    _certified proves cond(A) <= _COND_LIMIT by a real Cholesky test of
+    each block's real part after a phase turn, and only if that fails does
+    _condition compute np.linalg.cond(A) by SVD, so the verdict is that of
+    the SVD alone. The residual is
     checked on the full system, so an input that is not centrosymmetric is
     refused rather than solved wrongly. A zero or non-finite voltage is
     refused before any array math.

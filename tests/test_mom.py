@@ -301,11 +301,13 @@ def test_assembled_systems_are_certified_without_svd(n, eps_e, monkeypatch):
 def test_uncertified_condition_falls_back_to_svd(monkeypatch):
     calls = condition_spy(monkeypatch)
     mesh = build_mesh(thin_half_wave(), n=21)
-    # cond 1e4 is certified; 1e10 is not, but the SVD accepts it
+    # positive definite at cond 1e4 and 1e10: certified
     solve_current(odd_mode_system(mesh.n, 1e-4), mesh)
+    solve_current(odd_mode_system(mesh.n, 1e-10), mesh)
     assert calls == []
-    cur = solve_current(odd_mode_system(mesh.n, 1e-10), mesh)
-    assert calls == [pytest.approx(1e10, rel=1e-4)]
+    # I - 2uu^T is a reflection, cond 1 but indefinite: the SVD accepts it
+    cur = solve_current(odd_mode_system(mesh.n, -1.0), mesh)
+    assert calls == [pytest.approx(1.0)]
     assert cur.feed_current == 1.0
     with pytest.raises(SolverError, match="condition estimate"):
         solve_current(odd_mode_system(mesh.n, 1e-13), mesh)
@@ -313,8 +315,8 @@ def test_uncertified_condition_falls_back_to_svd(monkeypatch):
 
 
 def test_certificate_uses_the_conjugate_transpose():
-    # E = [[1, 1e5 j], [0, 1e-3]] has cond ~1e13, but the product E E that
-    # a symmetric block would allow in place of E^H E looks well scaled
+    # E = [[1, 1e5 j], [0, 1e-3]] has cond ~1e13, but the lower triangle a
+    # Cholesky reads, taken as a whole symmetric matrix, is well scaled
     blocks = np.zeros((2, 2, 2), dtype=complex)
     blocks[0] = [[1.0, 1e5j], [0.0, 1e-3]]
     blocks[1, 0, 0] = 1.0
@@ -323,10 +325,63 @@ def test_certificate_uses_the_conjugate_transpose():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ill_conditioned_non_symmetric_system_refused():
+    # I - t u w^T with u, w odd and orthogonal is centrosymmetric but not
+    # symmetric; its eigenvalues are all 1, but cond ~t^2. In the odd block
+    # u w^T lies above the diagonal, so the lower triangle alone is I.
+    mesh = build_mesh(thin_half_wave(), n=21)
+    p = mesh.feed_index
+    u = np.zeros(mesh.n)
+    w = np.zeros(mesh.n)
+    u[:3] = 1.0
+    w[p - 3:p] = 1.0
+    u -= u[::-1]
+    w -= w[::-1]
+    system = np.eye(mesh.n) - 1e7 * np.outer(u, w)
+    assert np.array_equal(system, system[::-1, ::-1])
+    assert np.linalg.cond(system) > 1e12
+    with pytest.raises(SolverError, match="condition estimate"):
+        solve_current(system, mesh)
+
+
+@pytest.mark.parametrize("delta", np.logspace(-14, -10, 17))
+def test_odd_mode_certificate_is_sound(delta):
+    mesh = build_mesh(thin_half_wave(), n=21)
+    blocks = _fold(odd_mode_system(mesh.n, delta), mesh.feed_index)
+    assert not _certified(blocks) or _condition(blocks) <= 1e12
+
+
+def planted_blocks(p, cond, rng):
+    """Complex-symmetric Q diag(l) Q^T blocks (Q real orthogonal) in _fold's
+    layout, odd block padded; |l| spans cond, the phases of l lie within
+    60 degrees of the real axis, so the rotated real part is definite."""
+    blocks = np.zeros((2, p + 1, p + 1), dtype=complex)
+    for b, size in ((0, p + 1), (1, p)):
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        mag = np.logspace(0.0, -np.log10(cond), size)
+        lam = mag * np.exp(1j * np.deg2rad(rng.uniform(-60, 60, size)))
+        e = (q * lam) @ q.T
+        blocks[b, :size, :size] = (e + e.T) / 2
+    return blocks
+
+
+@pytest.mark.parametrize("cond", np.logspace(10, 14, 17))
+def test_planted_spectrum_certificate_is_sound(cond):
+    rng = np.random.default_rng(int(np.log10(cond) * 4))
+    for p in (5, 10, 40):
+        blocks = planted_blocks(p, cond, rng)
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        certified = _certified(blocks)
+        assert not certified or _condition(blocks) <= 1e12
+        if cond <= 1e11:
+            assert certified
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
 @pytest.mark.parametrize("n", [21, 83])
 def test_scaled_system_solved_silently(scale, n, capfd):
-    # the Gram matrix under- or overflows at these scales, the SVD does not
+    # the squared norm under- or overflows at these scales, the SVD does not
     model = thin_half_wave()
     mesh = build_mesh(model, n=n)
     system = assemble_system(mesh, 1.8e9, model)
