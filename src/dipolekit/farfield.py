@@ -2,7 +2,8 @@
 
 The E-plane cut is built by summing the node currents as short radiators
 with the standard sin(theta) element factor and the axial phase term; by
-symmetry the H-plane cut of a z-directed dipole is flat. Directivity is
+symmetry the H-plane cut of a z-directed dipole is flat. The wavenumber is
+that of the medium of the wire model the mesh was built for. Directivity is
 integrated on the theta grid with the trapezoid rule.
 """
 
@@ -20,8 +21,10 @@ class DegeneratePattern(SolverError):
     """The sampled pattern carries no power."""
 
 
-#: default polar sampling grid, degrees (open at the poles where E = 0)
+#: polar sampling grid, degrees (open at the poles where E = 0); read-only,
+#: because every E-plane cut shares it as its angles_deg
 DEFAULT_THETA_DEG = np.arange(0.5, 180.0, 0.5)
+DEFAULT_THETA_DEG.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,11 @@ def _normalized_db(u: np.ndarray) -> np.ndarray:
 
 
 def radiation_intensity(current: CurrentDistribution, mesh: SegmentMesh,
-                        f: float, eps_e: float = 1.0,
-                        theta_deg: np.ndarray = DEFAULT_THETA_DEG) -> np.ndarray:
-    """Unnormalized U(theta) for the node currents on the mesh."""
-    k = wavenumber(f, eps_e)
-    theta = np.radians(np.asarray(theta_deg, dtype=float))
+                        f: float) -> np.ndarray:
+    """Unnormalized U(theta) on DEFAULT_THETA_DEG for the node currents on
+    the mesh, in the medium of mesh.model."""
+    k = wavenumber(f, mesh.model.eps_e)
+    theta = np.radians(DEFAULT_THETA_DEG)
     phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))
     e_field = np.sin(theta) * (phase @ current.currents)
     return np.abs(e_field) ** 2
@@ -92,24 +95,20 @@ def hpbw_from_cut(angles_deg: np.ndarray, field_db: np.ndarray) -> float:
 
 
 def pattern_from_current(current: CurrentDistribution, mesh: SegmentMesh,
-                         f: float, eps_e: float = 1.0,
-                         theta_deg: np.ndarray = DEFAULT_THETA_DEG) -> PatternCut:
+                         f: float) -> PatternCut:
     """E-plane cut with directivity and half-power beamwidth."""
-    u = radiation_intensity(current, mesh, f, eps_e, theta_deg)
-    d = directivity_from_intensity(theta_deg, u)
+    u = radiation_intensity(current, mesh, f)
+    d = directivity_from_intensity(DEFAULT_THETA_DEG, u)
     field_db = _normalized_db(u)
-    return PatternCut(plane="E", angles_deg=np.asarray(theta_deg, dtype=float),
+    return PatternCut(plane="E", angles_deg=DEFAULT_THETA_DEG,
                       field_db=field_db,
                       directivity_dbi=float(10.0 * np.log10(d)),
-                      hpbw_deg=hpbw_from_cut(theta_deg, field_db))
+                      hpbw_deg=hpbw_from_cut(DEFAULT_THETA_DEG, field_db))
 
 
-def h_plane_cut(directivity_dbi: float,
-                phi_deg: np.ndarray | None = None) -> PatternCut:
-    """Azimuth cut at theta = 90 deg: flat by axial symmetry."""
-    if phi_deg is None:
-        phi_deg = np.arange(0.0, 360.0, 1.0)
-    phi = np.asarray(phi_deg, dtype=float)
+def h_plane_cut(directivity_dbi: float) -> PatternCut:
+    """Azimuth cut at theta = 90 deg over 0..359 deg: flat by axial symmetry."""
+    phi = np.arange(0.0, 360.0, 1.0)
     return PatternCut(plane="H", angles_deg=phi, field_db=np.zeros_like(phi),
                       directivity_dbi=float(directivity_dbi),
                       hpbw_deg=float(phi[-1] - phi[0]))

@@ -4,19 +4,21 @@ The strip is reduced to an equivalent round wire (a = W/4) embedded in a
 homogeneous effective medium. Currents are expanded in overlapping
 piecewise-sinusoidal basis functions on a uniform node grid with the tips
 pinned to zero; Galerkin testing against the same functions yields a
-symmetric Toeplitz system. The radiated-field kernel e^{-jkR}/(4*pi*R) is
+symmetric Toeplitz system, driven by a 1 V delta gap at the center node,
+so Z_in = 1/I_feed. The radiated-field kernel e^{-jkR}/(4*pi*R) is
 integrated with an arcsinh substitution around each of the three kernel
 centers of a basis function, which keeps the quadrature accurate even when
 the node spacing approaches the wire radius. The three centers are shifted
 views of one set of n+2 integrals per test half, whose geometry does not
-depend on frequency, so the mesh carries it and each assembly only
-evaluates the k-dependent factors. The matrix is also centrosymmetric and
-the center feed excites only its even mode, so each solve folds it to the
-(n+1)/2 even-mode unknowns. Both blocks are complex symmetric, so the
-condition guard first tries to prove the limit with one real Cholesky test
-of each block's real part after a small phase turn, with a margin for
-rounding, and computes the exact condition number by SVD only when that
-test fails.
+depend on frequency. The mesh carries it along with the wire model it was
+built for (length, radius and medium), so each assembly takes only the mesh
+and a frequency and evaluates the k-dependent factors. The matrix is also
+centrosymmetric and the center feed excites only its even mode, so each
+solve folds it to the (n+1)/2 even-mode unknowns. Both blocks are complex
+symmetric, so the condition guard first tries to prove the limit with one
+real Cholesky test of each block's real part after a small phase turn,
+with a margin for rounding, and computes the exact condition number by SVD
+only when that test fails.
 """
 
 from __future__ import annotations
@@ -86,11 +88,12 @@ class WireModel:
 
 @dataclass(frozen=True)
 class SegmentMesh:
-    """Uniform segmentation of the wire axis.
+    """Uniform segmentation of the axis of the wire `model`.
 
-    segment_centers follow the n equal segments of length delta = L/n; the
-    current expansion lives on the interior node grid `nodes` (spacing
-    L/(n+1)), whose end half-bases terminate exactly at the wire tips.
+    `model` is the wire the mesh was built for: its length, radius and
+    medium are what assembly and the far field use. The current expansion
+    lives on the n interior nodes `nodes` (spacing h = L/(n+1)), whose end
+    half-bases terminate exactly at the wire tips.
 
     The kernel quadrature is laid out once per mesh, as (2, n+2, 16) quad_*
     arrays. Axis 0 is the lower then upper half of the test basis; axis 1
@@ -100,13 +103,10 @@ class SegmentMesh:
     the weights td*wq.
     """
 
+    model: WireModel
     n: int
-    delta: float
-    segment_centers: np.ndarray
     nodes: np.ndarray
     feed_index: int
-    total_length: float
-    radius: float
     quad_dz: np.ndarray = field(repr=False)
     quad_r: np.ndarray = field(repr=False)
     quad_w: np.ndarray = field(repr=False)
@@ -127,13 +127,13 @@ def max_segments(total_length: float, radius: float) -> int:
     return n
 
 
-def default_segments(total_length: float, radius: float,
-                     n_max: int = DEFAULT_N_SEGMENTS) -> int:
+def default_segments(total_length: float, radius: float) -> int:
     """Segment count for good kernel accuracy: node spacing >= 2*radius.
 
-    Falls back to MIN_SEGMENTS for very fat wires; capped at n_max.
+    Falls back to MIN_SEGMENTS for very fat wires; capped at
+    DEFAULT_N_SEGMENTS.
     """
-    n = int(min(total_length / (2.0 * radius), n_max + 1)) - 1
+    n = int(min(total_length / (2.0 * radius), DEFAULT_N_SEGMENTS + 1)) - 1
     if n % 2 == 0:
         n -= 1
     return max(n, MIN_SEGMENTS)
@@ -155,7 +155,6 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     if delta < a:
         raise MeshError("delta = %.4g mm < radius %.4g mm; use n <= %d"
                         % (delta, a, max_segments(L, a)))
-    centers = (np.arange(n) - (n - 1) / 2.0) * delta
     h = L / (n + 1)
     nodes = (np.arange(n) - (n - 1) / 2.0) * h
     d = np.arange(-1.0, n + 1.0) * h    # knot c to column entry j: (j - c)h
@@ -166,8 +165,7 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     td = (t2 - t1) / 2.0
     t = tm[..., None] + _XQ * td[..., None]
     dz = np.abs(a * np.sinh(t) - d[:, None])
-    return SegmentMesh(n=n, delta=delta, segment_centers=centers, nodes=nodes,
-                       feed_index=(n - 1) // 2, total_length=L, radius=a,
+    return SegmentMesh(model=model, n=n, nodes=nodes, feed_index=(n - 1) // 2,
                        quad_dz=dz, quad_r=a * np.cosh(t),
                        quad_w=td[..., None] * _WQ)
 
@@ -179,12 +177,10 @@ def wavenumber(f: float, eps_e: float) -> float:
     return 2.0 * np.pi * f * np.sqrt(eps_e) / C_MM_PER_S
 
 
-def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray:
-    """Dense complex Galerkin matrix; symmetric and Toeplitz by construction."""
-    if mesh.total_length != model.total_length or mesh.radius != model.radius:
-        raise MeshError("mesh built for L=%g mm, a=%g mm used with a model of "
-                        "L=%g mm, a=%g mm" % (mesh.total_length, mesh.radius,
-                                              model.total_length, model.radius))
+def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
+    """Dense complex Galerkin matrix of mesh.model at f; symmetric and
+    Toeplitz by construction."""
+    model = mesh.model
     k = wavenumber(f, model.eps_e)
     if not np.isfinite(k):
         raise SolverError("wavenumber is not finite at %g Hz" % f)
@@ -207,10 +203,9 @@ def assemble_system(mesh: SegmentMesh, f: float, model: WireModel) -> np.ndarray
 
 @dataclass(frozen=True)
 class CurrentDistribution:
-    """Complex node currents from a delta-gap solve."""
+    """Complex node currents from a 1 V delta-gap solve."""
 
     currents: np.ndarray
-    feed_voltage: float
     feed_index: int
 
     @property
@@ -307,9 +302,8 @@ def _certified(blocks: np.ndarray) -> bool:
     return True
 
 
-def solve_current(system: np.ndarray, mesh: SegmentMesh,
-                  voltage: float = 1.0) -> CurrentDistribution:
-    """Delta-gap excitation at the center node, solved in the even mode.
+def solve_current(system: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
+    """1 V delta-gap excitation at the center node, solved in the even mode.
 
     `system` must be assemble_system's matrix, which is centrosymmetric
     (symmetric Toeplitz). The center feed then excites only the even mode,
@@ -319,14 +313,9 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
     _certified proves cond(A) <= _COND_LIMIT by a real Cholesky test of
     each block's real part after a phase turn, and only if that fails does
     _condition compute np.linalg.cond(A) by SVD, so the verdict is that of
-    the SVD alone. The residual is
-    checked on the full system, so an input that is not centrosymmetric is
-    refused rather than solved wrongly. A zero or non-finite voltage is
-    refused before any array math.
+    the SVD alone. The residual is checked on the full system, so an input
+    that is not centrosymmetric is refused rather than solved wrongly.
     """
-    if not 0.0 < abs(voltage) < np.inf:
-        raise SolverError("feed voltage must be finite and nonzero, got %r"
-                          % (voltage,))
     p = mesh.feed_index
     with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
         blocks = _fold(system, p)
@@ -336,35 +325,34 @@ def solve_current(system: np.ndarray, mesh: SegmentMesh,
             raise SolverError("system condition estimate %.3g exceeds %.1g"
                               % (cond, _COND_LIMIT))
     b = np.zeros(p + 1, dtype=complex)
-    b[p] = voltage
+    b[p] = 1.0
     y = np.linalg.solve(blocks[0], b)
     currents = np.empty(mesh.n, dtype=y.dtype)
     np.divide(y[:p], _SQRT2, out=currents[:p])
     currents[p] = y[p]
     currents[p + 1:] = currents[:p][::-1]
     excess = system @ currents
-    excess[p] -= voltage
-    residual = np.linalg.norm(excess) / abs(voltage)
+    excess[p] -= 1.0
+    residual = np.linalg.norm(excess)
     if residual > _RESIDUAL_LIMIT:
         raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
-    return CurrentDistribution(currents=currents, feed_voltage=voltage,
-                               feed_index=p)
+    return CurrentDistribution(currents=currents, feed_index=p)
 
 
 def input_impedance(current: CurrentDistribution) -> complex:
-    """Z_in = V / I at the feed node."""
+    """Z_in = 1 V / I at the feed node."""
     i_feed = current.feed_current
     scale = np.max(np.abs(current.currents))
     if scale > 0 and abs(i_feed) < 1e-9 * scale:
         warnings.warn("feed current nearly zero: numerical antiresonance",
                       RuntimeWarning, stacklevel=2)
-    return current.feed_voltage / i_feed
+    return 1.0 / i_feed
 
 
 def impedance_at(model: WireModel, f: float, n: int | None = None) -> complex:
     """Convenience: mesh, assemble and solve for a single frequency."""
     mesh = build_mesh(model, n)
-    current = solve_current(assemble_system(mesh, f, model), mesh)
+    current = solve_current(assemble_system(mesh, f), mesh)
     return input_impedance(current)
 
 
@@ -392,24 +380,22 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
 
 def _sweep_on_mesh(geometry: DipoleGeometry, substrate: Substrate,
                    f_start: float, f_stop: float, f_step: float,
-                   n: int | None, z0: float
-                   ) -> tuple[SweepResult, WireModel, SegmentMesh]:
-    """sweep, also returning the model and mesh it solved on."""
+                   n: int | None, z0: float) -> tuple[SweepResult, SegmentMesh]:
+    """sweep, also returning the mesh it solved on."""
     rules = check_design_rules(geometry, substrate, 0.5 * (f_start + f_stop))
     if not rules.ok:
         names = ", ".join(e.rule for e in rules.violations)
         raise DesignRuleError("geometry violates restriction(s): %s" % names)
-    model = geometry_model(geometry, substrate)
-    mesh = build_mesh(model, n)
+    mesh = build_mesh(geometry_model(geometry, substrate), n)
     freqs = frequency_grid(f_start, f_stop, f_step)
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs):
         try:
-            current = solve_current(assemble_system(mesh, float(f), model), mesh)
+            current = solve_current(assemble_system(mesh, float(f)), mesh)
             z_in[i] = input_impedance(current)
         except SolverError as exc:
             raise SolverError("at %g Hz: %s" % (f, exc)) from exc
-    return SweepResult(freqs, z_in, z0), model, mesh
+    return SweepResult(freqs, z_in, z0), mesh
 
 
 def sweep(geometry: DipoleGeometry, substrate: Substrate,

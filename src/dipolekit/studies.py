@@ -49,15 +49,15 @@ def _evaluate(geometry: DipoleGeometry, substrate: Substrate, param: float,
               f_start: float, f_stop: float, f_step: float,
               f_probe: float, z0: float,
               threshold_db: float) -> StudyRow:
-    result, model, mesh = _sweep_on_mesh(geometry, substrate, f_start,
-                                         f_stop, f_step, None, z0)
+    result, mesh = _sweep_on_mesh(geometry, substrate, f_start, f_stop,
+                                  f_step, None, z0)
     best = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
-    z_probe = input_impedance(
-        solve_current(assemble_system(mesh, f_probe, model), mesh))
-    f_dir = bw.f_center if bw.percent > 0 else float(result.f[best])
-    current = solve_current(assemble_system(mesh, f_dir, model), mesh)
-    cut = pattern_from_current(current, mesh, f_dir, model.eps_e)
+    z_probe = input_impedance(solve_current(assemble_system(mesh, f_probe),
+                                            mesh))
+    f_dir = float(result.f[best])
+    current = solve_current(assemble_system(mesh, f_dir), mesh)
+    cut = pattern_from_current(current, mesh, f_dir)
     return StudyRow(param_mm=param, z_in=z_probe, vswr=result.vswr[best],
                     rl_db=result.s11_db[best], bw_pct=bw.percent,
                     directivity_dbi=cut.directivity_dbi)
@@ -165,9 +165,7 @@ def optimize_length(substrate: Substrate, f: float,
 def optimize_for_max_rl(substrate: Substrate, f: float,
                         l_low: float, l_high: float,
                         width_mm: float = 6.0,
-                        z0: float = DEFAULT_Z0,
-                        objective: Callable[[float], float] | None = None
-                        ) -> OptimizeResult:
+                        z0: float = DEFAULT_Z0) -> OptimizeResult:
     """Golden-section search for the deepest S11 over a length interval.
 
     A 9-point presample checks unimodality; if the samples are not
@@ -178,10 +176,8 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
     def s11_of(L: float) -> float:
         return return_loss_db(reflection_coefficient(z_of(L), z0))
 
-    if objective is None:
-        objective = s11_of
     grid = np.linspace(l_low, l_high, 9)
-    vals = np.array([objective(L) for L in grid])
+    vals = np.array([s11_of(L) for L in grid])
     i_best = int(np.argmin(vals))
     diffs = np.sign(np.diff(vals))
     sign_changes = int(np.sum(np.abs(np.diff(diffs[diffs != 0])) > 0))
@@ -200,29 +196,28 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
     lo, hi = float(grid[max(i_best - 1, 0)]), float(grid[min(i_best + 1, 8)])
     c = hi - _PHI * (hi - lo)
     d = lo + _PHI * (hi - lo)
-    fc, fd = objective(c), objective(d)
+    fc, fd = s11_of(c), s11_of(d)
     iterations = len(grid)
     while hi - lo > _GOLDEN_TOL_MM:
         iterations += 1
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _PHI * (hi - lo)
-            fc = objective(c)
+            fc = s11_of(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _PHI * (hi - lo)
-            fd = objective(d)
+            fd = s11_of(d)
     length = 0.5 * (lo + hi)
     return OptimizeResult(length_mm=length, z_in=z_of(length),
-                          s11_db=float(objective(length)),
+                          s11_db=float(s11_of(length)),
                           iterations=iterations, converged=True)
 
 
 def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
                   f: float) -> tuple:
     """Both principal-plane cuts for one geometry."""
-    model = geometry_model(geometry, substrate)
-    mesh = build_mesh(model)
-    current = solve_current(assemble_system(mesh, f, model), mesh)
-    e_cut = pattern_from_current(current, mesh, f, model.eps_e)
+    mesh = build_mesh(geometry_model(geometry, substrate))
+    current = solve_current(assemble_system(mesh, f), mesh)
+    e_cut = pattern_from_current(current, mesh, f)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

@@ -166,7 +166,7 @@ def test_criterion_7_farfield():
 
     model = dk.WireModel(LAMBDA_18 / 2, LAMBDA_18 / 1000)
     mesh = dk.build_mesh(model, n=41)
-    cur = dk.solve_current(dk.assemble_system(mesh, 1.8e9, model), mesh)
+    cur = dk.solve_current(dk.assemble_system(mesh, 1.8e9), mesh)
     cut = dk.pattern_from_current(cur, mesh, 1.8e9)
     h_cut = dk.h_plane_cut(cut.directivity_dbi)
 

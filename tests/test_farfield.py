@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_degenerate_pattern():
 def _half_wave_cut():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     mesh = build_mesh(model, n=41)
-    cur = solve_current(assemble_system(mesh, 1.8e9, model), mesh)
+    cur = solve_current(assemble_system(mesh, 1.8e9), mesh)
     return pattern_from_current(cur, mesh, 1.8e9)
 
 
@@ -67,14 +69,40 @@ def test_pattern_symmetric_about_broadside():
     assert np.allclose(cut.field_db, cut.field_db[::-1], atol=1e-9)
 
 
+def test_cut_angles_cannot_alter_the_next_cut():
+    first = _half_wave_cut()
+    try:
+        first.angles_deg[:] = 0.0
+    except ValueError:      # the shared grid is read-only
+        pass
+    second = _half_wave_cut()
+    assert np.array_equal(second.angles_deg, THETA)
+    assert second.directivity_dbi == pytest.approx(2.15, abs=0.05)
+
+
 def test_radiation_intensity_scales_with_current():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     mesh = build_mesh(model, n=21)
-    cur = solve_current(assemble_system(mesh, 1.8e9, model), mesh)
+    cur = solve_current(assemble_system(mesh, 1.8e9), mesh)
     u1 = radiation_intensity(cur, mesh, 1.8e9)
-    cur2 = solve_current(assemble_system(mesh, 1.8e9, model), mesh, voltage=2.0)
-    u2 = radiation_intensity(cur2, mesh, 1.8e9)
+    u2 = radiation_intensity(replace(cur, currents=2.0 * cur.currents),
+                             mesh, 1.8e9)
     assert np.allclose(u2, 4.0 * u1, rtol=1e-9)
+
+
+def test_pattern_effective_medium_scaling():
+    # the medium of the mesh's wire model sets k: the E-plane cut of a wire
+    # in eps_e at f is that of the same wire in free space at f*sqrt(eps_e)
+    eps_e = 2.25
+    cuts = []
+    for eps, f in ((eps_e, 1.2e9), (1.0, 1.2e9 * np.sqrt(eps_e))):
+        mesh = build_mesh(WireModel(40.0, 0.2, eps), n=31)
+        cur = solve_current(assemble_system(mesh, f), mesh)
+        cuts.append(pattern_from_current(cur, mesh, f))
+    medium, free = cuts
+    assert medium.directivity_dbi == pytest.approx(free.directivity_dbi,
+                                                   abs=1e-9)
+    assert np.abs(medium.field_db - free.field_db).max() <= 1e-9
 
 
 def test_h_plane_flat():

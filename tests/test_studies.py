@@ -123,19 +123,23 @@ def test_optimizers_agree():
     assert abs(a.length_mm - b.length_mm) < 2.0
 
 
-def test_max_rl_non_unimodal_flagged():
-    # injected two-dip objective defeats the golden-section precondition
-    def objective(L):
-        return -10.0 * np.exp(-((L - 38.0) ** 2)) - 9.0 * np.exp(-((L - 46.0) ** 2))
+def test_max_rl_non_unimodal_flagged(monkeypatch):
+    # an injected two-dip S11(L) defeats the golden-section precondition
+    def two_dips(model, f, n=None):
+        L = model.total_length
+        s11 = -10.0 * np.exp(-((L - 38.0) ** 2)) - 9.0 * np.exp(-((L - 46.0) ** 2))
+        gamma = 10.0 ** (s11 / 20.0)
+        return complex(50.0 * (1.0 + gamma) / (1.0 - gamma))
 
-    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0, objective=objective)
+    monkeypatch.setattr(studies, "impedance_at", two_dips)
+    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0)
     assert not res.converged
     assert res.note == "non-unimodal"
     assert res.length_mm == pytest.approx(38.0, abs=1.0)
 
 
 def test_max_rl_non_unimodal_reuses_grid_solves(monkeypatch):
-    # two reactance dips, at 38 and 46 mm, seen through the default objective
+    # two reactance dips, at 38 and 46 mm, seen through the S11 search
     calls = []
 
     def two_dips(model, f, n=None):
@@ -153,7 +157,11 @@ def test_max_rl_non_unimodal_reuses_grid_solves(monkeypatch):
     assert len(calls) == 9
 
 
-def test_max_rl_degenerate_flagged():
-    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0, objective=lambda L: -3.0)
+def test_max_rl_degenerate_flagged(monkeypatch):
+    monkeypatch.setattr(studies, "impedance_at",
+                        lambda model, f, n=None: complex(30.0, 0.0))
+    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0)
     assert res.note == "degenerate"
     assert not res.converged
+    assert res.length_mm == 41.5          # the middle of the interval
+    assert res.z_in == 30.0
