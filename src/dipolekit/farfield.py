@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import MeshError, SolverError
 from .mom import CurrentDistribution, SegmentMesh, wavenumber
 
 
@@ -49,7 +49,11 @@ def _normalized_db(u: np.ndarray) -> np.ndarray:
 def radiation_intensity(current: CurrentDistribution, mesh: SegmentMesh,
                         f: float) -> np.ndarray:
     """Unnormalized U(theta) on DEFAULT_THETA_DEG for the node currents on
-    the mesh, in the medium of mesh.model."""
+    the mesh, in the medium of mesh.model; MeshError if the current was
+    solved on a mesh with another node count."""
+    if current.currents.shape != (mesh.n,):
+        raise MeshError("current has %d nodes but the mesh has n = %d"
+                        % (current.currents.size, mesh.n))
     k = wavenumber(f, mesh.model.eps_e)
     theta = np.radians(DEFAULT_THETA_DEG)
     phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))

@@ -19,6 +19,14 @@ symmetric, so the condition guard first tries to prove the limit with one
 real Cholesky test of each block's real part after a small phase turn,
 with a margin for rounding, and computes the exact condition number by SVD
 only when that test fails.
+
+The solve runs before the guard, which then turns the folded blocks in
+place, so a solve holds only the n x n matrix A, the blocks (half of A)
+and numpy's own solve or Cholesky workspace: under 2x A. Keep it there:
+glibc's heap trim threshold is twice the largest block it has freed (A),
+and a frequency that frees more hands the heap back, for the next one to
+fault in again, which took about half of each solve at n = 321. One more
+O(n^2) copy in the solve would do that.
 """
 
 from __future__ import annotations
@@ -218,11 +226,13 @@ def _fold(system: np.ndarray, p: int) -> np.ndarray:
 
     They are the diagonal blocks of Q^T A Q, with Q the orthogonal symmetry
     transform (u_i +- u_{n-1-i})/sqrt(2), so sigma(A) is the union of their
-    singular values. One (2, p+1, p+1) buffer holds both: [0] is the even
-    block, [1] the p x p odd block padded with a zero row and column.
+    singular values. One complex (2, p+1, p+1) buffer holds both: [0] is
+    the even block, [1] the p x p odd block padded with a zero row and
+    column. It is complex even for a real matrix, because _certified turns
+    it in place.
     """
     m = p + 1
-    blocks = np.zeros((2, m, m), dtype=system.dtype)
+    blocks = np.zeros((2, m, m), dtype=complex)
     a = system[:p, :p]
     right = system[:p, :p:-1]
     np.add(a, right, out=blocks[0, :p, :p])
@@ -281,22 +291,24 @@ def _certified(blocks: np.ndarray) -> bool:
     included, is not certified; inside it underflow's absolute errors are
     far below the margin and nothing overflows. False means unproven, not
     refused.
+
+    `blocks` must be _fold's buffer, and the test writes rho E, the pad and
+    the shift into it, to stay in the module docstring's memory budget;
+    certify a copy to keep the blocks.
     """
     m = blocks.shape[-1]
-    # E^T = E, compared as float pairs, which numpy does faster than complex
-    if not np.array_equal(blocks.view(float),
-                          blocks.transpose(0, 2, 1).copy().view(float)):
+    if not np.array_equal(blocks, blocks.transpose(0, 2, 1)):
         return False
     s2 = np.vdot(blocks, blocks).real
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
         return False
     s = np.sqrt(s2)
-    turned = blocks * _ROTATION
-    turned[1, -1, -1] = s
-    turned.reshape(2, m * m)[:, ::m + 1] -= s * (
+    blocks *= _ROTATION
+    blocks[1, -1, -1] = s
+    blocks.reshape(2, m * m)[:, ::m + 1] -= s * (
         _COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
     try:
-        np.linalg.cholesky(turned.real)
+        np.linalg.cholesky(blocks.real)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -305,29 +317,43 @@ def _certified(blocks: np.ndarray) -> bool:
 def solve_current(system: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     """1 V delta-gap excitation at the center node, solved in the even mode.
 
-    `system` must be assemble_system's matrix, which is centrosymmetric
-    (symmetric Toeplitz). The center feed then excites only the even mode,
-    so the solve runs on the (p+1) x (p+1) even block (p = feed_index) and
-    the current is mirrored back, exactly symmetric. The condition guard
-    covers both blocks, whose singular values together are sigma(A):
-    _certified proves cond(A) <= _COND_LIMIT by a real Cholesky test of
-    each block's real part after a phase turn, and only if that fails does
-    _condition compute np.linalg.cond(A) by SVD, so the verdict is that of
-    the SVD alone. The residual is checked on the full system, so an input
-    that is not centrosymmetric is refused rather than solved wrongly.
+    `system` must be assemble_system's matrix for `mesh` (another shape
+    raises MeshError), which is centrosymmetric (symmetric Toeplitz). The
+    center feed then excites only the even mode, so the solve runs on the
+    (p+1) x (p+1) even block (p = feed_index) and the current is mirrored
+    back, exactly symmetric. The condition guard covers both blocks, whose
+    singular values together are sigma(A): _certified proves cond(A) <=
+    _COND_LIMIT by a real Cholesky test of each block's real part after a
+    phase turn, and only if that fails does _condition compute
+    np.linalg.cond(A) by SVD, so the verdict is that of the SVD alone.
+    The even block is solved before the guard, because _certified turns
+    the blocks in place to keep the 2x A memory budget of the module
+    docstring; the SVD therefore gets a fresh fold of `system`, which is
+    never written. An exactly singular even block behind a passing guard
+    raises SolverError. The residual is checked on the full system, so an
+    input that is not centrosymmetric is refused rather than solved
+    wrongly.
     """
-    p = mesh.feed_index
-    with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
-        blocks = _fold(system, p)
-    if not _certified(blocks):
-        cond = _condition(blocks)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SolverError("system condition estimate %.3g exceeds %.1g"
-                              % (cond, _COND_LIMIT))
+    n, p = mesh.n, mesh.feed_index
+    if system.shape != (n, n):
+        raise MeshError("system shape %s does not match the mesh's n = %d"
+                        % (system.shape, n))
     b = np.zeros(p + 1, dtype=complex)
     b[p] = 1.0
-    y = np.linalg.solve(blocks[0], b)
-    currents = np.empty(mesh.n, dtype=y.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
+        blocks = _fold(system, p)
+        try:
+            y = np.linalg.solve(blocks[0], b)
+        except np.linalg.LinAlgError:   # exactly singular, or nan
+            y = None
+        if not _certified(blocks):
+            cond = _condition(_fold(system, p))
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                raise SolverError("system condition estimate %.3g exceeds %.1g"
+                                  % (cond, _COND_LIMIT))
+    if y is None:
+        raise SolverError("even-mode block is singular")
+    currents = np.empty(n, dtype=y.dtype)
     np.divide(y[:p], _SQRT2, out=currents[:p])
     currents[p] = y[p]
     currents[p + 1:] = currents[:p][::-1]

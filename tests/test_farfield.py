@@ -12,6 +12,7 @@ from dipolekit.farfield import (
     pattern_from_current,
     radiation_intensity,
 )
+from dipolekit.errors import MeshError
 from dipolekit.mom import (
     WireModel,
     assemble_system,
@@ -88,6 +89,17 @@ def test_radiation_intensity_scales_with_current():
     u2 = radiation_intensity(replace(cur, currents=2.0 * cur.currents),
                              mesh, 1.8e9)
     assert np.allclose(u2, 4.0 * u1, rtol=1e-9)
+
+
+def test_current_from_another_mesh_raises_mesh_error():
+    model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
+    coarse = build_mesh(model, n=21)
+    cur = solve_current(assemble_system(coarse, 1.8e9), coarse)
+    fine = build_mesh(model, n=41)
+    with pytest.raises(MeshError, match="21 nodes"):
+        radiation_intensity(cur, fine, 1.8e9)
+    with pytest.raises(MeshError, match="21 nodes"):
+        pattern_from_current(cur, fine, 1.8e9)
 
 
 def test_pattern_effective_medium_scaling():

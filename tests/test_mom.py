@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -336,7 +337,7 @@ def test_ill_conditioned_non_symmetric_system_refused():
 def test_odd_mode_certificate_is_sound(delta):
     mesh = build_mesh(thin_half_wave(), n=21)
     blocks = _fold(odd_mode_system(mesh.n, delta), mesh.feed_index)
-    assert not _certified(blocks) or _condition(blocks) <= 1e12
+    assert not _certified(blocks.copy()) or _condition(blocks) <= 1e12
 
 
 def planted_blocks(p, cond, rng):
@@ -359,7 +360,7 @@ def test_planted_spectrum_certificate_is_sound(cond):
     for p in (5, 10, 40):
         blocks = planted_blocks(p, cond, rng)
         assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
-        certified = _certified(blocks)
+        certified = _certified(blocks.copy())
         assert not certified or _condition(blocks) <= 1e12
         if cond <= 1e11:
             assert certified
@@ -378,6 +379,56 @@ def test_scaled_system_solved_silently(scale, n, capfd):
     assert np.abs(scaled * scale - cur).max() <= 1e-11 * np.abs(cur).max()
     out, err = capfd.readouterr()
     assert out == "" and err == ""
+
+
+def test_system_from_another_mesh_raises_mesh_error():
+    model = thin_half_wave()
+    system = assemble_system(build_mesh(model, n=41), 1.8e9)
+    with pytest.raises(MeshError, match=r"\(41, 41\) .* n = 21"):
+        solve_current(system, build_mesh(model, n=21))
+
+
+def test_singular_even_block_behind_a_passing_guard_raises_solver_error(
+        monkeypatch):
+    # the center node decoupled: the even block's last row and column are
+    # exactly zero, so its LU stops; the guard is forced to pass
+    mesh = build_mesh(thin_half_wave(), n=21)
+    system = np.eye(mesh.n, dtype=complex)
+    system[mesh.feed_index, mesh.feed_index] = 0.0
+    monkeypatch.setattr(mom, "_certified", lambda blocks: True)
+    with pytest.raises(SolverError, match="singular"):
+        solve_current(system, mesh)
+
+
+def test_solve_allocates_less_than_the_system():
+    # the folded blocks are half of A and Cholesky's real factor a quarter;
+    # one more O(n^2) copy would take the heap past glibc's 2x A trim
+    # threshold on every frequency (numpy's fixed ufunc buffers dominate
+    # below about n = 321)
+    mesh = build_mesh(thin_half_wave(), n=321)
+    system = assemble_system(mesh, 1.8e9)
+    solve_current(system, mesh)
+    tracemalloc.start()
+    try:
+        solve_current(system, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system.nbytes
+
+
+def test_solve_leaves_the_system_bit_identical():
+    # certified, accepted by the SVD fallback, and refused by it
+    mesh = build_mesh(thin_half_wave(), n=21)
+    for system in (assemble_system(mesh, 1.8e9),
+                   odd_mode_system(mesh.n, -1.0),
+                   odd_mode_system(mesh.n, 1e-13)):
+        kept = system.copy()
+        try:
+            solve_current(system, mesh)
+        except SolverError:
+            pass
+        assert system.tobytes() == kept.tobytes()
 
 
 def test_non_centrosymmetric_system_fails_residual():
