@@ -12,25 +12,26 @@ the node spacing approaches the wire radius. The three centers are shifted
 views of one set of n+2 integrals per test half, whose geometry does not
 depend on frequency. The mesh carries it along with the wire model it was
 built for (length, radius and medium), so each assembly takes only the mesh
-and a frequency and evaluates the k-dependent factors. The matrix is also
-centrosymmetric and the center feed excites only its even mode, so each
-solve folds it to the (n+1)/2 even-mode unknowns. Both blocks are complex
-symmetric, so the condition guard first tries to prove the limit with one
-real Cholesky test of each block's real part after a small phase turn,
-with a margin for rounding, and computes the exact condition number by SVD
-only when that test fails.
+and a frequency, evaluates the k-dependent factors and returns the
+matrix's first column. The matrix is also centrosymmetric and the center
+feed excites only its even mode, so each solve folds that column to the
+(n+1)/2 even-mode unknowns. Both blocks are complex symmetric, so the
+condition guard first tries to prove the limit with one real Cholesky test
+of each block's real part after a small phase turn, with a margin for
+rounding, and computes the exact condition number by SVD only when that
+test fails.
 
-The solve runs before the guard, which then turns the folded blocks in
-place, so a solve holds only the n x n matrix A, the blocks (half of A)
-and numpy's own solve or Cholesky workspace: under 2x A. Keep it there:
-glibc's heap trim threshold is twice the largest block it has freed (A),
-and a frequency that frees more hands the heap back, for the next one to
-fault in again, which took about half of each solve at n = 321. One more
-O(n^2) copy in the solve would do that.
+No n x n matrix is built: above n = 64 the largest block is the folded
+(2, p+1, p+1) buffer B, half a dense A. The solve runs before the guard,
+which turns B in place, so a solve holds B, the even block's LU copy (B/2)
+and then the Cholesky's real input and factor (B/4, B/2): under 2 B,
+glibc's heap trim threshold once B is freed. Freeing more hands the heap
+back for the next frequency to fault in again, as one more O(n^2) copy would.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -186,15 +187,17 @@ def wavenumber(f: float, eps_e: float) -> float:
 
 
 def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
-    """Dense complex Galerkin matrix of mesh.model at f; symmetric and
-    Toeplitz by construction."""
+    """First column col of the complex Galerkin matrix of mesh.model at f:
+    the matrix is symmetric Toeplitz, A[i, j] = col[|i - j|]."""
     model = mesh.model
     k = wavenumber(f, model.eps_e)
-    if not np.isfinite(k):
+    if not math.isfinite(k):
         raise SolverError("wavenumber is not finite at %g Hz" % f)
+    # the largest R is quad_r[1, -1, -1]; Python floats overflow to inf, unwarned
+    if math.isinf(float(k) * float(mesh.quad_r[1, -1, -1])):
+        raise SolverError("k*R overflows at %g Hz" % f)
     eta = ETA0 / np.sqrt(model.eps_e)
-    n = mesh.n
-    h = model.total_length / (n + 1)
+    h = model.total_length / (mesh.n + 1)
     sk = np.sin(k * h)
     if sk * sk == 0.0:
         raise SolverError("sin(kh) underflows at %g Hz" % f)
@@ -203,10 +206,7 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
                * np.exp(-1j * k * mesh.quad_r), axis=(0, 2))
     col = s[2:] - 2.0 * np.cos(k * h) * s[1:-1] + s[:-2]
     col *= 1j * eta / (4.0 * np.pi * sk * sk)
-    ramp = np.concatenate((col[:0:-1], col))    # A[i, j] = ramp[n-1-i+j]
-    step = ramp.itemsize
-    return np.ndarray((n, n), ramp.dtype, ramp, (n - 1) * step,
-                      (-step, step)).copy()
+    return col
 
 
 @dataclass(frozen=True)
@@ -221,25 +221,29 @@ class CurrentDistribution:
         return complex(self.currents[self.feed_index])
 
 
-def _fold(system: np.ndarray, p: int) -> np.ndarray:
-    """Even and odd blocks of a centrosymmetric matrix about its center p.
+def _fold(col: np.ndarray) -> np.ndarray:
+    """Even and odd blocks of A[i, j] = col[|i - j|] about its center p.
 
     They are the diagonal blocks of Q^T A Q, with Q the orthogonal symmetry
     transform (u_i +- u_{n-1-i})/sqrt(2), so sigma(A) is the union of their
     singular values. One complex (2, p+1, p+1) buffer holds both: [0] is
     the even block, [1] the p x p odd block padded with a zero row and
-    column. It is complex even for a real matrix, because _certified turns
-    it in place.
+    column. For i, j < p they are the Toeplitz part col[|i - j|] +- the
+    Hankel part col[n-1-i-j], two strided views of one ramp. It is complex
+    even for a real column, because _certified turns it in place.
     """
-    m = p + 1
-    blocks = np.zeros((2, m, m), dtype=complex)
-    a = system[:p, :p]
-    right = system[:p, :p:-1]
-    np.add(a, right, out=blocks[0, :p, :p])
-    np.subtract(a, right, out=blocks[1, :p, :p])
-    np.multiply(system[:m, p], _SQRT2, out=blocks[0, :, p])
-    np.multiply(system[p, :p], _SQRT2, out=blocks[0, p, :p])
-    blocks[0, p, p] = system[p, p]
+    n = col.size
+    p = (n - 1) // 2
+    ramp = np.concatenate((col[p - 1:0:-1], col))   # ramp[p-1+k] = col[|k|]
+    s = ramp.itemsize
+    toeplitz = np.ndarray((p, p), ramp.dtype, ramp, (p - 1) * s, (-s, s))
+    hankel = np.ndarray((p, p), ramp.dtype, ramp, (n + p - 2) * s, (-s, -s))
+    blocks = np.zeros((2, p + 1, p + 1), dtype=complex)
+    np.add(toeplitz, hankel, out=blocks[0, :p, :p])
+    np.subtract(toeplitz, hankel, out=blocks[1, :p, :p])
+    np.multiply(col[p::-1], _SQRT2, out=blocks[0, :, p])
+    np.multiply(col[p:0:-1], _SQRT2, out=blocks[0, p, :p])
+    blocks[0, p, p] = col[0]
     return blocks
 
 
@@ -314,54 +318,50 @@ def _certified(blocks: np.ndarray) -> bool:
     return True
 
 
-def solve_current(system: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
+def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     """1 V delta-gap excitation at the center node, solved in the even mode.
 
-    `system` must be assemble_system's matrix for `mesh` (another shape
-    raises MeshError), which is centrosymmetric (symmetric Toeplitz). The
-    center feed then excites only the even mode, so the solve runs on the
-    (p+1) x (p+1) even block (p = feed_index) and the current is mirrored
-    back, exactly symmetric. The condition guard covers both blocks, whose
-    singular values together are sigma(A): _certified proves cond(A) <=
-    _COND_LIMIT by a real Cholesky test of each block's real part after a
-    phase turn, and only if that fails does _condition compute
-    np.linalg.cond(A) by SVD, so the verdict is that of the SVD alone.
-    The even block is solved before the guard, because _certified turns
-    the blocks in place to keep the 2x A memory budget of the module
-    docstring; the SVD therefore gets a fresh fold of `system`, which is
-    never written. An exactly singular even block behind a passing guard
-    raises SolverError. The residual is checked on the full system, so an
-    input that is not centrosymmetric is refused rather than solved
-    wrongly.
+    `col` must be assemble_system's column for `mesh` (another shape raises
+    MeshError), the system A[i, j] = col[|i - j|]. The center feed excites
+    only its even mode, so the solve runs on the (p+1) x (p+1) even block E
+    (p = feed_index) and the current is mirrored back, exactly symmetric.
+    The condition guard covers both blocks, whose singular values together
+    are sigma(A): _certified proves cond(A) <= _COND_LIMIT by a real
+    Cholesky test of each block's real part after a phase turn, and only if
+    that fails does _condition compute np.linalg.cond(A) by SVD, so the
+    verdict is that of the SVD alone. E is solved and its residual ||E y -
+    e_p|| = ||A x - e_p|| (the fold is orthogonal) taken before the guard,
+    which turns the blocks in place (the module docstring's memory budget),
+    so the SVD gets a fresh fold of `col`, which is never written. An
+    exactly singular E behind a passing guard raises SolverError.
     """
     n, p = mesh.n, mesh.feed_index
-    if system.shape != (n, n):
+    if col.shape != (n,):
         raise MeshError("system shape %s does not match the mesh's n = %d"
-                        % (system.shape, n))
+                        % (col.shape, n))
     b = np.zeros(p + 1, dtype=complex)
     b[p] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
-        blocks = _fold(system, p)
+        blocks = _fold(col)
         try:
             y = np.linalg.solve(blocks[0], b)
         except np.linalg.LinAlgError:   # exactly singular, or nan
             y = None
+        else:
+            residual = np.linalg.norm(blocks[0] @ y - b)
         if not _certified(blocks):
-            cond = _condition(_fold(system, p))
+            cond = _condition(_fold(col))
             if not np.isfinite(cond) or cond > _COND_LIMIT:
                 raise SolverError("system condition estimate %.3g exceeds %.1g"
                                   % (cond, _COND_LIMIT))
     if y is None:
         raise SolverError("even-mode block is singular")
+    if residual > _RESIDUAL_LIMIT:
+        raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
     currents = np.empty(n, dtype=y.dtype)
     np.divide(y[:p], _SQRT2, out=currents[:p])
     currents[p] = y[p]
     currents[p + 1:] = currents[:p][::-1]
-    excess = system @ currents
-    excess[p] -= 1.0
-    residual = np.linalg.norm(excess)
-    if residual > _RESIDUAL_LIMIT:
-        raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
     return CurrentDistribution(currents=currents, feed_index=p)
 
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dipolekit.cli import (
     RunConfig,
@@ -389,6 +389,9 @@ _ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))
 @given(command=st.sampled_from(["analyze", "pattern", "optimize"]),
        length=_ANY_FLOAT, width=_ANY_FLOAT, z0=_ANY_FLOAT, freq=_ANY_FLOAT,
        bw_threshold=_ANY_FLOAT)
+@example(command="pattern", length=3.6894994835786546e289,   # k*R overflows
+         width=1261007895663703.0, z0=50.0, freq=1.1212699280039864e23,
+         bw_threshold=-10.0)
 def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
                                            bw_threshold):
     # a fixed 3-point band and the automatic mesh keep every solve small

@@ -38,7 +38,7 @@ def thin_half_wave():
 
 
 def loop_assemble(n: int, f: float, model: WireModel) -> np.ndarray:
-    """Reference Galerkin fill: the six quadrature blocks in a Python loop,
+    """Reference Galerkin column: the six quadrature blocks in a Python loop,
     all geometry recomputed from (n, h, a) at every frequency."""
     k = wavenumber(f, model.eps_e)
     eta = ETA0 / np.sqrt(model.eps_e)
@@ -60,7 +60,36 @@ def loop_assemble(n: int, f: float, model: WireModel) -> np.ndarray:
             fm = np.sin(k * (h - np.abs(z_rel))) / sk
             col += c * td * np.sum(wq[None, :] * fm * np.exp(-1j * k * R), axis=1)
     col *= 1j * eta / (4.0 * np.pi * sk)
-    return np.array([[col[abs(r - s)] for s in range(n)] for r in range(n)])
+    return col
+
+
+def toeplitz(col: np.ndarray) -> np.ndarray:
+    """The dense matrix A[i, j] = col[|i - j|] that a column stands for."""
+    i = np.arange(col.size)
+    return col[np.abs(i[:, None] - i)]
+
+
+def dense_fold(system: np.ndarray, p: int) -> np.ndarray:
+    """Reference fold of a dense centrosymmetric matrix about p, read entry
+    by entry from the matrix: _fold's oracle, and the way to hand _certified
+    and _condition matrices that no column can write."""
+    m = p + 1
+    blocks = np.zeros((2, m, m), dtype=complex)
+    a = system[:p, :p]
+    right = system[:p, :p:-1]
+    np.add(a, right, out=blocks[0, :p, :p])
+    np.subtract(a, right, out=blocks[1, :p, :p])
+    np.multiply(system[:m, p], np.sqrt(2.0), out=blocks[0, :, p])
+    np.multiply(system[p, :p], np.sqrt(2.0), out=blocks[0, p, :p])
+    blocks[0, p, p] = system[p, p]
+    return blocks
+
+
+def unit_column(n: int) -> np.ndarray:
+    """e_0: the column of the identity."""
+    col = np.zeros(n)
+    col[0] = 1.0
+    return col
 
 
 def test_strip_to_wire():
@@ -128,8 +157,7 @@ def test_degenerate_systems_raise_solver_error():
     # non-finite; sigma_min = 0; overflow in the fold: refused, no warning
     for value in (np.nan, 0.0, np.inf, 1e308):
         with pytest.raises(SolverError, match="condition"):
-            solve_current(np.full((mesh.n, mesh.n), value, dtype=complex),
-                          mesh)
+            solve_current(np.full(mesh.n, value, dtype=complex), mesh)
     # L/(2a) overflows to inf: still the capped count, not an OverflowError
     assert default_segments(1e300, 1e-10) == 41
 
@@ -144,40 +172,48 @@ def test_default_segments_cap():
     assert n >= 11
 
 
-def test_system_is_symmetric_toeplitz():
-    model = thin_half_wave()
-    mesh = build_mesh(model, n=21)
-    A = assemble_system(mesh, 1.8e9)
-    assert np.allclose(A, A.T)
-    for d in range(1, 5):
-        diag = np.diagonal(A, offset=d)
-        assert np.allclose(diag, diag[0])
-
-
 @pytest.mark.parametrize("n", [11, 21, 83])
 def test_mesh_lays_out_each_separation_once(n):
     mesh = build_mesh(thin_half_wave(), n=n)
     for quad in (mesh.quad_dz, mesh.quad_r, mesh.quad_w):
         assert quad.shape == (2, n + 2, 16)
+    # assemble_system's k*R overflow check reads the largest R there
+    assert mesh.quad_r[1, -1, -1] == mesh.quad_r.max()
 
 
-@pytest.mark.parametrize("n", [11, 21, 83])
+@pytest.mark.parametrize("n", [11, 21, 83, 321])
 def test_system_is_exactly_symmetric_toeplitz(n):
-    model = WireModel(60.0, 0.3, 3.3)
-    A = assemble_system(build_mesh(model, n=n), 1.8e9)
-    assert np.array_equal(A, A.T)
-    col = A[0]
-    for d in range(n):
-        assert np.array_equal(np.diagonal(A, offset=d), np.full(n - d, col[d]))
+    # the blocks solve_current reads from the column are, bit for bit, the
+    # fold of the exactly symmetric Toeplitz matrix the column stands for
+    base = thin_half_wave()
+    model = WireModel(base.total_length, base.radius, 3.3)
+    col = assemble_system(build_mesh(model, n=n), 1.8e9)
+    blocks = _fold(col)
+    assert blocks.tobytes() == dense_fold(toeplitz(col), n // 2).tobytes()
+    assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
 
 
-def test_assemble_returns_an_owned_writeable_matrix():
+@pytest.mark.parametrize("n", [3, 11, 21, 83, 321])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fold_matches_the_dense_fold_for_any_column(n, dtype):
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n).astype(dtype)
+    if dtype is complex:
+        col += 1j * rng.standard_normal(n)
+    blocks = _fold(col)
+    assert blocks.dtype == complex
+    assert blocks.tobytes() == dense_fold(toeplitz(col), n // 2).tobytes()
+    assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+
+
+def test_assemble_returns_an_owned_writeable_column():
     model = WireModel(60.0, 0.3, 3.3)
     mesh = build_mesh(model, n=21)
-    A = assemble_system(mesh, 1.8e9)
-    assert A.flags.c_contiguous and A.flags.writeable and A.flags.owndata
-    expected = A.copy()
-    A[:] = 0.0
+    col = assemble_system(mesh, 1.8e9)
+    assert col.shape == (mesh.n,) and col.dtype == complex
+    assert col.flags.c_contiguous and col.flags.writeable and col.flags.owndata
+    expected = col.copy()
+    col[:] = 0.0
     assert np.array_equal(assemble_system(mesh, 1.8e9), expected)
 
 
@@ -189,7 +225,7 @@ def test_assemble_matches_loop_reference(n, eps_e):
     mesh = build_mesh(model, n=n)
     for f in (0.9e9, 1.8e9, 2.6e9):
         ref = loop_assemble(n, f, model)
-        # relative to the matrix scale: the far entries come out of a
+        # relative to the column scale: the far entries come out of a
         # three-term cancellation, so any change in summation order moves
         # them by a few ulps of the near entries
         err = np.abs(assemble_system(mesh, f) - ref).max()
@@ -225,31 +261,29 @@ def test_even_mode_solve_matches_full_solve(n, eps_e):
     mesh = build_mesh(model, n=n)
     p = mesh.feed_index
     for f in (0.9e9, 1.8e9, 2.6e9):
-        system = assemble_system(mesh, f)
+        col = assemble_system(mesh, f)
+        system = toeplitz(col)
         b = np.zeros(n, dtype=complex)
         b[p] = 1.0
         z_full = 1.0 / np.linalg.solve(system, b)[p]
-        cur = solve_current(system, mesh)
+        cur = solve_current(col, mesh)
         assert input_impedance(cur) == pytest.approx(z_full, rel=1e-12)
         assert np.array_equal(cur.currents, cur.currents[::-1])
         # sigma(A) = sigma(even) | sigma(odd): the guard sees cond(A) itself
-        assert _condition(_fold(system, p)) \
+        assert _condition(_fold(col)) \
             == pytest.approx(np.linalg.cond(system), rel=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_odd_mode_singularity_still_refused():
-    # centrosymmetric, even block the identity, odd block singular: the
-    # feed never excites the odd mode, but the guard covers the whole system
+    # col - lambda e_0, lambda the odd block's lowest eigenvalue: only the
+    # odd block is singular and the feed never excites the odd mode, but
+    # the guard covers the whole system
     mesh = build_mesh(thin_half_wave(), n=21)
-    u = np.zeros(mesh.n)
-    u[:mesh.feed_index] = np.arange(1.0, mesh.feed_index + 1)
-    u -= u[::-1]
-    u /= np.linalg.norm(u)
-    system = np.eye(mesh.n) - np.outer(u, u)
-    assert np.array_equal(system, system[::-1, ::-1])
+    col = odd_mode_column(mesh.n, 0.0)
+    assert np.linalg.cond(_fold(col)[0]) < 1e4
     with pytest.raises(SolverError, match="condition"):
-        solve_current(system, mesh)
+        solve_current(col, mesh)
 
 
 def condition_spy(monkeypatch):
@@ -265,13 +299,22 @@ def condition_spy(monkeypatch):
     return calls
 
 
-def odd_mode_system(n, delta):
-    """I - (1 - delta) u u^T with u odd: centrosymmetric, cond 1/delta."""
-    u = np.zeros(n)
-    u[:n // 2] = np.arange(1.0, n // 2 + 1)
-    u -= u[::-1]
-    u /= np.linalg.norm(u)
-    return np.eye(n) - (1.0 - delta) * np.outer(u, u)
+def odd_mode_column(n, delta):
+    """Toeplitz column, positive definite at cond about 1/delta, whose
+    lowest eigenvalue lies in the odd mode, which the feed never excites.
+
+    The pentadiagonal column [0, 1/2, 1] has its lowest eigenvalue in the
+    odd block (at n = 21, checked here); the diagonal shift lifts it to
+    delta times the spread of the spectrum.
+    """
+    col = np.zeros(n)
+    col[1:3] = 0.5, 1.0
+    blocks = dense_fold(toeplitz(col), n // 2)
+    even = np.linalg.eigvalsh(blocks[0].real)
+    odd = np.linalg.eigvalsh(blocks[1, :-1, :-1].real)
+    assert odd[0] < even[0]
+    col[0] = delta * (max(even[-1], odd[-1]) - odd[0]) - odd[0]
+    return col
 
 
 @pytest.mark.parametrize("n", [11, 21, 83, 161, 321])
@@ -291,15 +334,16 @@ def test_uncertified_condition_falls_back_to_svd(monkeypatch):
     calls = condition_spy(monkeypatch)
     mesh = build_mesh(thin_half_wave(), n=21)
     # positive definite at cond 1e4 and 1e10: certified
-    solve_current(odd_mode_system(mesh.n, 1e-4), mesh)
-    solve_current(odd_mode_system(mesh.n, 1e-10), mesh)
+    solve_current(odd_mode_column(mesh.n, 1e-4), mesh)
+    solve_current(odd_mode_column(mesh.n, 1e-10), mesh)
     assert calls == []
-    # I - 2uu^T is a reflection, cond 1 but indefinite: the SVD accepts it
-    cur = solve_current(odd_mode_system(mesh.n, -1.0), mesh)
+    # -I has cond 1, but its turned real part is negative definite: the
+    # SVD accepts it
+    cur = solve_current(-unit_column(mesh.n), mesh)
     assert calls == [pytest.approx(1.0)]
-    assert cur.feed_current == 1.0
+    assert cur.feed_current == -1.0
     with pytest.raises(SolverError, match="condition estimate"):
-        solve_current(odd_mode_system(mesh.n, 1e-13), mesh)
+        solve_current(odd_mode_column(mesh.n, 1e-13), mesh)
     assert calls[1] == pytest.approx(1e13, rel=1e-2)
 
 
@@ -317,7 +361,8 @@ def test_certificate_uses_the_conjugate_transpose():
 def test_ill_conditioned_non_symmetric_system_refused():
     # I - t u w^T with u, w odd and orthogonal is centrosymmetric but not
     # symmetric; its eigenvalues are all 1, but cond ~t^2. In the odd block
-    # u w^T lies above the diagonal, so the lower triangle alone is I.
+    # u w^T lies above the diagonal, so the lower triangle alone is I. No
+    # column writes it, so the guard gets its dense fold.
     mesh = build_mesh(thin_half_wave(), n=21)
     p = mesh.feed_index
     u = np.zeros(mesh.n)
@@ -329,14 +374,15 @@ def test_ill_conditioned_non_symmetric_system_refused():
     system = np.eye(mesh.n) - 1e7 * np.outer(u, w)
     assert np.array_equal(system, system[::-1, ::-1])
     assert np.linalg.cond(system) > 1e12
-    with pytest.raises(SolverError, match="condition estimate"):
-        solve_current(system, mesh)
+    blocks = dense_fold(system, p)
+    assert not _certified(blocks.copy())
+    assert _condition(blocks) > 1e12
 
 
 @pytest.mark.parametrize("delta", np.logspace(-14, -10, 17))
 def test_odd_mode_certificate_is_sound(delta):
     mesh = build_mesh(thin_half_wave(), n=21)
-    blocks = _fold(odd_mode_system(mesh.n, delta), mesh.feed_index)
+    blocks = _fold(odd_mode_column(mesh.n, delta))
     assert not _certified(blocks.copy()) or _condition(blocks) <= 1e12
 
 
@@ -383,61 +429,77 @@ def test_scaled_system_solved_silently(scale, n, capfd):
 
 def test_system_from_another_mesh_raises_mesh_error():
     model = thin_half_wave()
-    system = assemble_system(build_mesh(model, n=41), 1.8e9)
-    with pytest.raises(MeshError, match=r"\(41, 41\) .* n = 21"):
-        solve_current(system, build_mesh(model, n=21))
+    col = assemble_system(build_mesh(model, n=41), 1.8e9)
+    with pytest.raises(MeshError, match=r"\(41,\) .* n = 21"):
+        solve_current(col, build_mesh(model, n=21))
 
 
 def test_singular_even_block_behind_a_passing_guard_raises_solver_error(
         monkeypatch):
-    # the center node decoupled: the even block's last row and column are
-    # exactly zero, so its LU stops; the guard is forced to pass
+    # a zero column: the even block is exactly zero, so its LU stops; the
+    # guard is forced to pass
     mesh = build_mesh(thin_half_wave(), n=21)
-    system = np.eye(mesh.n, dtype=complex)
-    system[mesh.feed_index, mesh.feed_index] = 0.0
     monkeypatch.setattr(mom, "_certified", lambda blocks: True)
     with pytest.raises(SolverError, match="singular"):
-        solve_current(system, mesh)
+        solve_current(np.zeros(mesh.n, dtype=complex), mesh)
 
 
 def test_solve_allocates_less_than_the_system():
-    # the folded blocks are half of A and Cholesky's real factor a quarter;
-    # one more O(n^2) copy would take the heap past glibc's 2x A trim
-    # threshold on every frequency (numpy's fixed ufunc buffers dominate
-    # below about n = 321)
+    # assembly and solve together stay below one dense n x n complex matrix
+    # (16 n^2 bytes), so none is ever built: the folded blocks are half of
+    # that and Cholesky's real factor a quarter (numpy's fixed ufunc
+    # buffers dominate below about n = 321)
     mesh = build_mesh(thin_half_wave(), n=321)
-    system = assemble_system(mesh, 1.8e9)
-    solve_current(system, mesh)
+    solve_current(assemble_system(mesh, 1.8e9), mesh)
     tracemalloc.start()
     try:
-        solve_current(system, mesh)
+        solve_current(assemble_system(mesh, 1.8e9), mesh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < system.nbytes
+    assert peak < 16 * mesh.n ** 2
 
 
 def test_solve_leaves_the_system_bit_identical():
     # certified, accepted by the SVD fallback, and refused by it
     mesh = build_mesh(thin_half_wave(), n=21)
-    for system in (assemble_system(mesh, 1.8e9),
-                   odd_mode_system(mesh.n, -1.0),
-                   odd_mode_system(mesh.n, 1e-13)):
-        kept = system.copy()
+    for col in (assemble_system(mesh, 1.8e9), -unit_column(mesh.n),
+                odd_mode_column(mesh.n, 1e-13)):
+        kept = col.copy()
         try:
-            solve_current(system, mesh)
+            solve_current(col, mesh)
         except SolverError:
             pass
-        assert system.tobytes() == kept.tobytes()
+        assert col.tobytes() == kept.tobytes()
 
 
 def test_non_centrosymmetric_system_fails_residual():
+    # no column writes it: on its dense fold the guard accepts it (not
+    # certified, but cond < 10), and the even-mode solve misses the full
+    # system by far more than the residual limit
     mesh = build_mesh(thin_half_wave(), n=21)
+    p = mesh.feed_index
     rng = np.random.default_rng(6)
     system = np.eye(mesh.n) + 0.1 * rng.standard_normal((mesh.n, mesh.n))
     assert np.linalg.cond(system) < 10
+    blocks = dense_fold(system, p)
+    assert not _certified(blocks.copy())
+    assert _condition(blocks) < 10
+    y = np.linalg.solve(blocks[0], np.eye(p + 1)[p])
+    x = np.concatenate((y[:p], y[p::-1])) / np.sqrt(2.0)
+    x[p] = y[p]
+    assert np.linalg.norm(system @ x - np.eye(mesh.n)[p]) > 1e-8
+
+
+def test_perturbed_even_solve_fails_residual(monkeypatch):
+    mesh = build_mesh(thin_half_wave(), n=21)
+    col = assemble_system(mesh, 1.8e9)
+    solve_current(col, mesh)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solve(a, b) * (1.0 + 1e-6))
     with pytest.raises(SolverError, match="residual"):
-        solve_current(system, mesh)
+        solve_current(col, mesh)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
@@ -445,7 +507,22 @@ def test_non_finite_system_refused_without_lapack_output(value, capfd):
     # LAPACK reports bad arguments by printing to the process's fd 2
     mesh = build_mesh(thin_half_wave(), n=21)
     with pytest.raises(SolverError, match="condition"):
-        solve_current(np.full((mesh.n, mesh.n), value, dtype=complex), mesh)
+        solve_current(np.full(mesh.n, value, dtype=complex), mesh)
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_kr_raises_solver_error(capfd):
+    # k*R overflows although k and sin(kh) are finite: refused before the
+    # kernel's arithmetic would print an overflow warning
+    model = geometry_model(DipoleGeometry(L=3.6894994835786546e289,
+                                          W=1261007895663703.0), FR4)
+    mesh = build_mesh(model)
+    with pytest.raises(SolverError, match="k\\*R overflows"):
+        assemble_system(mesh, 1.1212699280039864e29)
+    with pytest.raises(SolverError, match="k\\*R overflows"):
+        impedance_at(model, 1.1212699280039864e29)
     out, err = capfd.readouterr()
     assert out == "" and err == ""
 
