@@ -37,16 +37,19 @@ def thin_half_wave():
     return WireModel(total_length=LAMBDA_18 / 2, radius=LAMBDA_18 / 1000)
 
 
-def loop_assemble(n: int, f: float, model: WireModel) -> np.ndarray:
+def loop_assemble(n: int, f: float, model: WireModel,
+                  sign: float = 1.0) -> np.ndarray:
     """Reference Galerkin column: the six quadrature blocks in a Python loop,
-    all geometry recomputed from (n, h, a) at every frequency."""
+    all geometry recomputed from (n, h, a) at every frequency. sign=-1.0
+    places the source basis below the test basis instead of above it: the
+    row of the matrix rather than its column."""
     k = wavenumber(f, model.eps_e)
     eta = ETA0 / np.sqrt(model.eps_e)
     a = model.radius
     h = model.total_length / (n + 1)
     sk = np.sin(k * h)
     xq, wq = np.polynomial.legendre.leggauss(16)
-    offsets = np.arange(n) * h
+    offsets = sign * np.arange(n) * h
     col = np.zeros(n, dtype=complex)
     for j, c in zip((-1.0, 0.0, 1.0), (1.0, -2.0 * np.cos(k * h), 1.0)):
         for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
@@ -170,6 +173,20 @@ def test_default_segments_cap():
     assert n % 2 == 1
     assert 67.0 / (n + 1) >= 2 * 1.5
     assert n >= 11
+
+
+def test_system_is_symmetric_toeplitz():
+    # the upper triangle from the column, the lower from the reference at
+    # mirrored separations: symmetry is reciprocity checked, not assumed
+    model = thin_half_wave()
+    mesh = build_mesh(model, n=21)
+    upper = toeplitz(assemble_system(mesh, 1.8e9))
+    lower = toeplitz(loop_assemble(21, 1.8e9, model, sign=-1.0))
+    A = np.triu(upper) + np.tril(lower, -1)
+    assert np.allclose(A, A.T)
+    for d in range(-4, 5):
+        diag = np.diagonal(A, offset=d)
+        assert np.allclose(diag, diag[0])
 
 
 @pytest.mark.parametrize("n", [11, 21, 83])
