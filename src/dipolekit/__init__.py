@@ -50,12 +50,11 @@ from .mom import (
     CurrentDistribution,
     SegmentMesh,
     WireModel,
-    assemble_system,
     build_mesh,
     default_segments,
     geometry_model,
     impedance_at,
-    solve_current,
+    solve_at,
     strip_to_wire,
     sweep,
 )

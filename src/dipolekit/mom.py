@@ -19,7 +19,7 @@ feed excites only its even mode, so each solve folds that column to the
 condition guard first tries to prove the limit with one real Cholesky test
 of each block's real part after a small phase turn, with a margin for
 rounding, and computes the exact condition number by SVD only when that
-test fails.
+test fails. solve_at(mesh, f) is the one path from a mesh to its currents.
 
 No n x n matrix is built: above n = 64 the largest block is the folded
 (2, p+1, p+1) buffer B, half a dense A. The solve runs before the guard,
@@ -199,7 +199,9 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
     eta = ETA0 / np.sqrt(model.eps_e)
     h = model.total_length / (mesh.n + 1)
     sk = np.sin(k * h)
-    if sk * sk == 0.0:
+    # col's scale in Python floats (inf unwarned); a zero divisor would raise
+    if sk * sk == 0.0 or not math.isfinite(
+            float(eta) / (4.0 * math.pi * float(sk) * float(sk))):
         raise SolverError("sin(kh) underflows at %g Hz" % f)
     # field of one basis = three spherical-wave centers at its knots
     s = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
@@ -375,11 +377,14 @@ def input_impedance(current: CurrentDistribution) -> complex:
     return 1.0 / i_feed
 
 
+def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
+    """1 V delta-gap currents on mesh at f, solved from its assembled column."""
+    return solve_current(assemble_system(mesh, f), mesh)
+
+
 def impedance_at(model: WireModel, f: float, n: int | None = None) -> complex:
-    """Convenience: mesh, assemble and solve for a single frequency."""
-    mesh = build_mesh(model, n)
-    current = solve_current(assemble_system(mesh, f), mesh)
-    return input_impedance(current)
+    """Z_in of model at f on build_mesh(model, n), via the one path solve_at."""
+    return input_impedance(solve_at(build_mesh(model, n), f))
 
 
 def geometry_model(geometry: DipoleGeometry, substrate: Substrate) -> WireModel:
@@ -417,8 +422,7 @@ def _sweep_on_mesh(geometry: DipoleGeometry, substrate: Substrate,
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs):
         try:
-            current = solve_current(assemble_system(mesh, float(f)), mesh)
-            z_in[i] = input_impedance(current)
+            z_in[i] = input_impedance(solve_at(mesh, float(f)))
         except SolverError as exc:
             raise SolverError("at %g Hz: %s" % (f, exc)) from exc
     return SweepResult(freqs, z_in, z0), mesh

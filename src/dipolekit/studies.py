@@ -19,9 +19,8 @@ from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, \
     fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
-from .mom import _sweep_on_mesh, assemble_system, build_mesh, \
-    default_segments, geometry_model, impedance_at, input_impedance, \
-    solve_current
+from .mom import _sweep_on_mesh, build_mesh, default_segments, \
+    geometry_model, impedance_at, input_impedance, solve_at
 
 #: golden-section stopping span, mm
 _GOLDEN_TOL_MM = 0.1
@@ -53,11 +52,9 @@ def _evaluate(geometry: DipoleGeometry, substrate: Substrate, param: float,
                                   f_step, None, z0)
     best = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
-    z_probe = input_impedance(solve_current(assemble_system(mesh, f_probe),
-                                            mesh))
+    z_probe = input_impedance(solve_at(mesh, f_probe))
     f_dir = float(result.f[best])
-    current = solve_current(assemble_system(mesh, f_dir), mesh)
-    cut = pattern_from_current(current, mesh, f_dir)
+    cut = pattern_from_current(solve_at(mesh, f_dir), mesh, f_dir)
     return StudyRow(param_mm=param, z_in=z_probe, vswr=result.vswr[best],
                     rl_db=result.s11_db[best], bw_pct=bw.percent,
                     directivity_dbi=cut.directivity_dbi)
@@ -218,6 +215,5 @@ def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
                   f: float) -> tuple:
     """Both principal-plane cuts for one geometry."""
     mesh = build_mesh(geometry_model(geometry, substrate))
-    current = solve_current(assemble_system(mesh, f), mesh)
-    e_cut = pattern_from_current(current, mesh, f)
+    e_cut = pattern_from_current(solve_at(mesh, f), mesh, f)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

@@ -392,6 +392,8 @@ _ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))
 @example(command="pattern", length=3.6894994835786546e289,   # k*R overflows
          width=1261007895663703.0, z0=50.0, freq=1.1212699280039864e23,
          bw_threshold=-10.0)
+@example(command="pattern", length=67.0, width=6.0, z0=50.0,  # sin^2(kh)
+         freq=1e-150, bw_threshold=-10.0)                     # is subnormal
 def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
                                            bw_threshold):
     # a fixed 3-point band and the automatic mesh keep every solve small

@@ -13,12 +13,7 @@ from dipolekit.farfield import (
     radiation_intensity,
 )
 from dipolekit.errors import MeshError
-from dipolekit.mom import (
-    WireModel,
-    assemble_system,
-    build_mesh,
-    solve_current,
-)
+from dipolekit.mom import WireModel, build_mesh, solve_at
 
 LAMBDA = 166.55136555555555   # mm at 1.8 GHz
 THETA = np.arange(0.5, 180.0, 0.5)
@@ -51,7 +46,7 @@ def test_degenerate_pattern():
 def _half_wave_cut():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     mesh = build_mesh(model, n=41)
-    cur = solve_current(assemble_system(mesh, 1.8e9), mesh)
+    cur = solve_at(mesh, 1.8e9)
     return pattern_from_current(cur, mesh, 1.8e9)
 
 
@@ -84,7 +79,7 @@ def test_cut_angles_cannot_alter_the_next_cut():
 def test_radiation_intensity_scales_with_current():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     mesh = build_mesh(model, n=21)
-    cur = solve_current(assemble_system(mesh, 1.8e9), mesh)
+    cur = solve_at(mesh, 1.8e9)
     u1 = radiation_intensity(cur, mesh, 1.8e9)
     u2 = radiation_intensity(replace(cur, currents=2.0 * cur.currents),
                              mesh, 1.8e9)
@@ -94,7 +89,7 @@ def test_radiation_intensity_scales_with_current():
 def test_current_from_another_mesh_raises_mesh_error():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     coarse = build_mesh(model, n=21)
-    cur = solve_current(assemble_system(coarse, 1.8e9), coarse)
+    cur = solve_at(coarse, 1.8e9)
     fine = build_mesh(model, n=41)
     with pytest.raises(MeshError, match="21 nodes"):
         radiation_intensity(cur, fine, 1.8e9)
@@ -109,7 +104,7 @@ def test_pattern_effective_medium_scaling():
     cuts = []
     for eps, f in ((eps_e, 1.2e9), (1.0, 1.2e9 * np.sqrt(eps_e))):
         mesh = build_mesh(WireModel(40.0, 0.2, eps), n=31)
-        cur = solve_current(assemble_system(mesh, f), mesh)
+        cur = solve_at(mesh, f)
         cuts.append(pattern_from_current(cur, mesh, f))
     medium, free = cuts
     assert medium.directivity_dbi == pytest.approx(free.directivity_dbi,

@@ -14,3 +14,11 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import dipolekit, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True, timeout=120)
+
+
+def test_package_exports_the_one_solve_path():
+    # the Toeplitz column and the mesh it pairs with stay inside mom
+    import dipolekit
+    assert hasattr(dipolekit, "solve_at")
+    assert not hasattr(dipolekit, "assemble_system")
+    assert not hasattr(dipolekit, "solve_current")

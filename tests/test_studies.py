@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dipolekit import mom, studies
-from dipolekit.design import Substrate
+from dipolekit.design import DipoleGeometry, Substrate
 from dipolekit.errors import BracketError
 from dipolekit.studies import (
     OptimizeResult,
@@ -115,6 +115,31 @@ def test_study_row_builds_one_mesh(monkeypatch):
     assert rows[0].error is None
     # the band sweep's mesh also serves the probe and pattern solves
     assert len(meshes) == 1
+
+
+def test_every_solve_takes_the_one_path(monkeypatch):
+    counts = dict.fromkeys(("solve_at", "assemble_system", "solve_current"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        wrapper = counted(name, getattr(mom, name))
+        for module in (mom, studies):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    geometry = DipoleGeometry(L=67.0, W=6.0)
+    mom.sweep(geometry, FR4, *BAND)
+    length_study([65.0], FR4, *BAND)
+    studies.study_pattern(geometry, FR4, 1.8e9)
+    optimize_length(FR4, 1.8e9, 35.0, 48.0)
+    # no solve pairs the column with its mesh outside solve_at
+    assert counts["solve_at"] > 0
+    assert counts["assemble_system"] == counts["solve_at"] \
+        == counts["solve_current"]
 
 
 def test_optimizers_agree():
