@@ -230,8 +230,7 @@ def _summary_line(result: SweepResult, threshold_db: float) -> str:
                result.vswr[i]))
 
 
-def cmd_design(config: RunConfig) -> None:
-    substrate = resolve_substrate(config)
+def cmd_design(config: RunConfig, substrate: Substrate) -> None:
     f = config.freq_mhz * _MHZ
     synth = synthesize_geometry(substrate, f, feed_style=_FEED_NAMES[config.feed])
     g = synth.geometry
@@ -248,8 +247,7 @@ def cmd_design(config: RunConfig) -> None:
            len(rules.entries)))
 
 
-def cmd_analyze(config: RunConfig) -> None:
-    substrate = resolve_substrate(config)
+def cmd_analyze(config: RunConfig, substrate: Substrate) -> None:
     start, stop, step = _band_hz(config)
     result = sweep(_geometry(config), substrate, start, stop, step,
                    n=config.mesh, z0=config.z0_ohm)
@@ -257,8 +255,7 @@ def cmd_analyze(config: RunConfig) -> None:
     print("analyze: " + _summary_line(result, config.bw_threshold_db))
 
 
-def cmd_pattern(config: RunConfig) -> None:
-    substrate = resolve_substrate(config)
+def cmd_pattern(config: RunConfig, substrate: Substrate) -> None:
     e_cut, h_cut = study_pattern(_geometry(config), substrate,
                                  config.freq_mhz * _MHZ)
     cut = e_cut if config.plane == "E" else h_cut
@@ -280,8 +277,7 @@ def _print_study(rows: list[StudyRow], config: RunConfig, label: str) -> None:
         print("%s: all %d rows failed" % (label, len(rows)))
 
 
-def cmd_study_length(config: RunConfig) -> None:
-    substrate = resolve_substrate(config)
+def cmd_study_length(config: RunConfig, substrate: Substrate) -> None:
     start, stop, step = _band_hz(config)
     rows = length_study(config.lengths_mm, substrate, start, stop, step,
                         width_mm=config.width_mm, f_probe=config.freq_mhz * _MHZ,
@@ -289,8 +285,7 @@ def cmd_study_length(config: RunConfig) -> None:
     _print_study(rows, config, "study-length")
 
 
-def cmd_study_width(config: RunConfig) -> None:
-    substrate = resolve_substrate(config)
+def cmd_study_width(config: RunConfig, substrate: Substrate) -> None:
     start, stop, step = _band_hz(config)
     rows = width_study(config.widths_mm, substrate, start, stop, step,
                        length_mm=config.length_mm,
@@ -299,8 +294,7 @@ def cmd_study_width(config: RunConfig) -> None:
     _print_study(rows, config, "study-width")
 
 
-def cmd_optimize(config: RunConfig) -> None:
-    substrate = resolve_substrate(config)
+def cmd_optimize(config: RunConfig, substrate: Substrate) -> None:
     f = config.freq_mhz * _MHZ
     res = optimize_length(substrate, f, config.opt_low_mm, config.opt_high_mm,
                           width_mm=config.width_mm, z0=config.z0_ohm)
@@ -359,9 +353,8 @@ def run(argv: list[str] | None = None) -> int:
     config = resolve_config(file_values, flag_values)
     if config.feed != "ideal" and args.command != "design":
         raise ConfigError("feed %r is not modelled: the solver has only an "
-                          "ideal center feed (feed network: ROADMAP item 5)"
-                          % config.feed)
-    _COMMANDS[args.command](config)
+                          "ideal center feed" % config.feed)
+    _COMMANDS[args.command](config, resolve_substrate(config))
     return 0
 
 

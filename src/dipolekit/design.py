@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from math import sqrt
+from math import inf, isfinite, sqrt
 
 from .errors import ConfigError, DesignRuleError
 
@@ -34,6 +34,8 @@ class Substrate:
     tan_delta: float = 0.0
 
     def __post_init__(self):
+        if not isfinite(self.eps_r) or not isfinite(self.h):
+            raise ValueError("eps_r and h must be finite")
         if self.eps_r < 1.0:
             raise ValueError("eps_r must be >= 1, got %g" % self.eps_r)
         if self.h <= 0.0:
@@ -89,6 +91,12 @@ class RuleCheckResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def raise_violations(self) -> None:
+        """DesignRuleError naming each violated restriction, in table order."""
+        names = ", ".join(e.rule for e in self.violations)
+        if names:
+            raise DesignRuleError("geometry violates restriction(s): %s" % names)
+
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -102,8 +110,8 @@ class SynthesisResult:
 
 def free_space_wavelength(f: float) -> float:
     """Free-space wavelength in mm for frequency f in Hz."""
-    if f <= 0:
-        raise ValueError("frequency must be > 0, got %g" % f)
+    if not 0 < f < inf:
+        raise ValueError("frequency must be finite and > 0, got %g" % f)
     return C_MM_PER_S / f
 
 
@@ -175,10 +183,7 @@ def synthesize_geometry(substrate: Substrate, f: float,
         lam_f = guided_wavelength(f, eps_f)
         L = stub_fed_length(lam_f) if feed_style == "open_stub" else via_fed_length(lam_f)
     geometry = DipoleGeometry(L=L, W=W, g=g, T=T, feed_style=feed_style)
-    rules = check_design_rules(geometry, substrate, f)
-    if not rules.ok:
-        names = ", ".join(e.rule for e in rules.violations)
-        raise DesignRuleError("synthesized geometry violates restriction(s): %s" % names)
+    check_design_rules(geometry, substrate, f).raise_violations()
     return SynthesisResult(geometry=geometry, eps_e=eps_e, lambda_d=lambda_d,
                            recommended_h=0.02 * lambda_d)
 

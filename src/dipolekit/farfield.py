@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError, SolverError
+from .metrics import level_crossings
 from .mom import CurrentDistribution, SegmentMesh, wavenumber
 
 
@@ -39,9 +40,7 @@ class PatternCut:
 
 
 def _normalized_db(u: np.ndarray) -> np.ndarray:
-    peak = np.max(u)
-    if peak <= 0:
-        raise DegeneratePattern("pattern has no radiated power")
+    peak = np.max(u)   # > 0: the caller's directivity refused p_rad <= 0
     floor = peak * 1e-30
     return 10.0 * np.log10(np.maximum(u, floor) / peak)
 
@@ -80,20 +79,8 @@ def hpbw_from_cut(angles_deg: np.ndarray, field_db: np.ndarray) -> float:
     db = np.asarray(field_db, dtype=float)
     i_pk = int(np.argmax(db))
     level = db[i_pk] - 3.0
-
-    def _edge(idx_range):
-        prev = i_pk
-        for i in idx_range:
-            if db[i] <= level:
-                # interpolate between prev (above) and i (at/below)
-                frac = (db[prev] - level) / (db[prev] - db[i])
-                return angles[prev] + frac * (angles[i] - angles[prev])
-            prev = i
-        return None
-
-    right = _edge(range(i_pk + 1, len(db)))
-    left = _edge(range(i_pk - 1, -1, -1))
-    if right is None or left is None:
+    left, right = level_crossings(angles, db, i_pk, level, lambda v: v > level)
+    if left is None or right is None:
         return float(angles[-1] - angles[0])
     return float(right - left)
 

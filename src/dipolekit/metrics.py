@@ -1,4 +1,7 @@
-"""Reflection-based figures of merit: S11, VSWR, bandwidth, resonance."""
+"""Reflection-based figures of merit: S11, VSWR, bandwidth, resonance.
+
+level_crossings is the one band-edge rule, for -10 dB bandwidth and -3 dB
+beamwidth (farfield.hpbw_from_cut) alike."""
 
 from __future__ import annotations
 
@@ -100,6 +103,26 @@ class BandwidthResult:
     edge_clipped: bool
 
 
+def level_crossings(x, y, i0: int, level: float, inside):
+    """Where y meets level on each side of the run around sample i0.
+
+    The run is walked out from i0 while inside(y[j]) holds. Each edge is
+    linearly interpolated between the run's last sample and the first
+    sample outside it; it is None on a side where the run reaches the end
+    of the grid. Edges have the element type of x and y: Python lists give
+    Python floats.
+    """
+    def edge(outward: range):
+        i = i0
+        for o in outward:
+            if not inside(y[o]):
+                return x[i] + (x[o] - x[i]) * (level - y[i]) / (y[o] - y[i])
+            i = o
+        return None
+
+    return edge(range(i0 - 1, -1, -1)), edge(range(i0 + 1, len(y)))
+
+
 def fractional_bandwidth(sweep: SweepResult,
                          threshold_db: float = DEFAULT_BW_THRESHOLD_DB) -> BandwidthResult:
     """Contiguous band around the deepest S11 dip meeting the threshold.
@@ -115,27 +138,12 @@ def fractional_bandwidth(sweep: SweepResult,
     f_c = f[i0]
     if s[i0] > threshold_db:
         return BandwidthResult(0.0, f_c, f_c, f_c, False)
-    lo = i0
-    while lo > 0 and s[lo - 1] <= threshold_db:
-        lo -= 1
-    hi = i0
-    while hi < len(s) - 1 and s[hi + 1] <= threshold_db:
-        hi += 1
-    clipped = False
-
-    def cross(inside: int, outside: int) -> float:
-        return f[inside] + (f[outside] - f[inside]) \
-            * (threshold_db - s[inside]) / (s[outside] - s[inside])
-
-    if lo == 0:
-        f_lo, clipped = f[0], True
-    else:
-        f_lo = cross(lo, lo - 1)
-    if hi == len(s) - 1:
-        f_hi, clipped = f[-1], True
-    else:
-        f_hi = cross(hi, hi + 1)
-    return BandwidthResult(100.0 * (f_hi - f_lo) / f_c, f_lo, f_hi, f_c, clipped)
+    lo, hi = level_crossings(f, s, i0, threshold_db,
+                             lambda v: v <= threshold_db)
+    f_lo = f[0] if lo is None else lo
+    f_hi = f[-1] if hi is None else hi
+    return BandwidthResult(100.0 * (f_hi - f_lo) / f_c, f_lo, f_hi, f_c,
+                           lo is None or hi is None)
 
 
 def resonant_frequency(sweep: SweepResult) -> float:

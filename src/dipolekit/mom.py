@@ -39,7 +39,7 @@ import numpy as np
 
 from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_design_rules, \
     eps_eff_microstrip
-from .errors import DesignRuleError, MeshError, SolverError
+from .errors import MeshError, SolverError
 from .metrics import DEFAULT_Z0, SweepResult
 
 #: free-space wave impedance, ohm
@@ -413,10 +413,8 @@ def _sweep_on_mesh(geometry: DipoleGeometry, substrate: Substrate,
                    f_start: float, f_stop: float, f_step: float,
                    n: int | None, z0: float) -> tuple[SweepResult, SegmentMesh]:
     """sweep, also returning the mesh it solved on."""
-    rules = check_design_rules(geometry, substrate, 0.5 * (f_start + f_stop))
-    if not rules.ok:
-        names = ", ".join(e.rule for e in rules.violations)
-        raise DesignRuleError("geometry violates restriction(s): %s" % names)
+    check_design_rules(geometry, substrate,
+                       0.5 * (f_start + f_stop)).raise_violations()
     mesh = build_mesh(geometry_model(geometry, substrate), n)
     freqs = frequency_grid(f_start, f_stop, f_step)
     z_in = np.empty(freqs.size, dtype=complex)

@@ -319,6 +319,7 @@ def _exit_code(argv):
     ["pattern", "--freq", "inf"],
     ["analyze", "--band", "1000:inf:50"],
     ["analyze", "--band", "1000:2000:1e-310"],        # step count overflows
+    ["analyze", "--band", "1.7e308:1.7e308:1"],       # f in Hz overflows
 ], ids=" ".join)
 def test_cli_bad_values_exit_2(argv, capsys):
     assert _exit_code(argv) == 2
@@ -349,11 +350,21 @@ def test_inline_substrate_rejects_non_finite():
         resolve_substrate(RunConfig(substrate="inf:1.6:0"))
 
 
+@pytest.mark.parametrize("line", ["bad,nan,1.6,0", "infh,4.3,inf,0"])
+def test_cli_catalog_rejects_non_finite_values(line, tmp_path, capsys):
+    cat = tmp_path / "cat.txt"
+    cat.write_text(line + "\n")
+    name = line.split(",")[0]
+    for command in ("pattern", "analyze"):
+        assert main([command, "--catalog", str(cat), "--substrate", name]) == 2
+        assert ":1: eps_r and h must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "pattern", "study-length",
                                      "study-width", "optimize"])
 def test_cli_rejects_unmodelled_feed(command, tmp_path, capsys):
     assert main([command, "--feed", "stub"]) == 2
-    assert "ROADMAP item 5" in capsys.readouterr().err
+    assert "ideal center feed" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("feed = via\n")
     assert main([command, "--config", str(cfg)]) == 2
@@ -398,6 +409,28 @@ def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
                                            bw_threshold):
     # a fixed 3-point band and the automatic mesh keep every solve small
     argv = [command, "--band", "1700:1900:100", "--length=%r" % length,
+            "--width=%r" % width, "--z0=%r" % z0, "--freq=%r" % freq,
+            "--bw-threshold=%r" % bw_threshold]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _exit_code(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["design", "analyze", "pattern",
+                                "study-length", "study-width", "optimize"]),
+       band=_ANY_FLOAT, length=_ANY_FLOAT, width=_ANY_FLOAT, z0=_ANY_FLOAT,
+       freq=_ANY_FLOAT, bw_threshold=_ANY_FLOAT)
+@example(command="analyze", band=1.7e308, length=67.0, width=6.0,  # f in Hz
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)                # overflows
+@example(command="study-length", band=1.7e308, length=67.0, width=6.0,
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)
+def test_cli_exit_codes_hold_for_any_band(command, band, length, width, z0,
+                                          freq, bw_threshold):
+    # a one-point band and the automatic mesh keep every solve small
+    argv = [command, "--band=%r:%r:1" % (band, band), "--length=%r" % length,
             "--width=%r" % width, "--z0=%r" % z0, "--freq=%r" % freq,
             "--bw-threshold=%r" % bw_threshold]
     with contextlib.redirect_stdout(io.StringIO()), \

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from dipolekit.design import (
     C_MM_PER_S,
     DipoleGeometry,
+    RuleCheckResult,
     Substrate,
     check_design_rules,
     eps_eff_average,
@@ -19,7 +20,7 @@ from dipolekit.design import (
     synthesize_geometry,
     via_fed_length,
 )
-from dipolekit.errors import ConfigError
+from dipolekit.errors import ConfigError, DesignRuleError
 
 FR4 = Substrate("fr4", 4.3, 1.6, 0.002)
 
@@ -32,6 +33,12 @@ def test_free_space_wavelength_1800mhz():
     # frozen: c / 1.8e9 in mm
     assert free_space_wavelength(1.8e9) == pytest.approx(
         166.55136555555555, abs=1e-9)
+
+
+@pytest.mark.parametrize("f", [0.0, -1.0, math.inf, math.nan])
+def test_free_space_wavelength_needs_a_finite_positive_frequency(f):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        free_space_wavelength(f)
 
 
 def test_eps_eff_average():
@@ -81,6 +88,13 @@ def test_substrate_validation():
         Substrate("bad", 4.3, 1.6, 1.5)
 
 
+@pytest.mark.parametrize("eps_r, h", [(math.nan, 1.6), (math.inf, 1.6),
+                                      (4.3, math.nan), (4.3, math.inf)])
+def test_substrate_must_be_finite(eps_r, h):
+    with pytest.raises(ValueError, match="eps_r and h must be finite"):
+        Substrate("x", eps_r, h)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         DipoleGeometry(L=0, W=6)
@@ -123,6 +137,29 @@ def test_check_design_rules_violation():
     assert any(e.rule == "t_over_w" for e in rules.violations)
 
 
+def test_raise_violations_names_each_restriction_in_table_order():
+    rules = check_design_rules(DipoleGeometry(L=67, W=0.01, T=4.0), FR4, 1.8e9)
+    names = "w_over_h, t_over_w, t_over_h"
+    with pytest.raises(DesignRuleError, match=r"^geometry violates "
+                       r"restriction\(s\): %s$" % names):
+        rules.raise_violations()
+    reordered = RuleCheckResult(entries=rules.entries[::-1])
+    with pytest.raises(DesignRuleError, match="t_over_h, t_over_w, w_over_h$"):
+        reordered.raise_violations()
+
+
+def test_raise_violations_passes_an_ok_result():
+    rules = check_design_rules(DipoleGeometry(L=67, W=6, g=3), FR4, 1.8e9)
+    assert rules.raise_violations() is None
+
+
+def test_synthesize_refuses_with_the_one_rule_message():
+    thin = Substrate("inline", 4.3, 0.01, 0.0)
+    with pytest.raises(DesignRuleError, match=r"^geometry violates "
+                       r"restriction\(s\): w_over_h, t_over_h$"):
+        synthesize_geometry(thin, 1.8e9)
+
+
 def test_parse_catalog():
     cat = parse_catalog("# comment\nfoo,4.3,1.6,0.002\n\nbar,2.2,0.8,0\n")
     assert set(cat) == {"foo", "bar"}
@@ -134,6 +171,13 @@ def test_parse_catalog_errors():
         parse_catalog("foo,4.3,1.6,0.002\nbar,notanumber,1,0\n")
     with pytest.raises(ConfigError):
         parse_catalog("only,two\n")
+
+
+@pytest.mark.parametrize("line", ["bad,nan,1.6,0", "infh,4.3,inf,0"])
+def test_parse_catalog_rejects_non_finite_values(line):
+    with pytest.raises(ConfigError,
+                       match="^cat:2: eps_r and h must be finite$"):
+        parse_catalog("fr4,4.3,1.6,0.002\n" + line + "\n", source="cat")
 
 
 def test_bundled_catalog():

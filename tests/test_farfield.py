@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dipolekit.farfield import (
+    DEFAULT_THETA_DEG,
     DegeneratePattern,
     PatternCut,
     directivity_from_intensity,
@@ -118,3 +119,56 @@ def test_h_plane_flat():
     assert isinstance(cut, PatternCut)
     assert np.max(np.abs(cut.field_db)) <= 1e-9
     assert cut.directivity_dbi == 2.15
+
+
+def _reference_hpbw(angles_deg, field_db):
+    """hpbw_from_cut as written before metrics.level_crossings existed."""
+    angles = np.asarray(angles_deg, dtype=float)
+    db = np.asarray(field_db, dtype=float)
+    i_pk = int(np.argmax(db))
+    level = db[i_pk] - 3.0
+
+    def _edge(idx_range):
+        prev = i_pk
+        for i in idx_range:
+            if db[i] <= level:
+                # interpolate between prev (above) and i (at/below)
+                frac = (db[prev] - level) / (db[prev] - db[i])
+                return angles[prev] + frac * (angles[i] - angles[prev])
+            prev = i
+        return None
+
+    right = _edge(range(i_pk + 1, len(db)))
+    left = _edge(range(i_pk - 1, -1, -1))
+    if right is None or left is None:
+        return float(angles[-1] - angles[0])
+    return float(right - left)
+
+
+def _random_cuts(angles, count, seed):
+    rng = np.random.default_rng(seed)
+    t = np.radians(angles)
+    for _ in range(count):
+        # a lobe of random width and place, plus ripple: every run length,
+        # and a cut that never drops 3 dB
+        lobe = rng.uniform(0.0, 40.0) * (np.cos(t - rng.uniform(0, np.pi)) - 1)
+        ripple = rng.normal(0.0, rng.uniform(0.0, 2.0), angles.size)
+        db = lobe + ripple
+        yield db - db.max()
+
+
+def test_hpbw_matches_reference_bit_for_bit_on_default_grid():
+    full = 0
+    for db in _random_cuts(DEFAULT_THETA_DEG, 3000, 14):
+        hpbw = hpbw_from_cut(DEFAULT_THETA_DEG, db)
+        assert hpbw == _reference_hpbw(DEFAULT_THETA_DEG, db)
+        assert type(hpbw) is float
+        full += hpbw == DEFAULT_THETA_DEG[-1] - DEFAULT_THETA_DEG[0]
+    assert 0 < full < 3000
+
+
+def test_hpbw_matches_reference_on_another_step():
+    theta = np.linspace(0.3, 179.7, 301)   # step 0.598 deg, not a power of 2
+    for db in _random_cuts(theta, 1000, 15):
+        assert hpbw_from_cut(theta, db) == pytest.approx(
+            _reference_hpbw(theta, db), rel=0, abs=1e-12)

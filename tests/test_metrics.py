@@ -11,6 +11,7 @@ from dipolekit.metrics import (
     fractional_bandwidth,
     gamma_from_return_loss,
     gamma_from_vswr,
+    level_crossings,
     reflection_coefficient,
     resonant_frequency,
     return_loss_db,
@@ -167,3 +168,73 @@ def test_bandwidth_edge_clipped():
 def test_s11_minimum():
     sw = _sweep_from([(1.0e9, 80 + 0j), (1.1e9, 52 + 0j), (1.2e9, 80 + 0j)])
     assert sw.f[s11_minimum(sw)] == 1.1e9
+
+
+@pytest.mark.parametrize("y, expected", [
+    ([5.0, 1.0, 0.0, 1.0, 5.0], (0.75, 3.25)),   # both edges inside the grid
+    ([0.0, 1.0, 0.0, 1.0, 5.0], (None, 3.25)),   # run reaches the left end
+    ([5.0, 1.0, 0.0, 1.0, 0.0], (0.75, None)),   # run reaches the right end
+    ([0.0, 1.0, 0.0, 1.0, 0.0], (None, None)),   # run reaches both ends
+])
+def test_level_crossings_edges_and_grid_ends(y, expected):
+    x = [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert level_crossings(x, y, 2, 2.0, lambda v: v <= 2.0) == expected
+
+
+def test_level_crossings_sample_at_level():
+    x = [0.0, 1.0, 2.0]
+    # inside for <=: the walk goes on past the sample at the level
+    assert level_crossings(x, [1.0, 2.0, 0.0], 2, 2.0,
+                           lambda v: v <= 2.0) == (None, None)
+    # outside for >: the edge lands on that sample
+    assert level_crossings(x, [-1.0, -2.0, 0.0], 2, -2.0,
+                           lambda v: v > -2.0) == (1.0, None)
+
+
+def _reference_bandwidth(sweep, threshold_db):
+    """fractional_bandwidth as written before level_crossings existed."""
+    f, s = sweep.f.tolist(), sweep.s11_db.tolist()
+    i0 = s11_minimum(sweep)
+    f_c = f[i0]
+    if s[i0] > threshold_db:
+        return BandwidthResult(0.0, f_c, f_c, f_c, False)
+    lo = i0
+    while lo > 0 and s[lo - 1] <= threshold_db:
+        lo -= 1
+    hi = i0
+    while hi < len(s) - 1 and s[hi + 1] <= threshold_db:
+        hi += 1
+    clipped = False
+
+    def cross(inside: int, outside: int) -> float:
+        return f[inside] + (f[outside] - f[inside]) \
+            * (threshold_db - s[inside]) / (s[outside] - s[inside])
+
+    if lo == 0:
+        f_lo, clipped = f[0], True
+    else:
+        f_lo = cross(lo, lo - 1)
+    if hi == len(s) - 1:
+        f_hi, clipped = f[-1], True
+    else:
+        f_hi = cross(hi, hi + 1)
+    return BandwidthResult(100.0 * (f_hi - f_lo) / f_c, f_lo, f_hi, f_c, clipped)
+
+
+def test_bandwidth_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(14)
+    clipped = open_band = 0
+    for _ in range(2000):
+        count = int(rng.integers(1, 60))
+        f = rng.uniform(0.5e9, 2e9) + rng.uniform(1e6, 5e7) * np.arange(count)
+        # a random walk in log R and X gives dips of every width
+        r = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.3, count)))
+        x = np.cumsum(rng.normal(0.0, 8.0, count))
+        sw = SweepResult(f, r + 1j * x)
+        threshold = float(rng.uniform(-30.0, -1.0))
+        bw = fractional_bandwidth(sw, threshold)
+        assert bw == _reference_bandwidth(sw, threshold)
+        assert type(bw.f_low) is float and type(bw.f_high) is float
+        clipped += bw.edge_clipped
+        open_band += bw.percent > 0 and not bw.edge_clipped
+    assert clipped > 100 and open_band > 100   # both branches exercised
