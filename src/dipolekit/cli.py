@@ -347,8 +347,7 @@ def run(argv: list[str] | None = None) -> int:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
-            print("error: cannot read config: %s" % exc, file=sys.stderr)
-            return 2
+            raise ConfigError("cannot read config: %s" % exc) from exc
         file_values = parse_config_text(text, source=args.config)
     config = resolve_config(file_values, flag_values)
     if config.feed != "ideal" and args.command != "design":

@@ -84,10 +84,6 @@ class RuleCheckResult:
         return tuple(e for e in self.entries if e.status == "violate")
 
     @property
-    def warnings(self) -> tuple[RuleEntry, ...]:
-        return tuple(e for e in self.entries if e.status == "warn")
-
-    @property
     def ok(self) -> bool:
         return not self.violations
 
@@ -164,15 +160,13 @@ WIDTH_FRACTION = 0.06
 
 def synthesize_geometry(substrate: Substrate, f: float,
                         feed_style: str = "ideal_center",
-                        g: float = 0.0, T: float = DEFAULT_T_MM) -> SynthesisResult:
+                        T: float = DEFAULT_T_MM) -> SynthesisResult:
     """Size a strip dipole for the target frequency on the given substrate.
 
     The design wavelength comes from the averaged effective permittivity;
     the stub and via feed styles re-evaluate the wavelength with the
     fringing-field permittivity at the synthesized strip width.
     """
-    if feed_style not in FEED_STYLES:
-        raise ValueError("feed_style must be one of %s" % (FEED_STYLES,))
     eps_e = eps_eff_average(substrate.eps_r)
     lambda_d = guided_wavelength(f, eps_e)
     W = WIDTH_FRACTION * lambda_d
@@ -182,7 +176,7 @@ def synthesize_geometry(substrate: Substrate, f: float,
         eps_f = eps_eff_microstrip(substrate.eps_r, W, substrate.h)
         lam_f = guided_wavelength(f, eps_f)
         L = stub_fed_length(lam_f) if feed_style == "open_stub" else via_fed_length(lam_f)
-    geometry = DipoleGeometry(L=L, W=W, g=g, T=T, feed_style=feed_style)
+    geometry = DipoleGeometry(L=L, W=W, T=T, feed_style=feed_style)
     check_design_rules(geometry, substrate, f).raise_violations()
     return SynthesisResult(geometry=geometry, eps_e=eps_e, lambda_d=lambda_d,
                            recommended_h=0.02 * lambda_d)

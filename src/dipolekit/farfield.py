@@ -39,12 +39,6 @@ class PatternCut:
     hpbw_deg: float
 
 
-def _normalized_db(u: np.ndarray) -> np.ndarray:
-    peak = np.max(u)   # > 0: the caller's directivity refused p_rad <= 0
-    floor = peak * 1e-30
-    return 10.0 * np.log10(np.maximum(u, floor) / peak)
-
-
 def radiation_intensity(current: CurrentDistribution, mesh: SegmentMesh,
                         f: float) -> np.ndarray:
     """Unnormalized U(theta) on DEFAULT_THETA_DEG for the node currents on
@@ -90,7 +84,8 @@ def pattern_from_current(current: CurrentDistribution, mesh: SegmentMesh,
     """E-plane cut with directivity and half-power beamwidth."""
     u = radiation_intensity(current, mesh, f)
     d = directivity_from_intensity(DEFAULT_THETA_DEG, u)
-    field_db = _normalized_db(u)
+    peak = np.max(u)   # > 0: directivity_from_intensity refused p_rad <= 0
+    field_db = 10.0 * np.log10(np.maximum(u, peak * 1e-30) / peak)
     return PatternCut(plane="E", angles_deg=DEFAULT_THETA_DEG,
                       field_db=field_db,
                       directivity_dbi=float(10.0 * np.log10(d)),

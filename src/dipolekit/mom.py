@@ -50,6 +50,11 @@ DEFAULT_N_SEGMENTS = 41
 
 MIN_SEGMENTS = 11
 
+#: largest segment count: a solve holds about 8 (n+1)^2 bytes of folded
+#: blocks (128 MB here), and more ends in a MemoryError mid-solve; a fixed
+#: limit, not an option, so one place bounds what a solve may allocate
+MAX_SEGMENTS = 4001
+
 #: most frequencies one sweep may hold
 MAX_GRID_POINTS = 1_000_000
 
@@ -159,6 +164,8 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
         raise MeshError("segment count must be odd, got %d" % n)
     if n < MIN_SEGMENTS:
         raise MeshError("segment count must be >= %d, got %d" % (MIN_SEGMENTS, n))
+    if n > MAX_SEGMENTS:
+        raise MeshError("segment count must be <= %d, got %d" % (MAX_SEGMENTS, n))
     L, a = model.total_length, model.radius
     delta = L / n
     if delta < a:

@@ -44,22 +44,6 @@ class StudyRow:
     error: str | None = None
 
 
-def _evaluate(geometry: DipoleGeometry, substrate: Substrate, param: float,
-              f_start: float, f_stop: float, f_step: float,
-              f_probe: float, z0: float,
-              threshold_db: float) -> StudyRow:
-    result, mesh = _sweep_on_mesh(geometry, substrate, f_start, f_stop,
-                                  f_step, None, z0)
-    best = s11_minimum(result)
-    bw = fractional_bandwidth(result, threshold_db)
-    z_probe = input_impedance(solve_at(mesh, f_probe))
-    f_dir = float(result.f[best])
-    cut = pattern_from_current(solve_at(mesh, f_dir), mesh, f_dir)
-    return StudyRow(param_mm=param, z_in=z_probe, vswr=result.vswr[best],
-                    rl_db=result.s11_db[best], bw_pct=bw.percent,
-                    directivity_dbi=cut.directivity_dbi)
-
-
 def _study(params: Sequence[float],
            make_geometry: Callable[[float], DipoleGeometry],
            substrate: Substrate, f_start: float, f_stop: float, f_step: float,
@@ -67,9 +51,17 @@ def _study(params: Sequence[float],
     rows = []
     for param in params:
         try:
-            geometry = make_geometry(param)
-            rows.append(_evaluate(geometry, substrate, param, f_start, f_stop,
-                                  f_step, f_probe, z0, threshold_db))
+            result, mesh = _sweep_on_mesh(make_geometry(param), substrate,
+                                          f_start, f_stop, f_step, None, z0)
+            best = s11_minimum(result)
+            bw = fractional_bandwidth(result, threshold_db)
+            z_probe = input_impedance(solve_at(mesh, f_probe))
+            f_dir = float(result.f[best])
+            cut = pattern_from_current(solve_at(mesh, f_dir), mesh, f_dir)
+            rows.append(StudyRow(param_mm=param, z_in=z_probe,
+                                 vswr=result.vswr[best],
+                                 rl_db=result.s11_db[best], bw_pct=bw.percent,
+                                 directivity_dbi=cut.directivity_dbi))
         except (DipolekitError, ValueError) as exc:
             rows.append(StudyRow(param_mm=param, error=str(exc)))
     return rows

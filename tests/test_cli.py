@@ -258,6 +258,15 @@ def test_cli_exit_code_missing_config(capsys):
     assert main(["analyze", "--config", "/does/not/exist.cfg"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_unreadable_config_is_a_config_error(kind, tmp_path, capsys):
+    path = tmp_path / "absent.cfg" if kind == "missing" else tmp_path
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config" in err
+    assert "Traceback" not in err
+
+
 def test_cli_exit_code_design_rule(capsys):
     # w/h exceeds the hard 20:1 restriction
     rc = main(["analyze", "--length", "300", "--width", "64",
@@ -335,6 +344,19 @@ def test_cli_bad_values_exit_2(argv, capsys):
 def test_cli_degenerate_solves_exit_4(argv, capsys):
     assert main(argv) == 4
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--length", "100000", "--width", "0.1", "--mesh", "4003",
+     "--band", "1000:1000:1"],
+    ["analyze", "--length", "1e300", "--width", "0.1",
+     "--mesh", "1000000000000001", "--band", "1000:1000:1"],
+], ids=" ".join)
+def test_cli_mesh_above_the_limit_exits_4(argv, capsys):
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "segment count" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", ["z0_ohm = nan", "length_mm = -inf",

@@ -121,6 +121,16 @@ def test_synthesize_feed_styles():
     assert via.geometry.L == pytest.approx(59.6739, abs=1e-3)
 
 
+def test_synthesize_refuses_an_unknown_feed_style():
+    with pytest.raises(ValueError, match="feed_style must be one of"):
+        synthesize_geometry(FR4, 1.8e9, feed_style="magic")
+
+
+def test_synthesize_checks_the_frequency_before_the_feed_style():
+    with pytest.raises(ValueError, match="frequency must be"):
+        synthesize_geometry(FR4, 0.0, feed_style="magic")
+
+
 def test_check_design_rules_table_iii():
     rules = check_design_rules(DipoleGeometry(L=67, W=6, g=3), FR4, 1.8e9)
     assert len(rules.entries) == 8

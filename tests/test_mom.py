@@ -142,6 +142,13 @@ def test_build_mesh_rejects_bad_n():
     assert max_segments(67.0, 1.5) == 43
 
 
+def test_build_mesh_refuses_a_count_above_max_segments():
+    # refused before any array is built: the folded blocks of this n would
+    # take 8 (n+1)^2 bytes
+    with pytest.raises(MeshError, match="<= 4001"):
+        build_mesh(WireModel(1e5, 0.025), n=mom.MAX_SEGMENTS + 2)
+
+
 def test_build_mesh_defaults_to_default_segments():
     for model in (thin_half_wave(), WireModel(67.0, 1.5, 3.3)):
         auto = build_mesh(model)

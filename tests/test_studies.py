@@ -53,6 +53,16 @@ def test_width_study_rule_violation_row_keeps_its_message():
     assert rows[1].error == "geometry violates restriction(s): w_over_h"
 
 
+def test_study_row_keeps_the_first_failing_stage_message():
+    # the design rules run inside the sweep, before the bandwidth refuses
+    # the threshold
+    rows = width_study([6.0, 40.0], FR4, 1.7e9, 1.9e9, 0.1e9,
+                       length_mm=60.0, threshold_db=0.0)
+    assert [r.error for r in rows] == [
+        "threshold must be negative dB",
+        "geometry violates restriction(s): w_over_h"]
+
+
 def test_width_study_bandwidth_trend():
     rows = width_study([5.0, 6.0, 7.0, 8.0], FR4, *BAND, length_mm=60.0)
     bws = [r.bw_pct for r in rows]
