@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 design-rule violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -188,8 +189,9 @@ def emit_sweep_csv(result: SweepResult, path: str | None) -> None:
 def emit_pattern_csv(cut: PatternCut, path: str | None) -> None:
     """`plane,angle_deg,field_db` rows plus metadata footer comments."""
     lines = ["plane,angle_deg,field_db"]
-    for angle, db in zip(cut.angles_deg, cut.field_db):
-        lines.append(",".join((cut.plane, _fmt(angle), _fmt(db))))
+    # tolist() yields the same doubles as Python floats, so repr is _fmt
+    for angle, db in zip(cut.angles_deg.tolist(), cut.field_db.tolist()):
+        lines.append("%s,%r,%r" % (cut.plane, angle, db))
     lines.append("# directivity_dbi=%s" % _fmt(cut.directivity_dbi))
     lines.append("# hpbw_deg=%s" % _fmt(cut.hpbw_deg))
     _write(path, "\n".join(lines) + "\n")
@@ -337,8 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use rather than at import.
+
+    `parse_args` keeps no state on the parser: each parse fills a new
+    namespace from the declared defaults.
+    """
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     flag_values = {k: v for k, v in vars(args).items()
                    if k not in ("command", "config") and v is not None}
     file_values = {}

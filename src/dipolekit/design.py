@@ -6,6 +6,7 @@ rounded before display.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -233,15 +234,23 @@ def parse_catalog(text: str, source: str = "<catalog>") -> dict[str, Substrate]:
     return out
 
 
+@functools.cache
+def _bundled_catalog() -> dict[str, Substrate]:
+    """The package's own catalog, read and parsed once per process."""
+    text = resources.files("dipolekit.data").joinpath("substrates.txt").read_text()
+    return parse_catalog(text, source="builtin")
+
+
 def load_substrates(path: str | None = None) -> dict[str, Substrate]:
-    """Load the substrate catalog.
+    """Load the substrate catalog into a new dict on every call.
 
     Resolution order: explicit path, the DIPOLEKIT_SUBSTRATES environment
-    variable, then the bundled catalog.
+    variable, then the bundled catalog. A named file is read again on every
+    call; the bundled one, which cannot change while the package is loaded,
+    once per process.
     """
     path = path or os.environ.get(ENV_CATALOG)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_catalog(fh.read(), source=path)
-    text = resources.files("dipolekit.data").joinpath("substrates.txt").read_text()
-    return parse_catalog(text, source="builtin")
+    return dict(_bundled_catalog())

@@ -18,7 +18,8 @@ from dipolekit.cli import (
     resolve_config,
     resolve_substrate,
 )
-from dipolekit import mom
+from dipolekit import cli, mom
+from dipolekit.design import DipoleGeometry, load_substrates
 from dipolekit.errors import ConfigError, NonPassiveError
 from dipolekit.farfield import PatternCut
 from dipolekit.metrics import SweepResult
@@ -184,6 +185,22 @@ def test_emit_pattern_csv(tmp_path):
     assert lines[-1] == "# hpbw_deg=78.0"
 
 
+def test_emit_pattern_csv_rows_match_float64_repr(tmp_path):
+    # the rows repr Python floats from tolist(); the numpy scalars they
+    # come from must print the same bytes, special values included
+    values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324,
+                       -2.2250738585072014e-308, 1e16, -1e16, 0.1, 89.5])
+    cut = PatternCut(plane="H", angles_deg=values, field_db=values[::-1],
+                     directivity_dbi=-0.0, hpbw_deg=np.inf)
+    p = tmp_path / "p.csv"
+    emit_pattern_csv(cut, str(p))
+    rows = ["H,%s,%s" % (repr(float(a)), repr(float(d)))
+            for a, d in zip(cut.angles_deg, cut.field_db)]
+    expected = ["plane,angle_deg,field_db", *rows,
+                "# directivity_dbi=-0.0", "# hpbw_deg=inf"]
+    assert p.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_emit_study_table(tmp_path):
     rows = [StudyRow(param_mm=63.0, z_in=49 + 1j, vswr=1.05, rl_db=-32.0,
                      bw_pct=16.5, directivity_dbi=2.1),
@@ -265,6 +282,66 @@ def test_cli_unreadable_config_is_a_config_error(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: cannot read config" in err
     assert "Traceback" not in err
+
+
+def _stdout(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_mesh_flag_does_not_carry_over(monkeypatch, capsys):
+    meshes = []
+    build_mesh = mom.build_mesh
+
+    def spy(model, n=None):
+        mesh = build_mesh(model, n)
+        meshes.append(mesh.n)
+        return mesh
+
+    monkeypatch.setattr(mom, "build_mesh", spy)
+    argv = ["analyze", "--width", "8", "--band", "1800:1800:10"]
+    _stdout(argv + ["--mesh", "21"], capsys)
+    _stdout(argv, capsys)
+    model = mom.geometry_model(DipoleGeometry(L=67.0, W=8.0),
+                               load_substrates()["fr4"])
+    auto = build_mesh(model).n
+    assert auto != 21
+    assert meshes == [21, auto]
+
+
+def test_cli_rejected_flag_leaves_the_next_call_unchanged(capsys):
+    argv = ["analyze", "--band", "1800:1900:100"]
+    cli._parser.cache_clear()       # the next call parses as a process's first
+    first = _stdout(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gap", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _stdout(argv, capsys) == first
+
+
+def test_cli_config_values_do_not_carry_over(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length_mm = 60\nz0_ohm = 75\n")
+    argv = ["analyze", "--band", "1800:1900:100"]
+    plain = _stdout(argv, capsys)
+    assert _stdout(argv + ["--config", str(cfg)], capsys) != plain
+    assert _stdout(argv, capsys) == plain
+
+
+@pytest.mark.parametrize("named_by", ["--catalog", "DIPOLEKIT_SUBSTRATES"])
+def test_cli_rereads_a_named_catalog_on_every_call(named_by, tmp_path,
+                                                   monkeypatch, capsys):
+    cat = tmp_path / "cat.txt"
+    argv = ["design", "--substrate", "mine"]
+    if named_by == "--catalog":
+        argv += ["--catalog", str(cat)]
+    else:
+        monkeypatch.setenv(named_by, str(cat))
+    cat.write_text("mine,4.3,1.6,0.002\n")
+    assert "eps_e=2.6500 " in _stdout(argv, capsys)
+    cat.write_text("mine,2.2,0.8,0\n")
+    assert "eps_e=1.6000 " in _stdout(argv, capsys)
 
 
 def test_cli_exit_code_design_rule(capsys):

@@ -1,8 +1,10 @@
 import math
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dipolekit import design
 from dipolekit.design import (
     C_MM_PER_S,
     DipoleGeometry,
@@ -203,3 +205,38 @@ def test_catalog_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("DIPOLEKIT_SUBSTRATES", str(p))
     cat = load_substrates()
     assert set(cat) == {"custom"}
+
+
+def test_load_substrates_returns_a_new_dict(monkeypatch):
+    monkeypatch.delenv("DIPOLEKIT_SUBSTRATES", raising=False)
+    first = load_substrates()
+    del first["fr4"]
+    first["mine"] = FR4
+    second = load_substrates()
+    assert "fr4" in second and "mine" not in second
+    assert load_substrates() is not second
+
+
+def test_explicit_catalog_path_is_reread(tmp_path):
+    p = tmp_path / "cat.txt"
+    p.write_text("one,3.5,1.0,0.001\n")
+    assert set(load_substrates(str(p))) == {"one"}
+    p.write_text("two,2.2,0.8,0\n")
+    assert set(load_substrates(str(p))) == {"two"}
+
+
+def test_bundled_catalog_is_read_once(monkeypatch):
+    reads = []
+    real_files = design.resources.files
+
+    def files(package):
+        reads.append(package)
+        return real_files(package)
+
+    monkeypatch.delenv("DIPOLEKIT_SUBSTRATES", raising=False)
+    monkeypatch.setattr(design, "resources",
+                        types.SimpleNamespace(files=files))
+    design._bundled_catalog.cache_clear()
+    catalogs = [load_substrates() for _ in range(3)]
+    assert reads == ["dipolekit.data"]
+    assert catalogs[0] == catalogs[2]

@@ -22,3 +22,18 @@ def test_package_exports_the_one_solve_path():
     assert hasattr(dipolekit, "solve_at")
     assert not hasattr(dipolekit, "assemble_system")
     assert not hasattr(dipolekit, "solve_current")
+
+
+def test_import_does_not_load_the_cli():
+    # the CLI parser is built on first use, not by `import dipolekit`
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import dipolekit, sys; print('\\n'.join(sys.modules))"],
+        env=env, check=True, timeout=120, capture_output=True,
+        text=True).stdout.split()
+    assert "dipolekit" in loaded
+    assert "argparse" not in loaded
+    assert "dipolekit.cli" not in loaded
