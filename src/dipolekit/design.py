@@ -246,8 +246,7 @@ def load_substrates(path: str | None = None) -> dict[str, Substrate]:
 
     Resolution order: explicit path, the DIPOLEKIT_SUBSTRATES environment
     variable, then the bundled catalog. A named file is read again on every
-    call; the bundled one, which cannot change while the package is loaded,
-    once per process.
+    call; the bundled one, which ships with the package, once per process.
     """
     path = path or os.environ.get(ENV_CATALOG)
     if path:

@@ -217,14 +217,6 @@ def test_load_substrates_returns_a_new_dict(monkeypatch):
     assert load_substrates() is not second
 
 
-def test_explicit_catalog_path_is_reread(tmp_path):
-    p = tmp_path / "cat.txt"
-    p.write_text("one,3.5,1.0,0.001\n")
-    assert set(load_substrates(str(p))) == {"one"}
-    p.write_text("two,2.2,0.8,0\n")
-    assert set(load_substrates(str(p))) == {"two"}
-
-
 def test_bundled_catalog_is_read_once(monkeypatch):
     reads = []
     real_files = design.resources.files
