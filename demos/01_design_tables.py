@@ -43,8 +43,7 @@ def main():
     print("50-ohm microstrip feed on %s: w = %.3f mm, quarter-wave "
           "open stub = %.2f mm" % (fr4.name, spec.w, spec.stub_length))
 
-    rules = dk.check_design_rules(dk.DipoleGeometry(L=67, W=6, g=3), fr4,
-                                  F_DESIGN)
+    rules = dk.check_design_rules(dk.DipoleGeometry(L=67, W=6), fr4, F_DESIGN)
     print()
     print("design-rule report for the 67 x 6 mm build geometry:")
     for e in rules.entries:

@@ -13,7 +13,7 @@ OUT = "sweep.csv"
 
 def main():
     fr4 = dk.load_substrates()["fr4"]
-    geometry = dk.DipoleGeometry(L=67.0, W=6.0, g=3.0)
+    geometry = dk.DipoleGeometry(L=67.0, W=6.0)
     print("sweeping %gx%g mm dipole on %s (eps_r=%.1f, h=%.1f mm)..."
           % (geometry.L, geometry.W, fr4.name, fr4.eps_r, fr4.h))
     result = dk.sweep(geometry, fr4, 1.0e9, 2.6e9, 10e6)

@@ -14,7 +14,7 @@ OUT = "pattern.csv"
 
 def main():
     fr4 = dk.load_substrates()["fr4"]
-    geometry = dk.DipoleGeometry(L=67.0, W=6.0, g=3.0)
+    geometry = dk.DipoleGeometry(L=67.0, W=6.0)
 
     result = dk.sweep(geometry, fr4, 1.0e9, 1.3e9, 10e6)
     f0 = dk.resonant_frequency(result)

@@ -43,10 +43,13 @@ def radiation_intensity(current: CurrentDistribution, mesh: SegmentMesh,
                         f: float) -> np.ndarray:
     """Unnormalized U(theta) on DEFAULT_THETA_DEG for the node currents on
     the mesh, in the medium of mesh.model; MeshError if the current was
-    solved on a mesh with another node count."""
-    if current.currents.shape != (mesh.n,):
-        raise MeshError("current has %d nodes but the mesh has n = %d"
-                        % (current.currents.size, mesh.n))
+    solved on another wire model or n (every build of one has one set of
+    nodes) or does not have n nodes."""
+    own, shape = current.mesh, current.currents.shape
+    if (own.model, own.n, shape) != (mesh.model, mesh.n, (mesh.n,)):
+        raise MeshError("current has %d nodes of %s, the mesh n = %d of %s"
+                        % (current.currents.size, own.model, mesh.n,
+                           mesh.model))
     k = wavenumber(f, mesh.model.eps_e)
     theta = np.radians(DEFAULT_THETA_DEG)
     phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))

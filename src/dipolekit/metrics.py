@@ -6,10 +6,14 @@ beamwidth (farfield.hpbw_from_cut) alike."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonPassiveError, NoResonanceError
+
+if TYPE_CHECKING:   # mom imports this module
+    from .mom import SegmentMesh
 
 #: reference impedance for every sweep, ohm
 DEFAULT_Z0 = 50.0
@@ -69,11 +73,13 @@ class SweepResult:
 
     f (Hz) and z_in (ohm) hold one entry per frequency; gamma, s11_db and
     vswr are derived from them against the real reference impedance z0.
+    mesh is the one mom.sweep solved on, None for a sweep built from arrays.
     """
 
     f: np.ndarray
     z_in: np.ndarray
     z0: float = DEFAULT_Z0
+    mesh: SegmentMesh | None = field(default=None, repr=False)
     gamma: np.ndarray = field(init=False, repr=False)
     s11_db: np.ndarray = field(init=False, repr=False)
     vswr: np.ndarray = field(init=False, repr=False)

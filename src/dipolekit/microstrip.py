@@ -33,10 +33,6 @@ class FeedLineSpec:
 
 def z0_microstrip(w: float, h: float, eps_r: float) -> float:
     """Characteristic impedance of a microstrip trace (wide/narrow branches)."""
-    if w <= 0 or h <= 0:
-        raise ValueError("w and h must be > 0")
-    if eps_r < 1.0:
-        raise ValueError("eps_r must be >= 1, got %g" % eps_r)
     ee = eps_eff_microstrip(eps_r, w, h)
     u = w / h
     if u <= 1.0:

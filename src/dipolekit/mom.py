@@ -220,14 +220,14 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurrentDistribution:
-    """Complex node currents from a 1 V delta-gap solve."""
+    """Complex node currents from a 1 V delta-gap solve on `mesh`."""
 
     currents: np.ndarray
-    feed_index: int
+    mesh: SegmentMesh
 
     @property
     def feed_current(self) -> complex:
-        return complex(self.currents[self.feed_index])
+        return complex(self.currents[self.mesh.feed_index])
 
 
 def _fold(col: np.ndarray) -> np.ndarray:
@@ -371,7 +371,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     np.divide(y[:p], _SQRT2, out=currents[:p])
     currents[p] = y[p]
     currents[p + 1:] = currents[:p][::-1]
-    return CurrentDistribution(currents=currents, feed_index=p)
+    return CurrentDistribution(currents=currents, mesh=mesh)
 
 
 def input_impedance(current: CurrentDistribution) -> complex:
@@ -416,10 +416,10 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
     return grid[grid <= f_stop * (1 + 1e-12)]
 
 
-def _sweep_on_mesh(geometry: DipoleGeometry, substrate: Substrate,
-                   f_start: float, f_stop: float, f_step: float,
-                   n: int | None, z0: float) -> tuple[SweepResult, SegmentMesh]:
-    """sweep, also returning the mesh it solved on."""
+def sweep(geometry: DipoleGeometry, substrate: Substrate,
+          f_start: float, f_stop: float, f_step: float,
+          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
+    """Impedance and match metrics over a band, solved on result.mesh."""
     check_design_rules(geometry, substrate,
                        0.5 * (f_start + f_stop)).raise_violations()
     mesh = build_mesh(geometry_model(geometry, substrate), n)
@@ -430,12 +430,4 @@ def _sweep_on_mesh(geometry: DipoleGeometry, substrate: Substrate,
             z_in[i] = input_impedance(solve_at(mesh, float(f)))
         except SolverError as exc:
             raise SolverError("at %g Hz: %s" % (f, exc)) from exc
-    return SweepResult(freqs, z_in, z0), mesh
-
-
-def sweep(geometry: DipoleGeometry, substrate: Substrate,
-          f_start: float, f_stop: float, f_step: float,
-          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
-    """Impedance and match metrics over a frequency band."""
-    return _sweep_on_mesh(geometry, substrate, f_start, f_stop, f_step, n,
-                          z0)[0]
+    return SweepResult(freqs, z_in, z0, mesh)

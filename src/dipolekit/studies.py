@@ -19,8 +19,8 @@ from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, \
     fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
-from .mom import _sweep_on_mesh, build_mesh, default_segments, \
-    geometry_model, impedance_at, input_impedance, solve_at
+from .mom import build_mesh, default_segments, geometry_model, impedance_at, \
+    input_impedance, solve_at, sweep
 
 #: golden-section stopping span, mm
 _GOLDEN_TOL_MM = 0.1
@@ -51,8 +51,9 @@ def _study(params: Sequence[float],
     rows = []
     for param in params:
         try:
-            result, mesh = _sweep_on_mesh(make_geometry(param), substrate,
-                                          f_start, f_stop, f_step, None, z0)
+            result = sweep(make_geometry(param), substrate, f_start, f_stop,
+                           f_step, z0=z0)
+            mesh = result.mesh
             best = s11_minimum(result)
             bw = fractional_bandwidth(result, threshold_db)
             z_probe = input_impedance(solve_at(mesh, f_probe))

@@ -138,6 +138,11 @@ def test_parse_config_type_mismatch_names_line():
         parse_config_text("length_mm = 63\nmesh = fourty\n")
 
 
+def test_parse_config_line_without_equals_names_line():
+    with pytest.raises(ConfigError, match=":2: expected key = value"):
+        parse_config_text("length_mm = 63\nmesh 21\n")
+
+
 def test_resolve_substrate_catalog_and_inline():
     sub = resolve_substrate(RunConfig())
     assert sub.eps_r == 4.3 and sub.h == 1.6
@@ -406,6 +411,10 @@ def _exit_code(argv):
     ["analyze", "--band", "1000:inf:50"],
     ["analyze", "--band", "1000:2000:1e-310"],        # step count overflows
     ["analyze", "--band", "1.7e308:1.7e308:1"],       # f in Hz overflows
+    ["analyze", "--band", "1000:2000"],               # no step
+    ["study-length", "--lengths", ","],               # empty list
+    ["pattern", "--plane", "X"],
+    ["analyze", "--substrate", "4.3:1.6"],            # inline needs tand
 ], ids=" ".join)
 def test_cli_bad_values_exit_2(argv, capsys):
     assert _exit_code(argv) == 2
@@ -421,6 +430,12 @@ def test_cli_bad_values_exit_2(argv, capsys):
 def test_cli_degenerate_solves_exit_4(argv, capsys):
     assert main(argv) == 4
     assert "solver error" in capsys.readouterr().err
+
+
+def test_cli_sweep_error_names_its_frequency(capsys):
+    assert main(["analyze", "--band", "1e-300:1e-300:1"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "solver error: at 1e-294 Hz: sin(kh) underflows")
 
 
 @pytest.mark.parametrize("argv", [

@@ -104,6 +104,24 @@ def test_geometry_validation():
         DipoleGeometry(L=67, W=6, g=70)
     with pytest.raises(ValueError):
         DipoleGeometry(L=67, W=6, feed_style="magic")
+    for bad in (dict(g=-1.0), dict(T=-0.1)):
+        with pytest.raises(ValueError, match="g and T must be >= 0"):
+            DipoleGeometry(L=67, W=6, **bad)
+
+
+@pytest.mark.parametrize("rule, args, reason", [
+    (eps_eff_average, (0.5,), "eps_r must be >= 1"),
+    (eps_eff_microstrip, (0.5, 3.0, 1.6), "eps_r must be >= 1"),
+    (eps_eff_microstrip, (4.3, 0.0, 1.6), "w and h must be > 0"),
+    (eps_eff_microstrip, (4.3, 3.0, -1.6), "w and h must be > 0"),
+    (guided_wavelength, (1.8e9, 0.5), "eps_e must be >= 1"),
+    (half_wave_length, (0.0,), "wavelength must be > 0"),
+    (stub_fed_length, (-1.0,), "wavelength must be > 0"),
+    (via_fed_length, (0.0,), "wavelength must be > 0"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_sizing_rules_reject_out_of_domain_inputs(rule, args, reason):
+    with pytest.raises(ValueError, match=reason):
+        rule(*args)
 
 
 def test_synthesize_fr4():

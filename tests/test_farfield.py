@@ -14,7 +14,8 @@ from dipolekit.farfield import (
     radiation_intensity,
 )
 from dipolekit.errors import MeshError
-from dipolekit.mom import WireModel, build_mesh, solve_at
+from dipolekit.mom import CurrentDistribution, WireModel, build_mesh, \
+    solve_at
 
 LAMBDA = 166.55136555555555   # mm at 1.8 GHz
 THETA = np.arange(0.5, 180.0, 0.5)
@@ -89,13 +90,20 @@ def test_radiation_intensity_scales_with_current():
 
 def test_current_from_another_mesh_raises_mesh_error():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
-    coarse = build_mesh(model, n=21)
-    cur = solve_at(coarse, 1.8e9)
-    fine = build_mesh(model, n=41)
-    with pytest.raises(MeshError, match="21 nodes"):
-        radiation_intensity(cur, fine, 1.8e9)
-    with pytest.raises(MeshError, match="21 nodes"):
-        pattern_from_current(cur, fine, 1.8e9)
+    cur = solve_at(build_mesh(model, n=21), 1.8e9)
+    # another n, and the same n on a longer wire (whose nodes differ)
+    for other in (build_mesh(model, n=41),
+                  build_mesh(replace(model, total_length=120.0), n=21)):
+        with pytest.raises(MeshError, match="21 nodes"):
+            radiation_intensity(cur, other, 1.8e9)
+        with pytest.raises(MeshError, match="21 nodes"):
+            pattern_from_current(cur, other, 1.8e9)
+    # a second build of the current's own model and n is the same mesh
+    pattern_from_current(cur, build_mesh(model, n=21), 1.8e9)
+    # currents that do not fit the mesh they name
+    bad = CurrentDistribution(np.ones(41, dtype=complex), cur.mesh)
+    with pytest.raises(MeshError, match="41 nodes"):
+        radiation_intensity(bad, cur.mesh, 1.8e9)
 
 
 def test_pattern_effective_medium_scaling():

@@ -58,6 +58,13 @@ def test_roundtrip_identities(mag):
     assert gamma_from_return_loss(rl) == pytest.approx(mag, abs=1e-10)
 
 
+def test_gamma_conversions_reject_out_of_domain_values():
+    with pytest.raises(ValueError, match="VSWR must be >= 1"):
+        gamma_from_vswr(0.5)
+    with pytest.raises(ValueError, match="negative-dB convention"):
+        gamma_from_return_loss(3.0)
+
+
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                           allow_infinity=False).filter(lambda z: z.real > 1e-6))
 def test_passive_impedance_gives_passive_gamma(z):
@@ -91,6 +98,7 @@ def test_sweep_result_derived_arrays():
     assert sw.vswr == pytest.approx([2.0, 1.0, 2.0])
     assert sw.s11_db[1] == -math.inf
     assert sw.s11_db[[0, 2]] == pytest.approx([-9.542425094393249] * 2)
+    assert sw.mesh is None      # built from arrays, not solved
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,

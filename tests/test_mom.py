@@ -583,7 +583,26 @@ def test_input_impedance_reciprocal_of_feed_current():
     model = thin_half_wave()
     mesh = build_mesh(model, n=21)
     cur = solve_at(mesh, 1.8e9)
+    assert cur.mesh is mesh
     assert input_impedance(cur) == 1 / cur.feed_current
+
+
+def test_input_impedance_warns_on_a_vanishing_feed_current():
+    mesh = build_mesh(thin_half_wave(), n=21)
+    currents = np.ones(mesh.n, dtype=complex)
+    currents[mesh.feed_index] = 1e-12
+    cur = mom.CurrentDistribution(currents=currents, mesh=mesh)
+    with pytest.warns(RuntimeWarning, match="feed current nearly zero"):
+        assert input_impedance(cur) == pytest.approx(1e12)
+
+
+def test_condition_is_infinite_when_the_svd_does_not_converge(monkeypatch):
+    blocks = _fold(assemble_system(build_mesh(thin_half_wave(), n=21), 1.8e9))
+
+    def no_convergence(a, compute_uv):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert _condition(blocks) == np.inf
 
 
 def test_frequency_grid():
@@ -611,6 +630,9 @@ def test_sweep_returns_metrics_result():
     assert len(res.f) == 3
     assert res.f.tolist() == [1.0e9, 1.1e9, 1.2e9]
     assert all(res.z_in.real > 0)
+    # the mesh it solved on: the automatic one, whose solves reproduce z_in
+    assert res.mesh.n == default_segments(67.0, 1.5)
+    assert input_impedance(solve_at(res.mesh, 1.1e9)) == res.z_in[1]
 
 
 def test_sweep_rejects_rule_violations():

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +38,18 @@ def test_import_does_not_load_the_cli():
     assert "dipolekit" in loaded
     assert "argparse" not in loaded
     assert "dipolekit.cli" not in loaded
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # what one module uses of another is that module's public API
+    found = []
+    for path in sorted((SRC / "dipolekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").startswith(
+                "dipolekit")
+            found += ["%s:%d imports %s" % (path.name, node.lineno, a.name)
+                      for a in node.names
+                      if internal and a.name.startswith("_")]
+    assert found == []
