@@ -4,22 +4,24 @@ The strip is reduced to an equivalent round wire (a = W/4) embedded in a
 homogeneous effective medium. Currents are expanded in overlapping
 piecewise-sinusoidal basis functions on a uniform node grid with the tips
 pinned to zero; Galerkin testing against the same functions yields a
-symmetric Toeplitz system, driven by a 1 V delta gap at the center node,
-so Z_in = 1/I_feed. The radiated-field kernel e^{-jkR}/(4*pi*R) is
-integrated with an arcsinh substitution around each of the three kernel
-centers of a basis function, which keeps the quadrature accurate even when
-the node spacing approaches the wire radius. The three centers are shifted
-views of one set of n+2 integrals per test half, whose geometry does not
-depend on frequency. The mesh carries it along with the wire model it was
-built for (length, radius and medium), so each assembly takes only the mesh
-and a frequency, evaluates the k-dependent factors and returns the
-matrix's first column. The matrix is also centrosymmetric and the center
-feed excites only its even mode, so each solve folds that column to the
-(n+1)/2 even-mode unknowns. Both blocks are complex symmetric, so the
-condition guard first tries to prove the limit with one real Cholesky test
-of each block's real part after a small phase turn, with a margin for
-rounding, and computes the exact condition number by SVD only when that
-test fails. solve_at(mesh, f) is the one path from a mesh to its currents.
+symmetric Toeplitz system, driven by a 1 V delta gap at the center node, so
+Z_in = 1/I_feed. The radiated-field kernel e^{-jkR}/(4*pi*R) is integrated
+with an arcsinh substitution around each of the three kernel centers of a
+basis function, which keeps the quadrature accurate even when the node
+spacing approaches the wire radius. The three centers are shifted views of
+one set of n+2 integrals per test half, and both halves read one table of
+n+3 source intervals, one row apart, so e^{-jkR} is evaluated once per
+interval node. That geometry does not depend on frequency. The mesh carries
+it along with the wire model it was built for (length, radius and medium),
+so each assembly takes only the mesh and a frequency, evaluates the
+k-dependent factors and returns the matrix's first column. The matrix is
+also centrosymmetric and the center feed excites only its even mode, so
+each solve folds that column to the (n+1)/2 even-mode unknowns. Both blocks
+are complex symmetric, so the condition guard first tries to prove the
+limit with one real Cholesky test of each block's real part after a small
+phase turn, with a margin for rounding, and computes the exact condition
+number by SVD only when that test fails. solve_at(mesh, f) is the one path
+from a mesh to its currents.
 
 No n x n matrix is built: above n = 64 the largest block is the folded
 (2, p+1, p+1) buffer B, half a dense A. The solve runs before the guard,
@@ -58,9 +60,17 @@ MAX_SEGMENTS = 4001
 #: most frequencies one sweep may hold
 MAX_GRID_POINTS = 1_000_000
 
-#: Gauss-Legendre points per kernel integral
+#: Gauss-Legendre points per kernel integral; the rule on [-1, 1], correctly
+#: rounded, is mirrored from its positive nodes _X8 and their weights _W8
 _N_QUAD = 16
-_XQ, _WQ = np.polynomial.legendre.leggauss(_N_QUAD)
+_X8 = np.array((0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                0.9445750230732326, 0.9894009349916499))
+_W8 = np.array((0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+                0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+                0.062253523938647894, 0.027152459411754096))
+_XQ = np.concatenate((-_X8[::-1], _X8))
+_WQ = np.concatenate((_W8[::-1], _W8))
 
 #: relative condition limit before the solve is refused
 _COND_LIMIT = 1e12
@@ -100,7 +110,7 @@ class WireModel:
             raise ValueError("eps_e must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentMesh:
     """Uniform segmentation of the axis of the wire `model`.
 
@@ -109,19 +119,20 @@ class SegmentMesh:
     lives on the n interior nodes `nodes` (spacing h = L/(n+1)), whose end
     half-bases terminate exactly at the wire tips.
 
-    The kernel quadrature is laid out once per mesh, as (2, n+2, 16) quad_*
-    arrays. Axis 0 is the lower then upper half of the test basis; axis 1
-    the separation d = (j - c)h, j - c = -1..n, of source knot c in
-    {-1, 0, +1} from column entry j; axis 2 the Gauss-Legendre arcsinh
-    nodes. quad_dz holds |z - z'|, quad_r the reduced distance R, quad_w
-    the weights td*wq.
+    The kernel quadrature is laid out once per mesh, over the n+3 source
+    intervals between knots mh, m = -2..n+1, with 16 Gauss-Legendre arcsinh
+    nodes each: quad_r holds the reduced distance R and quad_w the weights
+    td*wq, both (n+3, 16). Separation i = 0..n+1, d = (i - 1)h = (j - c)h
+    from source knot c in {-1, 0, +1} to column entry j, integrates the lower
+    test half over interval row i and the upper over row i + 1. quad_sine_arg
+    holds h - |z - z'| per (half, separation, node), (2, n+2, 16).
     """
 
     model: WireModel
     n: int
     nodes: np.ndarray
     feed_index: int
-    quad_dz: np.ndarray = field(repr=False)
+    quad_sine_arg: np.ndarray = field(repr=False)
     quad_r: np.ndarray = field(repr=False)
     quad_w: np.ndarray = field(repr=False)
 
@@ -173,17 +184,14 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
                         % (delta, a, max_segments(L, a)))
     h = L / (n + 1)
     nodes = (np.arange(n) - (n - 1) / 2.0) * h
-    d = np.arange(-1.0, n + 1.0) * h    # knot c to column entry j: (j - c)h
-    lo = np.array((-1.0, 0.0))[:, None]
-    t1 = np.arcsinh((d + lo * h) / a)
-    t2 = np.arcsinh((d + (lo + 1.0) * h) / a)
-    tm = (t2 + t1) / 2.0
-    td = (t2 - t1) / 2.0
-    t = tm[..., None] + _XQ * td[..., None]
-    dz = np.abs(a * np.sinh(t) - d[:, None])
+    knots = np.arange(-2.0, n + 2.0) * h
+    tk = np.arcsinh(knots / a)
+    td = (tk[1:] - tk[:-1]) / 2.0
+    t = ((tk[1:] + tk[:-1]) / 2.0)[:, None] + _XQ * td[:, None]
+    above = a * np.sinh(t) - knots[:-1, None]   # z' above its interval's foot
     return SegmentMesh(model=model, n=n, nodes=nodes, feed_index=(n - 1) // 2,
-                       quad_dz=dz, quad_r=a * np.cosh(t),
-                       quad_w=td[..., None] * _WQ)
+                       quad_sine_arg=np.stack((above[:-1], h - above[1:])),
+                       quad_r=a * np.cosh(t), quad_w=td[:, None] * _WQ)
 
 
 def wavenumber(f: float, eps_e: float) -> float:
@@ -199,26 +207,29 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
     model = mesh.model
     k = wavenumber(f, model.eps_e)
     if not math.isfinite(k):
-        raise SolverError("wavenumber is not finite at %g Hz" % f)
-    # the largest R is quad_r[1, -1, -1]; Python floats overflow to inf, unwarned
-    if math.isinf(float(k) * float(mesh.quad_r[1, -1, -1])):
-        raise SolverError("k*R overflows at %g Hz" % f)
+        raise SolverError("wavenumber is not finite")
+    # the largest R is quad_r[-1, -1]; Python floats overflow to inf, unwarned
+    if math.isinf(float(k) * float(mesh.quad_r[-1, -1])):
+        raise SolverError("k*R overflows")
     eta = ETA0 / np.sqrt(model.eps_e)
     h = model.total_length / (mesh.n + 1)
     sk = np.sin(k * h)
     # col's scale in Python floats (inf unwarned); a zero divisor would raise
     if sk * sk == 0.0 or not math.isfinite(
             float(eta) / (4.0 * math.pi * float(sk) * float(sk))):
-        raise SolverError("sin(kh) underflows at %g Hz" % f)
-    # field of one basis = three spherical-wave centers at its knots
-    s = np.sum(mesh.quad_w * np.sin(k * (h - mesh.quad_dz))
-               * np.exp(-1j * k * mesh.quad_r), axis=(0, 2))
+        raise SolverError("sin(kh) underflows")
+    # field of one basis = three spherical-wave centers at its knots; both
+    # test halves read e from one view, the upper half one interval row on
+    e = mesh.quad_w * np.exp(-1j * k * mesh.quad_r)
+    halves = np.ndarray((2, mesh.n + 2, _N_QUAD), e.dtype, e, 0,
+                        e.strides[:1] + e.strides)
+    s = np.einsum("hsq,hsq->s", np.sin(k * mesh.quad_sine_arg), halves)
     col = s[2:] - 2.0 * np.cos(k * h) * s[1:-1] + s[:-2]
     col *= 1j * eta / (4.0 * np.pi * sk * sk)
     return col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurrentDistribution:
     """Complex node currents from a 1 V delta-gap solve on `mesh`."""
 
@@ -385,8 +396,11 @@ def input_impedance(current: CurrentDistribution) -> complex:
 
 
 def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
-    """1 V delta-gap currents on mesh at f, solved from its assembled column."""
-    return solve_current(assemble_system(mesh, f), mesh)
+    """1 V delta-gap currents on mesh at f; a SolverError names f once."""
+    try:
+        return solve_current(assemble_system(mesh, f), mesh)
+    except SolverError as exc:
+        raise type(exc)("at %g Hz: %s" % (f, exc)) from exc
 
 
 def impedance_at(model: WireModel, f: float, n: int | None = None) -> complex:
@@ -426,8 +440,5 @@ def sweep(geometry: DipoleGeometry, substrate: Substrate,
     freqs = frequency_grid(f_start, f_stop, f_step)
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs):
-        try:
-            z_in[i] = input_impedance(solve_at(mesh, float(f)))
-        except SolverError as exc:
-            raise SolverError("at %g Hz: %s" % (f, exc)) from exc
+        z_in[i] = input_impedance(solve_at(mesh, float(f)))
     return SweepResult(freqs, z_in, z0, mesh)

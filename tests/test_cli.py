@@ -439,6 +439,24 @@ def test_cli_sweep_error_names_its_frequency(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--band", "1e-300:1e-300:1"],
+    ["study-width", "--band", "1e-300:1e-300:1"],
+    ["pattern", "--freq=1e-300"],
+    ["optimize", "--freq=1e-300"],
+], ids=" ".join)
+def test_cli_solver_errors_name_the_frequency_once(argv, capsys):
+    # a sweep, each study row, a pattern and an optimizer step
+    main(argv)
+    captured = capsys.readouterr()
+    lines = [line for line in (captured.out + captured.err).splitlines()
+             if "underflows" in line]
+    assert lines
+    for line in lines:
+        assert "at 1e-294 Hz: sin(kh) underflows" in line
+        assert line.count("Hz") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "--length", "100000", "--width", "0.1", "--mesh", "4003",
      "--band", "1000:1000:1"],
     ["analyze", "--length", "1e300", "--width", "0.1",

@@ -10,6 +10,8 @@ from dipolekit.errors import DesignRuleError, MeshError, SolverError
 from dipolekit.metrics import SweepResult
 from dipolekit.mom import (
     ETA0,
+    _WQ,
+    _XQ,
     SegmentMesh,
     WireModel,
     _certified,
@@ -201,11 +203,54 @@ def test_system_is_symmetric_toeplitz():
 
 @pytest.mark.parametrize("n", [11, 21, 83])
 def test_mesh_lays_out_each_separation_once(n):
-    mesh = build_mesh(thin_half_wave(), n=n)
-    for quad in (mesh.quad_dz, mesh.quad_r, mesh.quad_w):
-        assert quad.shape == (2, n + 2, 16)
+    # one (n+3, 16) table over the source intervals between knots mh,
+    # m = -2..n+1, and the sine argument per (half, separation, node)
+    model = thin_half_wave()
+    a = model.radius
+    mesh = build_mesh(model, n=n)
+    h = model.total_length / (n + 1)
+    assert mesh.quad_r.shape == mesh.quad_w.shape == (n + 3, 16)
+    assert mesh.quad_sine_arg.shape == (2, n + 2, 16)
     # assemble_system's k*R overflow check reads the largest R there
-    assert mesh.quad_r[1, -1, -1] == mesh.quad_r.max()
+    assert mesh.quad_r[-1, -1] == mesh.quad_r.max()
+    # the per-(half, separation) quadrature, recomputed from (n, h, a):
+    # the lower half of separation i + 1 and the upper half of separation i
+    # integrate over one source interval and read its row, i + 1
+    xq, wq = np.polynomial.legendre.leggauss(16)
+    d = np.arange(-1.0, n + 1.0) * h
+    for half, lo in enumerate((-1.0, 0.0)):
+        t1 = np.arcsinh((d + lo * h) / a)
+        t2 = np.arcsinh((d + (lo + 1.0) * h) / a)
+        td = (t2 - t1) / 2.0
+        t = ((t2 + t1) / 2.0)[:, None] + xq * td[:, None]
+        rows = slice(half, half + n + 2)
+        assert np.allclose(mesh.quad_r[rows], a * np.cosh(t),
+                           rtol=1e-14, atol=0)
+        assert np.allclose(mesh.quad_w[rows], td[:, None] * wq,
+                           rtol=1e-13, atol=0)
+        assert np.allclose(mesh.quad_sine_arg[half],
+                           h - np.abs(a * np.sinh(t) - d[:, None]),
+                           rtol=0, atol=1e-14 * n * h)
+    assert np.allclose(mesh.quad_sine_arg[0, 1:] + mesh.quad_sine_arg[1, :-1],
+                       h, rtol=0, atol=1e-14 * n * h)
+
+
+def test_gauss_legendre_rule_matches_numpy_polynomial():
+    # mom builds its 16-point rule without importing numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.abs(_XQ - x).max() <= 1e-14
+    assert (np.abs(_WQ - w) / w).max() <= 1e-14
+    # exact through degree 31
+    assert np.sum(_WQ * _XQ ** 30) == pytest.approx(2.0 / 31.0, rel=1e-14)
+
+
+def test_meshes_and_currents_compare_by_identity():
+    model = thin_half_wave()
+    mesh, again = build_mesh(model, n=21), build_mesh(model, n=21)
+    assert mesh == mesh and mesh != again
+    assert len({mesh, again}) == 2
+    current = solve_at(mesh, 1.8e9)
+    assert current == current and current != solve_at(mesh, 1.8e9)
 
 
 @pytest.mark.parametrize("n", [11, 21, 83, 321])

@@ -17,6 +17,17 @@ def test_import_does_not_load_scipy():
         env=env, check=True, timeout=120)
 
 
+def test_import_does_not_load_numpy_polynomial():
+    # mom computes its Gauss-Legendre rule with numpy.linalg
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import dipolekit, sys; assert 'numpy.polynomial' not in sys.modules"],
+        env=env, check=True, timeout=120)
+
+
 def test_package_exports_the_one_solve_path():
     # the Toeplitz column and the mesh it pairs with stay inside mom
     import dipolekit
