@@ -188,7 +188,7 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     tk = np.arcsinh(knots / a)
     td = (tk[1:] - tk[:-1]) / 2.0
     t = ((tk[1:] + tk[:-1]) / 2.0)[:, None] + _XQ * td[:, None]
-    above = a * np.sinh(t) - knots[:-1, None]   # z' above its interval's foot
+    above = a * np.sinh(t) - knots[:-1, None]   # height over the lower knot
     return SegmentMesh(model=model, n=n, nodes=nodes, feed_index=(n - 1) // 2,
                        quad_sine_arg=np.stack((above[:-1], h - above[1:])),
                        quad_r=a * np.cosh(t), quad_w=td[:, None] * _WQ)
