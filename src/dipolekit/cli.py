@@ -277,6 +277,7 @@ def _print_study(rows: list[StudyRow], config: RunConfig, label: str) -> None:
                  best.bw_pct))
     else:
         print("%s: all %d rows failed" % (label, len(rows)))
+        raise rows[0].error   # main's exit code for the first row's error
 
 
 def cmd_study_length(config: RunConfig, substrate: Substrate) -> None:

@@ -16,19 +16,21 @@ it along with the wire model it was built for (length, radius and medium),
 so each assembly takes only the mesh and a frequency, evaluates the
 k-dependent factors and returns the matrix's first column. The matrix is
 also centrosymmetric and the center feed excites only its even mode, so
-each solve folds that column to the (n+1)/2 even-mode unknowns. Both blocks
-are complex symmetric, so the condition guard first tries to prove the
-limit with one real Cholesky test of each block's real part after a small
-phase turn, with a margin for rounding, and computes the exact condition
-number by SVD only when that test fails. solve_at(mesh, f) is the one path
-from a mesh to its currents.
+each solve folds that column to the (n+1)/2 even-mode unknowns. The
+matrix is complex symmetric, so the condition guard first tries to prove
+the limit with one real Cholesky test of the even and odd blocks of the
+real part of the column after a small phase turn, with a margin for
+rounding, and computes the exact condition number by SVD only when that
+test fails. solve_at(mesh, f) is the one path from a mesh to its currents.
 
-No n x n matrix is built: above n = 64 the largest block is the folded
-(2, p+1, p+1) buffer B, half a dense A. The solve runs before the guard,
-which turns B in place, so a solve holds B, the even block's LU copy (B/2)
-and then the Cholesky's real input and factor (B/4, B/2): under 2 B,
-glibc's heap trim threshold once B is freed. Freeing more hands the heap
-back for the next frequency to fault in again, as one more O(n^2) copy would.
+No n x n matrix is built: above n = 64 the largest block is one solve's
+workspace of B = 32(p+1)^2 bytes, half a dense A. Its first half holds the
+complex even block, which the LU reads, and its second half the real even
+and odd blocks the certificate factors. The LU adds its copy of the even
+block (B/2) and the Cholesky its input copy and factor (B/4, B/2), so a
+solve stays under 2 B, glibc's heap trim threshold once B is freed. A
+separate real buffer, or one more O(n^2) copy, moves that threshold or
+hands the heap back, for the next frequency to fault in again.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ class CurrentDistribution:
         return complex(self.currents[self.mesh.feed_index])
 
 
-def _fold(col: np.ndarray) -> np.ndarray:
+def _fold(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Even and odd blocks of A[i, j] = col[|i - j|] about its center p.
 
     They are the diagonal blocks of Q^T A Q, with Q the orthogonal symmetry
@@ -249,22 +251,24 @@ def _fold(col: np.ndarray) -> np.ndarray:
     singular values. One complex (2, p+1, p+1) buffer holds both: [0] is
     the even block, [1] the p x p odd block padded with a zero row and
     column. For i, j < p they are the Toeplitz part col[|i - j|] +- the
-    Hankel part col[n-1-i-j], two strided views of one ramp. It is complex
-    even for a real column, because _certified turns it in place.
+    Hankel part col[n-1-i-j], two strided views of one ramp. Given an out
+    of one block, only the even block is written, into out[0].
     """
     n = col.size
     p = (n - 1) // 2
-    ramp = np.concatenate((col[p - 1:0:-1], col))   # ramp[p-1+k] = col[|k|]
+    if out is None:
+        out = np.zeros((2, p + 1, p + 1), dtype=complex)
+    ramp = np.concatenate((col[p:0:-1], col))   # ramp[p+k] = col[|k|]
     s = ramp.itemsize
-    toeplitz = np.ndarray((p, p), ramp.dtype, ramp, (p - 1) * s, (-s, s))
-    hankel = np.ndarray((p, p), ramp.dtype, ramp, (n + p - 2) * s, (-s, -s))
-    blocks = np.zeros((2, p + 1, p + 1), dtype=complex)
-    np.add(toeplitz, hankel, out=blocks[0, :p, :p])
-    np.subtract(toeplitz, hankel, out=blocks[1, :p, :p])
-    np.multiply(col[p::-1], _SQRT2, out=blocks[0, :, p])
-    np.multiply(col[p:0:-1], _SQRT2, out=blocks[0, p, :p])
-    blocks[0, p, p] = col[0]
-    return blocks
+    toeplitz = np.ndarray((p, p), ramp.dtype, ramp, p * s, (-s, s))
+    hankel = np.ndarray((p, p), ramp.dtype, ramp, (n + p - 1) * s, (-s, -s))
+    np.add(toeplitz, hankel, out=out[0, :p, :p])
+    np.multiply(col[p::-1], _SQRT2, out=out[0, :, p])
+    np.multiply(col[p:0:-1], _SQRT2, out=out[0, p, :p])
+    out[0, p, p] = col[0]
+    if len(out) > 1:
+        np.subtract(toeplitz, hankel, out=out[1, :p, :p])
+    return out
 
 
 def _condition(blocks: np.ndarray) -> float:
@@ -279,60 +283,84 @@ def _condition(blocks: np.ndarray) -> float:
     return max(s[0, 0], s[1, 0]) / s_min if s_min > 0 else np.inf
 
 
-def _certified(blocks: np.ndarray) -> bool:
-    """Prove that the matrix _fold split into blocks has cond <= _COND_LIMIT.
+def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
+    """Prove that A[i, j] = col[|i - j|] has cond(A) <= _COND_LIMIT.
 
     Let rho be _ROTATION, r = |rho|, L = _COND_LIMIT, and for each m x m
-    block E let M = Re(rho E). If E^T = E, which is checked exactly and
-    which _fold gives for a symmetric matrix, M is the Hermitian part of
-    rho E, so for unit x (the field of values; Horn & Johnson, Topics in
-    Matrix Analysis, ch. 1) r ||Ex|| >= |x^H rho E x| >= x^H M x, and
-    sigma_min(E) >= lambda_min(M)/r. With s^2 the squared Frobenius norm of
-    both blocks, s >= sigma_max, so lambda_min(M) > r s/L for each block
-    proves cond <= L. Let tau = s (1/L + 2(m+1)^1.5 u). A Cholesky
-    factorization of the computed H = M - tau*I that runs to completion
-    proves it for the exact M and s. With gamma_k = ku/(1 - ku), u' = u(1 +
-    O(mu)) and each bound for H_ii > 0, as a completed Cholesky needs:
+    block E of the exact fold of A (_fold) let M = Re(rho E). A is
+    symmetric, so E^T = E and M is the Hermitian part of rho E: for unit x
+    (the field of values; Horn & Johnson, Topics in Matrix Analysis, ch. 1)
+    r ||Ex|| >= |x^H rho E x| >= x^H M x, and sigma_min(E) >= lambda_min(M)/r.
+    With s = ||A||_F, which the orthogonal fold gives both blocks together,
+    s >= sigma_max, so lambda_min(M) > r s/L for each block proves cond <= L.
+    Let tau = s (1/L + 2(m+1)^1.5 u). The test folds the real column x =
+    Re(rho col), with tau taken off x_0, by _fold's Toeplitz and Hankel
+    views carried on into the centre row and column, where they add to 2x
+    rather than sqrt(2) x: the even block becomes S (M - tau I) S, S =
+    diag(1, ..., 1, sqrt(2)), and the odd block's centre row and column come
+    out exactly zero, its pad, whose diagonal is then set to s. Both are exactly
+    symmetric, so the lower triangle a Cholesky reads is the whole block. A
+    Cholesky factorization that runs to completion proves M - tau I
+    definite for the exact M and s: with K the computed block, dF the
+    rounding of the fold and shift in it and dK the Cholesky's, K + dK =
+    R^T R gives lambda_min(M) >= tau - ||dF|| - ||dK||, as ||S^-1|| = 1.
+    With gamma_k = ku/(1 - ku) and u' = u(1 + O(mu)):
 
-    - rho E: each real part errs by <= gamma_2 (|Re rho||Re E_ij| +
-      |Im rho||Im E_ij|) <= gamma_2 r |E_ij|, so M by <= 2u' r s in norm.
-    - the shift: fl(M_ii - tau) errs by <= u M_ii <= u' r s.
-    - the Cholesky (Higham 2002, Thm 10.3; Rump, BIT 46, 2006): H + dH =
-      R^T R with |dH_ij| <= gamma_{m+1}/(1 - gamma_{m+1}) sqrt(h_ii h_jj),
-      so lambda_min(H) >= -||dH||_2 >= -(m+1) u' tr(H), where tr(H) <=
-      (1 + 3u') r sum |E_ii| <= (1 + 3u') r sqrt(m) s.
-    - s: the 4m^2 terms of s^2 are nonnegative, so the computed s^2 is at
-      least (1 - gamma_{4m^2}) times the exact one, and the computed tau at
-      least (1 - (2m^2 + 4)u') times the exact one.
+    - the fold: each x_k errs by <= gamma_2 (|Re rho||Re c_k| + |Im rho||Im
+      c_k|) <= gamma_2 r |c_k|, and the sum or difference of x_a and x_b
+      adds one rounding, so an entry errs by <= gamma_3 r (|c_a| + |c_b|).
+      An even entry and the odd one beside it have |E_ij|^2 + |O_ij|^2 =
+      |c_a + c_b|^2 + |c_a - c_b|^2 = 2(|c_a|^2 + |c_b|^2) >= (|c_a| +
+      |c_b|)^2, and a centre entry 2x_k errs by <= 2 gamma_2 r |c_k| <=
+      sqrt(2) gamma_3 r |E_ip|, so the fold adds <= sqrt(2) gamma_3 r s to
+      ||dF||.
+    - the shift: fl(x_0 - tau) adds <= 2u(r |c_0| + tau) to each diagonal
+      entry, so <= u' r s to ||dF||, since n|c_0|^2 <= s^2 and n >= 11.
+    - the Cholesky (Higham 2002, Thm 10.3; Rump, BIT 46, 2006): |dK_ij| <=
+      gamma_{m+1}/(1 - gamma_{m+1}) sqrt(k_ii k_jj), so ||dK||_2 <= (m+1) u'
+      tr(K), where tr(K) <= (1 + 5u') r (sum |E_ii| + |c_0|) <= (1 + 5u') r
+      s (sqrt(m) + 1/sqrt(n)), and (m+1)/sqrt(n) <= sqrt(m+1).
+    - s: s^2 = n|c_0|^2 + 2 sum_k (n-k)|c_k|^2 sums n nonnegative terms with
+      exact integer weights, so the computed s^2 is at least (1 -
+      gamma_{n+3}) times the exact one, and with n = 2m - 1 the computed tau
+      at least (1 - (m+8)u') times the exact one.
 
-    So lambda_min(M) >= tau - ((m+1) sqrt(m) + 3) u' r s, and the margin
-    2(m+1)^1.5 u s in tau exceeds what the errors take, with r <= 1 + 2u,
-    by at least (m+1)^1.5 u s - 3u' s - (2m^2 + 6) u' s/L > 0 (m >= 2 and
-    m^2 << L). Only the lower triangle is read, which the symmetry check
-    makes the whole matrix. The odd block's zero padding is its last row
-    and column, so the bound holds for its leading p x p part, and the pad
-    is set to s, which passes. An s^2 outside _SQUARED_NORM_RANGE, nan
+    So lambda_min(M) >= tau - ((m+1) sqrt(m) + sqrt(m+1) + 3 sqrt(2) + 1)
+    u' r s - (m+8) u' s/L, and the margin 2(m+1)^1.5 u s in tau exceeds
+    what the errors take, with r <= 1 + 2u, by at least ((m+1)^1.5 -
+    sqrt(m+1) - 3 sqrt(2) - 1) u' s - (m+10) u' s/L > 0 for m >= 3
+    (MIN_SEGMENTS gives m >= 6) and m << L. The odd block's pad is zero off
+    its diagonal, so the factor's pad row is zero and the bound holds for
+    the leading p x p part. An s^2 outside _SQUARED_NORM_RANGE, nan
     included, is not certified; inside it underflow's absolute errors are
     far below the margin and nothing overflows. False means unproven, not
     refused.
 
-    `blocks` must be _fold's buffer, and the test writes rho E, the pad and
-    the shift into it, to stay in the module docstring's memory budget;
-    certify a copy to keep the blocks.
+    The blocks go into out, a C-contiguous float (2, m, m) buffer (new if
+    None), which solve_current takes from its one workspace.
     """
-    m = blocks.shape[-1]
-    if not np.array_equal(blocks, blocks.transpose(0, 2, 1)):
-        return False
-    s2 = np.vdot(blocks, blocks).real
+    n = col.size
+    p = (n - 1) // 2
+    m = p + 1
+    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times
+    weights[0] = n
+    a = np.abs(col)
+    s2 = np.dot(weights * a, a)
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
         return False
     s = np.sqrt(s2)
-    blocks *= _ROTATION
-    blocks[1, -1, -1] = s
-    blocks.reshape(2, m * m)[:, ::m + 1] -= s * (
-        _COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
+    ramp = np.concatenate((col[p:0:-1], col), dtype=complex)
+    ramp *= _ROTATION   # ramp[p+k] = rho c_|k|
+    ramp.real[p] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
+    size = ramp.itemsize
+    toeplitz = np.ndarray((m, m), float, ramp, p * size, (-size, size))
+    hankel = np.ndarray((m, m), float, ramp, (n + p - 1) * size, (-size, -size))
+    blocks = np.empty((2, m, m)) if out is None else out
+    np.add(toeplitz, hankel, out=blocks[0])
+    np.subtract(toeplitz, hankel, out=blocks[1])
+    blocks[1, p, p] = s
     try:
-        np.linalg.cholesky(blocks.real)
+        np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -347,29 +375,31 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     (p = feed_index) and the current is mirrored back, exactly symmetric.
     The condition guard covers both blocks, whose singular values together
     are sigma(A): _certified proves cond(A) <= _COND_LIMIT by a real
-    Cholesky test of each block's real part after a phase turn, and only if
-    that fails does _condition compute np.linalg.cond(A) by SVD, so the
-    verdict is that of the SVD alone. E is solved and its residual ||E y -
-    e_p|| = ||A x - e_p|| (the fold is orthogonal) taken before the guard,
-    which turns the blocks in place (the module docstring's memory budget),
-    so the SVD gets a fresh fold of `col`, which is never written. An
-    exactly singular E behind a passing guard raises SolverError.
+    Cholesky test of the blocks of the column's real part after a phase
+    turn, and only if that fails does _condition compute np.linalg.cond(A)
+    by SVD, so the verdict is that of the SVD alone. E and the
+    certificate's blocks share one workspace (the module docstring's memory
+    budget); E is solved and its residual ||E y - e_p|| = ||A x - e_p|| (the
+    fold is orthogonal) taken first. `col` is never written. An exactly
+    singular E behind a passing guard raises SolverError.
     """
     n, p = mesh.n, mesh.feed_index
     if col.shape != (n,):
         raise MeshError("system shape %s does not match the mesh's n = %d"
                         % (col.shape, n))
-    b = np.zeros(p + 1, dtype=complex)
+    m = p + 1
+    b = np.zeros(m, dtype=complex)
     b[p] = 1.0
+    work = np.empty(2 * m * m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
-        blocks = _fold(col)
+        even = _fold(col, work[:m * m].reshape(1, m, m))[0]
         try:
-            y = np.linalg.solve(blocks[0], b)
+            y = np.linalg.solve(even, b)
         except np.linalg.LinAlgError:   # exactly singular, or nan
             y = None
         else:
-            residual = np.linalg.norm(blocks[0] @ y - b)
-        if not _certified(blocks):
+            residual = np.linalg.norm(even @ y - b)
+        if not _certified(col, work[m * m:].view(float).reshape(2, m, m)):
             cond = _condition(_fold(col))
             if not np.isfinite(cond) or cond > _COND_LIMIT:
                 raise SolverError("system condition estimate %.3g exceeds %.1g"

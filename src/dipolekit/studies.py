@@ -3,7 +3,7 @@
 Each study row evaluates one geometry over a frequency band and reports the
 match figures at the deepest-S11 point, the -10 dB fractional bandwidth,
 and the broadside directivity. Rows that fail (design rules, solver) carry
-the error message instead of aborting the table.
+the error instead of aborting the table.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class StudyRow:
     rl_db: float | None = None         # at the deepest-S11 sample
     bw_pct: float | None = None
     directivity_dbi: float | None = None
-    error: str | None = None
+    error: DipolekitError | ValueError | None = None   # what failed the row
 
 
 def _study(params: Sequence[float],
@@ -64,7 +64,7 @@ def _study(params: Sequence[float],
                                  rl_db=result.s11_db[best], bw_pct=bw.percent,
                                  directivity_dbi=cut.directivity_dbi))
         except (DipolekitError, ValueError) as exc:
-            rows.append(StudyRow(param_mm=param, error=str(exc)))
+            rows.append(StudyRow(param_mm=param, error=exc))
     return rows
 
 

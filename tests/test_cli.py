@@ -20,7 +20,7 @@ from dipolekit.cli import (
 )
 from dipolekit import cli, mom
 from dipolekit.design import DipoleGeometry, load_substrates
-from dipolekit.errors import ConfigError, NonPassiveError
+from dipolekit.errors import ConfigError, NonPassiveError, SolverError
 from dipolekit.farfield import PatternCut
 from dipolekit.metrics import SweepResult
 from dipolekit.studies import StudyRow
@@ -209,7 +209,7 @@ def test_emit_pattern_csv_rows_match_float64_repr(tmp_path):
 def test_emit_study_table(tmp_path):
     rows = [StudyRow(param_mm=63.0, z_in=49 + 1j, vswr=1.05, rl_db=-32.0,
                      bw_pct=16.5, directivity_dbi=2.1),
-            StudyRow(param_mm=65.0, error="boom")]
+            StudyRow(param_mm=65.0, error=SolverError("boom"))]
     p = tmp_path / "t.csv"
     emit_study_table(rows, str(p))
     lines = p.read_text().splitlines()
@@ -454,6 +454,28 @@ def test_cli_solver_errors_name_the_frequency_once(argv, capsys):
     for line in lines:
         assert "at 1e-294 Hz: sin(kh) underflows" in line
         assert line.count("Hz") == 1
+
+
+@pytest.mark.parametrize("argv, code, first", [
+    (["study-width", "--band", "1e-300:1e-300:1"], 4,
+     "solver error: at 1e-294 Hz: sin(kh) underflows"),
+    (["study-length", "--band", "1e-300:1e-300:1"], 4,
+     "solver error: at 1e-294 Hz: sin(kh) underflows"),
+    (["study-width", "--length", "300", "--widths", "64,70"], 3,
+     "design-rule violation: geometry violates restriction(s): w_over_h"),
+    (["study-length", "--bw-threshold", "0"], 2,
+     "config error: threshold must be negative dB"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cli_all_error_study_exits_with_the_first_rows_code(argv, code, first,
+                                                              capsys):
+    # the table and the summary line are still written
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "param_mm,r_ohm,x_ohm,vswr,rl_db,bw_pct,directivity_dbi"
+    assert all(",error," in line for line in lines[1:-1])
+    assert lines[-1].endswith("all %d rows failed" % (len(lines) - 2))
+    assert captured.err.startswith(first)
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,6 +92,21 @@ def test_sweep_result_guards():
         SweepResult([1.0e9, 1.1e9], [50 + 0j, -5 + 1j])
 
 
+@pytest.mark.parametrize("f, z_in", [
+    ([1.0, np.nan, 3.0], [50 + 0j] * 3),      # passes np.diff(f) <= 0
+    ([1.0, 2.0, np.inf], [50 + 0j] * 3),
+    ([-np.inf, 2.0, 3.0], [50 + 0j] * 3),
+    ([1.0, 2.0, 3.0], [50 + 0j, complex(np.nan, 0.0), 50 + 0j]),
+    ([1.0, 2.0, 3.0], [50 + 0j, complex(50.0, np.inf), 50 + 0j]),
+    ([1.0, 2.0, 3.0], [50 + 0j, complex(np.inf, 0.0), 50 + 0j]),
+])
+def test_sweep_result_refuses_non_finite_samples(f, z_in):
+    # a nan z_in would give a nan s11_db that s11_minimum takes as the
+    # deepest match
+    with pytest.raises(ValueError, match="finite"):
+        SweepResult(np.array(f), np.array(z_in))
+
+
 def test_sweep_result_derived_arrays():
     sw = SweepResult([1.0e9, 1.1e9, 1.2e9], [100 + 0j, 50 + 0j, 25 + 0j])
     assert sw.gamma == pytest.approx([1 / 3, 0.0, -1 / 3])

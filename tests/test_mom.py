@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,8 +79,8 @@ def toeplitz(col: np.ndarray) -> np.ndarray:
 
 def dense_fold(system: np.ndarray, p: int) -> np.ndarray:
     """Reference fold of a dense centrosymmetric matrix about p, read entry
-    by entry from the matrix: _fold's oracle, and the way to hand _certified
-    and _condition matrices that no column can write."""
+    by entry from the matrix: _fold's oracle, and the way to hand _condition
+    matrices that no column can write."""
     m = p + 1
     blocks = np.zeros((2, m, m), dtype=complex)
     a = system[:p, :p]
@@ -352,7 +354,7 @@ def test_odd_mode_singularity_still_refused():
     # odd block is singular and the feed never excites the odd mode, but
     # the guard covers the whole system
     mesh = build_mesh(thin_half_wave(), n=21)
-    col = odd_mode_column(mesh.n, 0.0)
+    col = mode_column(mesh.n, 0.0)
     assert np.linalg.cond(_fold(col)[0]) < 1e4
     with pytest.raises(SolverError, match="condition"):
         solve_current(col, mesh)
@@ -371,22 +373,30 @@ def condition_spy(monkeypatch):
     return calls
 
 
-def odd_mode_column(n, delta):
+def mode_column(n, delta, mode=1):
     """Toeplitz column, positive definite at cond about 1/delta, whose
-    lowest eigenvalue lies in the odd mode, which the feed never excites.
+    lowest eigenvalue lies in the even (mode 0) or the odd mode (mode 1),
+    which the feed never excites.
 
-    The pentadiagonal column [0, 1/2, 1] has its lowest eigenvalue in the
-    odd block (at n = 21, checked here); the diagonal shift lifts it to
-    delta times the spread of the spectrum.
+    The tridiagonal column [0, 1] has its lowest eigenvalue in the even
+    block; the first of the pentadiagonal [0, 1/2, 1], [0, 0, 1] and
+    [0, 1, 1] that has it in the odd block at this n (checked here) serves
+    the odd mode. The diagonal shift lifts it to delta times the spread of
+    the spectrum.
     """
-    col = np.zeros(n)
-    col[1:3] = 0.5, 1.0
-    blocks = dense_fold(toeplitz(col), n // 2)
-    even = np.linalg.eigvalsh(blocks[0].real)
-    odd = np.linalg.eigvalsh(blocks[1, :-1, :-1].real)
-    assert odd[0] < even[0]
-    col[0] = delta * (max(even[-1], odd[-1]) - odd[0]) - odd[0]
-    return col
+    for base in ([[0.0, 1.0]], [[0.0, 0.5, 1.0], [0.0, 0.0, 1.0],
+                                [0.0, 1.0, 1.0]])[mode]:
+        col = np.zeros(n)
+        col[:len(base)] = base
+        blocks = dense_fold(toeplitz(col), n // 2)
+        spectra = (np.linalg.eigvalsh(blocks[0].real),
+                   np.linalg.eigvalsh(blocks[1, :-1, :-1].real))
+        low = spectra[mode][0]
+        if low < spectra[1 - mode][0]:
+            col[0] = delta * (max(spectra[0][-1], spectra[1][-1]) - low) - low
+            return col
+    raise AssertionError("no base column has its lowest eigenvalue in mode %d"
+                         % mode)
 
 
 @pytest.mark.parametrize("n", [11, 21, 83, 161, 321])
@@ -406,27 +416,31 @@ def test_uncertified_condition_falls_back_to_svd(monkeypatch):
     calls = condition_spy(monkeypatch)
     mesh = build_mesh(thin_half_wave(), n=21)
     # positive definite at cond 1e4 and 1e10: certified
-    solve_current(odd_mode_column(mesh.n, 1e-4), mesh)
-    solve_current(odd_mode_column(mesh.n, 1e-10), mesh)
+    for delta in (1e-4, 1e-10):
+        assert _certified(mode_column(mesh.n, delta))
+        solve_current(mode_column(mesh.n, delta), mesh)
     assert calls == []
     # -I has cond 1, but its turned real part is negative definite: the
     # SVD accepts it
+    assert not _certified(-unit_column(mesh.n))
     cur = solve_current(-unit_column(mesh.n), mesh)
     assert calls == [pytest.approx(1.0)]
     assert cur.feed_current == -1.0
+    assert not _certified(mode_column(mesh.n, 1e-13))
     with pytest.raises(SolverError, match="condition estimate"):
-        solve_current(odd_mode_column(mesh.n, 1e-13), mesh)
+        solve_current(mode_column(mesh.n, 1e-13), mesh)
     assert calls[1] == pytest.approx(1e13, rel=1e-2)
 
 
 def test_certificate_uses_the_conjugate_transpose():
     # E = [[1, 1e5 j], [0, 1e-3]] has cond ~1e13, but the lower triangle a
-    # Cholesky reads, taken as a whole symmetric matrix, is well scaled
+    # Cholesky reads, taken as a whole symmetric matrix, is well scaled. No
+    # column writes it (a column's matrix is symmetric), so only the SVD
+    # condition number is checked here.
     blocks = np.zeros((2, 2, 2), dtype=complex)
     blocks[0] = [[1.0, 1e5j], [0.0, 1e-3]]
     blocks[1, 0, 0] = 1.0
     assert _condition(blocks) > 1e12
-    assert not _certified(blocks)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -434,7 +448,7 @@ def test_ill_conditioned_non_symmetric_system_refused():
     # I - t u w^T with u, w odd and orthogonal is centrosymmetric but not
     # symmetric; its eigenvalues are all 1, but cond ~t^2. In the odd block
     # u w^T lies above the diagonal, so the lower triangle alone is I. No
-    # column writes it, so the guard gets its dense fold.
+    # column writes it, so the SVD gets its dense fold.
     mesh = build_mesh(thin_half_wave(), n=21)
     p = mesh.feed_index
     u = np.zeros(mesh.n)
@@ -446,42 +460,151 @@ def test_ill_conditioned_non_symmetric_system_refused():
     system = np.eye(mesh.n) - 1e7 * np.outer(u, w)
     assert np.array_equal(system, system[::-1, ::-1])
     assert np.linalg.cond(system) > 1e12
-    blocks = dense_fold(system, p)
-    assert not _certified(blocks.copy())
-    assert _condition(blocks) > 1e12
+    assert _condition(dense_fold(system, p)) > 1e12
 
 
 @pytest.mark.parametrize("delta", np.logspace(-14, -10, 17))
 def test_odd_mode_certificate_is_sound(delta):
-    mesh = build_mesh(thin_half_wave(), n=21)
-    blocks = _fold(odd_mode_column(mesh.n, delta))
-    assert not _certified(blocks.copy()) or _condition(blocks) <= 1e12
+    col = mode_column(21, delta)
+    assert not _certified(col) or _condition(_fold(col)) <= 1e12
 
 
-def planted_blocks(p, cond, rng):
-    """Complex-symmetric Q diag(l) Q^T blocks (Q real orthogonal) in _fold's
-    layout, odd block padded; |l| spans cond, the phases of l lie within
-    60 degrees of the real axis, so the rotated real part is definite."""
-    blocks = np.zeros((2, p + 1, p + 1), dtype=complex)
-    for b, size in ((0, p + 1), (1, p)):
-        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
-        mag = np.logspace(0.0, -np.log10(cond), size)
-        lam = mag * np.exp(1j * np.deg2rad(rng.uniform(-60, 60, size)))
-        e = (q * lam) @ q.T
-        blocks[b, :size, :size] = (e + e.T) / 2
-    return blocks
+def planted_column(n, cond, rng):
+    """Complex-symmetric Toeplitz column of alpha (T - mu I) + beta d I: T
+    the real Kac-Murdock-Szego matrix q^|i-j|, mu its lowest eigenvalue and
+    d its spread over cond. With T = Q diag(t) Q^T (Q real orthogonal) the
+    eigenvalues alpha (t - mu) + beta d lie between the phases of alpha and
+    beta, within 60 degrees of the real axis, so the turned real part is
+    definite, and their moduli span about cond."""
+    col = rng.uniform(0.5, 0.95) ** np.arange(n)
+    t = np.linalg.eigvalsh(toeplitz(col))
+    alpha, beta = np.exp(1j * np.deg2rad(rng.uniform(-60, 60, 2)))
+    col = alpha * col
+    col[0] += beta * (t[-1] - t[0]) / cond - alpha * t[0]
+    return col
 
 
 @pytest.mark.parametrize("cond", np.logspace(10, 14, 17))
 def test_planted_spectrum_certificate_is_sound(cond):
     rng = np.random.default_rng(int(np.log10(cond) * 4))
-    for p in (5, 10, 40):
-        blocks = planted_blocks(p, cond, rng)
-        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
-        certified = _certified(blocks.copy())
-        assert not certified or _condition(blocks) <= 1e12
-        if cond <= 1e11:
+    for n in (11, 21, 81):
+        col = planted_column(n, cond, rng)
+        dense = np.linalg.cond(toeplitz(col))
+        certified = _certified(col)
+        assert not certified or dense <= 1e12
+        if dense <= 1e11:
             assert certified
+
+
+def tight_column(n, cond):
+    """Column of A = alpha J + beta I (J all ones) with alpha = conj(rho)
+    and beta = alpha n/(cond - 1) up to rounding, and the exact cond(A)^2.
+
+    A is normal with singular values |alpha n + beta| and |beta|, so the
+    exact condition number is known; Re(rho A) is about J + (n/cond) I,
+    whose Frobenius norm is its largest eigenvalue, where the certificate's
+    bound is tight."""
+    alpha = np.conj(mom._ROTATION)
+    col = np.full(n, alpha)
+    col[0] = alpha * (1.0 + n / (cond - 1.0))
+    are, aim = Fraction(alpha.real), Fraction(alpha.imag)
+    bre, bim = Fraction(col[0].real) - are, Fraction(col[0].imag) - aim
+    return col, ((n * are + bre) ** 2 + (n * aim + bim) ** 2) \
+        / (bre ** 2 + bim ** 2)
+
+
+@pytest.mark.parametrize("n", [11, 21, 83])
+def test_certificate_soundness_grid(n):
+    """The certificate never accepts a column whose cond exceeds 1e12."""
+    def check(col):
+        certified = _certified(col)
+        assert not certified or np.linalg.cond(toeplitz(col)) <= 1e12
+        return certified
+
+    # near the limit, the lowest eigenvalue in either mode, turned by up
+    # to 80 degrees either way
+    for mode in (0, 1):
+        for delta in np.logspace(-12.5, -11.5, 9):
+            for deg in (-80, -5, 0, 40, 80):
+                check(mode_column(n, delta, mode) * np.exp(1j * np.deg2rad(deg)))
+    # exactly known cond, around the limit, where the bound is tight
+    for excess in np.concatenate((-np.logspace(-1, -8, 8), np.logspace(-8, 0, 9))):
+        col, cond2 = tight_column(n, 1e12 * (1.0 + excess))
+        certified = _certified(col)
+        assert not certified or cond2 <= Fraction(10) ** 24
+        if excess <= -0.1:
+            assert certified
+    # cond 1 but definite the wrong way; not finite
+    assert not check(-unit_column(n))
+    for value in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)):
+        col = unit_column(n).astype(complex)
+        col[n // 3] = value
+        assert not _certified(col)
+    # scaled to both ends of the covered squared norms: refused just
+    # outside, and judged on the same cond just inside
+    low, high = mom._SQUARED_NORM_RANGE
+    for col, verdict in ((unit_column(n), True), (mode_column(n, 1e-11), True),
+                         (mode_column(n, 1e-13, 0), False),
+                         (tight_column(n, 2e12)[0], False)):
+        assert _certified(col) == verdict
+        s2 = np.linalg.norm(toeplitz(col)) ** 2
+        for end, outward in ((low, 0.99), (high, 1.01)):
+            assert not _certified(col * (np.sqrt(end / s2) * outward))
+            assert check(col * (np.sqrt(end / s2) / outward)) == verdict
+
+
+def exact_claim(col):
+    """Whether lambda_min(Re(rho A)) > |rho| s/L, s = ||A||_F, holds in
+    exact rational arithmetic: the claim _certified's proof derives from a
+    completed Cholesky, and the whole matrix holds both folded blocks."""
+    rr, ri = Fraction(mom._ROTATION.real), Fraction(mom._ROTATION.imag)
+    c = [(Fraction(z.real), Fraction(z.imag)) for z in col.astype(complex)]
+    n = len(c)
+    s2 = sum((2 * (n - k) if k else n) * (a * a + b * b)
+             for k, (a, b) in enumerate(c))
+    t2 = (rr * rr + ri * ri) * s2 / Fraction(10) ** 24
+    t = Fraction(math.sqrt(t2))
+    while t * t < t2:
+        t *= 1 + Fraction(1, 2 ** 50)
+    rc = [rr * a - ri * b for a, b in c]
+    h = [[rc[abs(i - j)] - (t if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    for k in range(n):   # definite iff every elimination pivot is positive
+        if h[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = h[i][k] / h[k][k]
+            for j in range(k + 1, n):
+                h[i][j] -= f * h[k][j]
+    return True
+
+
+def threshold_column(n, excess, rng):
+    """Random complex symmetric Toeplitz column, shifted along conj(rho) so
+    that lambda_min(Re(rho A)) is about (1 + excess) |rho| s/L: where the
+    certificate's bound is tight, so only its margin covers rounding."""
+    col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        / np.arange(1, n + 1)
+    rho = mom._ROTATION
+    for _ in range(3):
+        a = toeplitz(col)
+        low = np.linalg.eigvalsh((rho * a).real)[0]
+        target = abs(rho) * np.linalg.norm(a) / 1e12 * (1.0 + excess)
+        col[0] += np.conj(rho) * (target - low) / abs(rho) ** 2
+    return col
+
+
+def test_certificate_claim_holds_exactly():
+    # within 1e-5 of the bound rounding decides a margin-free Cholesky
+    # test; an accepted column must meet the proof's claim exactly
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        for excess in (-1e-5, -3e-6, -1e-6, 1e-6, 3e-6, 1e-5, 1e-2):
+            col = threshold_column(11, excess, rng)
+            certified = _certified(col)
+            assert not certified or exact_claim(col)
+            if excess >= 1e-2:
+                assert certified
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -492,6 +615,10 @@ def test_scaled_system_solved_silently(scale, n, capfd):
     model = thin_half_wave()
     mesh = build_mesh(model, n=n)
     system = assemble_system(mesh, 1.8e9)
+    low, high = mom._SQUARED_NORM_RANGE
+    with np.errstate(over="ignore", under="ignore"):
+        s2 = (np.linalg.norm(toeplitz(system)) * scale) ** 2
+        assert _certified(system * scale) == (low < s2 < high)
     cur = solve_current(system, mesh).currents
     scaled = solve_current(system * scale, mesh).currents
     assert np.abs(scaled * scale - cur).max() <= 1e-11 * np.abs(cur).max()
@@ -511,7 +638,7 @@ def test_singular_even_block_behind_a_passing_guard_raises_solver_error(
     # a zero column: the even block is exactly zero, so its LU stops; the
     # guard is forced to pass
     mesh = build_mesh(thin_half_wave(), n=21)
-    monkeypatch.setattr(mom, "_certified", lambda blocks: True)
+    monkeypatch.setattr(mom, "_certified", lambda col, out: True)
     with pytest.raises(SolverError, match="singular"):
         solve_current(np.zeros(mesh.n, dtype=complex), mesh)
 
@@ -536,7 +663,7 @@ def test_solve_leaves_the_system_bit_identical():
     # certified, accepted by the SVD fallback, and refused by it
     mesh = build_mesh(thin_half_wave(), n=21)
     for col in (assemble_system(mesh, 1.8e9), -unit_column(mesh.n),
-                odd_mode_column(mesh.n, 1e-13)):
+                mode_column(mesh.n, 1e-13)):
         kept = col.copy()
         try:
             solve_current(col, mesh)
@@ -546,16 +673,15 @@ def test_solve_leaves_the_system_bit_identical():
 
 
 def test_non_centrosymmetric_system_fails_residual():
-    # no column writes it: on its dense fold the guard accepts it (not
-    # certified, but cond < 10), and the even-mode solve misses the full
-    # system by far more than the residual limit
+    # no column writes it: on its dense fold the SVD accepts it (cond <
+    # 10), and the even-mode solve misses the full system by far more than
+    # the residual limit
     mesh = build_mesh(thin_half_wave(), n=21)
     p = mesh.feed_index
     rng = np.random.default_rng(6)
     system = np.eye(mesh.n) + 0.1 * rng.standard_normal((mesh.n, mesh.n))
     assert np.linalg.cond(system) < 10
     blocks = dense_fold(system, p)
-    assert not _certified(blocks.copy())
     assert _condition(blocks) < 10
     y = np.linalg.solve(blocks[0], np.eye(p + 1)[p])
     x = np.concatenate((y[:p], y[p::-1])) / np.sqrt(2.0)

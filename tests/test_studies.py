@@ -50,7 +50,7 @@ def test_width_study_rule_violation_row_keeps_its_message():
     # W/h = 40 breaks the w_over_h restriction before any mesh is built
     rows = width_study([6.0, 64.0], FR4, *BAND, length_mm=300.0)
     assert rows[0].error is None
-    assert rows[1].error == "geometry violates restriction(s): w_over_h"
+    assert str(rows[1].error) == "geometry violates restriction(s): w_over_h"
 
 
 def test_study_row_keeps_the_first_failing_stage_message():
@@ -58,7 +58,7 @@ def test_study_row_keeps_the_first_failing_stage_message():
     # the threshold
     rows = width_study([6.0, 40.0], FR4, 1.7e9, 1.9e9, 0.1e9,
                        length_mm=60.0, threshold_db=0.0)
-    assert [r.error for r in rows] == [
+    assert [str(r.error) for r in rows] == [
         "threshold must be negative dB",
         "geometry violates restriction(s): w_over_h"]
 
