@@ -345,7 +345,8 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times
     weights[0] = n
     a = np.abs(col)
-    s2 = np.dot(weights * a, a)
+    a *= a
+    s2 = np.dot(weights, a)
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
         return False
     s = np.sqrt(s2)
