@@ -342,8 +342,8 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     n = col.size
     p = (n - 1) // 2
     m = p + 1
-    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times
-    weights[0] = n
+    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times,
+    weights[0] = n                            # and c_0 n times
     a = np.abs(col)
     a *= a
     s2 = np.dot(weights, a)
