@@ -160,8 +160,7 @@ WIDTH_FRACTION = 0.06
 
 
 def synthesize_geometry(substrate: Substrate, f: float,
-                        feed_style: str = "ideal_center",
-                        T: float = DEFAULT_T_MM) -> SynthesisResult:
+                        feed_style: str = "ideal_center") -> SynthesisResult:
     """Size a strip dipole for the target frequency on the given substrate.
 
     The design wavelength comes from the averaged effective permittivity;
@@ -177,7 +176,7 @@ def synthesize_geometry(substrate: Substrate, f: float,
         eps_f = eps_eff_microstrip(substrate.eps_r, W, substrate.h)
         lam_f = guided_wavelength(f, eps_f)
         L = stub_fed_length(lam_f) if feed_style == "open_stub" else via_fed_length(lam_f)
-    geometry = DipoleGeometry(L=L, W=W, T=T, feed_style=feed_style)
+    geometry = DipoleGeometry(L=L, W=W, feed_style=feed_style)
     check_design_rules(geometry, substrate, f).raise_violations()
     return SynthesisResult(geometry=geometry, eps_e=eps_e, lambda_d=lambda_d,
                            recommended_h=0.02 * lambda_d)

@@ -5,6 +5,7 @@ beamwidth (farfield.hpbw_from_cut) alike."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -116,14 +117,18 @@ def level_crossings(x, y, i0: int, level: float, inside):
 
     The run is walked out from i0 while inside(y[j]) holds. Each edge is
     linearly interpolated between the run's last sample and the first
-    sample outside it; it is None on a side where the run reaches the end
-    of the grid. Edges have the element type of x and y: Python lists give
-    Python floats.
+    sample outside it. Where the last sample is infinite (the -inf dB of a
+    perfect match) the edge is the outside sample, the interpolation's
+    limit. It is None on a side where the run reaches the end of the grid.
+    Edges have the element type of x and y: Python lists give Python
+    floats.
     """
     def edge(outward: range):
         i = i0
         for o in outward:
             if not inside(y[o]):
+                if math.isinf(y[i]):
+                    return x[o]
                 return x[i] + (x[o] - x[i]) * (level - y[i]) / (y[o] - y[i])
             i = o
         return None

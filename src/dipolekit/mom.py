@@ -24,13 +24,13 @@ rounding, and computes the exact condition number by SVD only when that
 test fails. solve_at(mesh, f) is the one path from a mesh to its currents.
 
 No n x n matrix is built: above n = 64 the largest block is one solve's
-workspace of B = 32(p+1)^2 bytes, half a dense A. Its first half holds the
-complex even block, which the LU reads, and its second half the real even
-and odd blocks the certificate factors. The LU adds its copy of the even
-block (B/2) and the Cholesky its input copy and factor (B/4, B/2), so a
-solve stays under 2 B, glibc's heap trim threshold once B is freed. A
-separate real buffer, or one more O(n^2) copy, moves that threshold or
-hands the heap back, for the next frequency to fault in again.
+workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first:
+the certificate factors the real even and odd blocks in its second half,
+adding the Cholesky's input copy and factor (B/4, B/2), which are freed
+before the LU reads the complex T + H in its first half and adds its copy
+(B/2). So a solve stays under 2 B, glibc's heap trim threshold once B is
+freed. A separate real buffer, or one more O(n^2) copy, moves that
+threshold or hands the heap back, for the next frequency to fault in again.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ _SQUARED_NORM_RANGE = (np.finfo(float).tiny / _UNIT_ROUNDOFF,
 _ROTATION = np.exp(1j * np.pi / 36)
 
 _RESIDUAL_LIMIT = 1e-8
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -244,39 +242,40 @@ class CurrentDistribution:
 
 
 def _fold(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Even and odd blocks of A[i, j] = col[|i - j|] about its center p.
+    """Blocks T + H and T - H of A[i, j] = col[|i - j|] about its center p.
 
-    They are the diagonal blocks of Q^T A Q, with Q the orthogonal symmetry
-    transform (u_i +- u_{n-1-i})/sqrt(2), so sigma(A) is the union of their
-    singular values. One complex (2, p+1, p+1) buffer holds both: [0] is
-    the even block, [1] the p x p odd block padded with a zero row and
-    column. For i, j < p they are the Toeplitz part col[|i - j|] +- the
-    Hankel part col[n-1-i-j], two strided views of one ramp. Given an out
-    of one block, only the even block is written, into out[0].
+    T = col[|i - j|] and H = col[n-1-i-j] over i, j <= p are two strided
+    views of one ramp. With Q the orthogonal symmetry transform (u_i +-
+    u_{n-1-i})/sqrt(2), Q^T A Q has the diagonal blocks S^-1 (T + H) S^-1
+    and T - H, S = diag(1, ..., 1, sqrt(2)), so sigma(A) is the union of
+    their singular values. The centre row and column of T + H hold 2
+    col[|p - j|]; those of T - H are exactly zero, a pad beside the p x p
+    odd block. The blocks go into out, a (2, p+1, p+1) buffer (complex and
+    new if None) whose dtype picks the kind: a float out gets the real
+    parts, and an out of one block only T + H.
     """
     n = col.size
     p = (n - 1) // 2
     if out is None:
-        out = np.zeros((2, p + 1, p + 1), dtype=complex)
-    ramp = np.concatenate((col[p:0:-1], col))   # ramp[p+k] = col[|k|]
+        out = np.empty((2, p + 1, p + 1), dtype=complex)
+    ramp = np.concatenate((col[p:0:-1], col), dtype=complex)   # ramp[p+k] = col[|k|]
     s = ramp.itemsize
-    toeplitz = np.ndarray((p, p), ramp.dtype, ramp, p * s, (-s, s))
-    hankel = np.ndarray((p, p), ramp.dtype, ramp, (n + p - 1) * s, (-s, -s))
-    np.add(toeplitz, hankel, out=out[0, :p, :p])
-    np.multiply(col[p::-1], _SQRT2, out=out[0, :, p])
-    np.multiply(col[p:0:-1], _SQRT2, out=out[0, p, :p])
-    out[0, p, p] = col[0]
-    if len(out) > 1:
-        np.subtract(toeplitz, hankel, out=out[1, :p, :p])
+    toeplitz = np.ndarray(out.shape[1:], out.dtype, ramp, p * s, (-s, s))
+    hankel = np.ndarray(out.shape[1:], out.dtype, ramp, (n + p - 1) * s, (-s, -s))
+    for block, op in zip(out, (np.add, np.subtract)):
+        op(toeplitz, hankel, out=block)
     return out
 
 
 def _condition(blocks: np.ndarray) -> float:
-    """2-norm condition number of the matrix that _fold split into blocks."""
+    """2-norm condition number of the matrix that _fold split into blocks,
+    from the SVD of S^-1 (T + H) S^-1 and T - H (whose pad S leaves zero)."""
     if not np.isfinite(blocks).all():   # else LAPACK prints to fd 2
         return np.inf
+    scale = np.ones(blocks.shape[-1])
+    scale[-1] = np.sqrt(0.5)
     try:
-        s = np.linalg.svd(blocks, compute_uv=False)
+        s = np.linalg.svd(blocks * np.outer(scale, scale), compute_uv=False)
     except np.linalg.LinAlgError:      # the SVD did not converge
         return np.inf
     s_min = min(s[0, -1], s[1, -2])    # s[1, -1] is the padding's zero
@@ -287,18 +286,19 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     """Prove that A[i, j] = col[|i - j|] has cond(A) <= _COND_LIMIT.
 
     Let rho be _ROTATION, r = |rho|, L = _COND_LIMIT, and for each m x m
-    block E of the exact fold of A (_fold) let M = Re(rho E). A is
+    block E of the exact orthogonal fold Q^T A Q (_fold) let M = Re(rho E).
+    A is
     symmetric, so E^T = E and M is the Hermitian part of rho E: for unit x
     (the field of values; Horn & Johnson, Topics in Matrix Analysis, ch. 1)
     r ||Ex|| >= |x^H rho E x| >= x^H M x, and sigma_min(E) >= lambda_min(M)/r.
     With s = ||A||_F, which the orthogonal fold gives both blocks together,
     s >= sigma_max, so lambda_min(M) > r s/L for each block proves cond <= L.
-    Let tau = s (1/L + 2(m+1)^1.5 u). The test folds the real column x =
-    Re(rho col), with tau taken off x_0, by _fold's Toeplitz and Hankel
-    views carried on into the centre row and column, where they add to 2x
-    rather than sqrt(2) x: the even block becomes S (M - tau I) S, S =
-    diag(1, ..., 1, sqrt(2)), and the odd block's centre row and column come
-    out exactly zero, its pad, whose diagonal is then set to s. Both are exactly
+    Let tau = s (1/L + 2(m+1)^1.5 u). The test folds rho col, with tau
+    taken off Re(rho c_0), through _fold into a float out, which reads the
+    real column x = Re(rho col): in _fold's layout the even block T + H is
+    S (M - tau I) S, its centre row and column holding 2x rather than
+    sqrt(2) x, and the odd block's centre row and column are its pad,
+    exactly zero, whose diagonal is then set to s. Both are exactly
     symmetric, so the lower triangle a Cholesky reads is the whole block. A
     Cholesky factorization that runs to completion proves M - tau I
     definite for the exact M and s: with K the computed block, dF the
@@ -350,15 +350,9 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
         return False
     s = np.sqrt(s2)
-    ramp = np.concatenate((col[p:0:-1], col), dtype=complex)
-    ramp *= _ROTATION   # ramp[p+k] = rho c_|k|
-    ramp.real[p] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
-    size = ramp.itemsize
-    toeplitz = np.ndarray((m, m), float, ramp, p * size, (-size, size))
-    hankel = np.ndarray((m, m), float, ramp, (n + p - 1) * size, (-size, -size))
-    blocks = np.empty((2, m, m)) if out is None else out
-    np.add(toeplitz, hankel, out=blocks[0])
-    np.subtract(toeplitz, hankel, out=blocks[1])
+    x = col * _ROTATION
+    x.real[0] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
+    blocks = _fold(x, np.empty((2, m, m)) if out is None else out)
     blocks[1, p, p] = s
     try:
         np.linalg.cholesky(blocks)
@@ -372,47 +366,45 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
 
     `col` must be assemble_system's column for `mesh` (another shape raises
     MeshError), the system A[i, j] = col[|i - j|]. The center feed excites
-    only its even mode, so the solve runs on the (p+1) x (p+1) even block E
+    only its even mode, so the solve runs on the (p+1) x (p+1) block T + H
     (p = feed_index) and the current is mirrored back, exactly symmetric.
-    The condition guard covers both blocks, whose singular values together
-    are sigma(A): _certified proves cond(A) <= _COND_LIMIT by a real
-    Cholesky test of the blocks of the column's real part after a phase
-    turn, and only if that fails does _condition compute np.linalg.cond(A)
-    by SVD, so the verdict is that of the SVD alone. E and the
-    certificate's blocks share one workspace (the module docstring's memory
-    budget); E is solved and its residual ||E y - e_p|| = ||A x - e_p|| (the
-    fold is orthogonal) taken first. `col` is never written. An exactly
-    singular E behind a passing guard raises SolverError.
+    The condition guard runs first and covers both blocks, whose singular
+    values together are sigma(A): _certified proves cond(A) <= _COND_LIMIT
+    by a real Cholesky test of the blocks of the column's real part after a
+    phase turn, and only if that fails does _condition compute
+    np.linalg.cond(A) by SVD, so the verdict is that of the SVD alone. For a
+    symmetric x, (A x)[:p+1] = (T + H) z with x = (z_0, ..., z_{p-1}, 2 z_p,
+    z_{p-1}, ..., z_0), so the LU solves (T + H) z = e_p and, with r =
+    (T + H) z - e_p, the residual ||A x - e_p|| is sqrt(2 ||r[:p]||^2 +
+    |r_p|^2). T + H and the certificate's blocks share one workspace (the
+    module docstring's memory budget). `col` is never written. An exactly
+    singular T + H behind a passing guard raises SolverError.
     """
     n, p = mesh.n, mesh.feed_index
     if col.shape != (n,):
         raise MeshError("system shape %s does not match the mesh's n = %d"
                         % (col.shape, n))
     m = p + 1
-    b = np.zeros(m, dtype=complex)
-    b[p] = 1.0
     work = np.empty(2 * m * m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
-        even = _fold(col, work[:m * m].reshape(1, m, m))[0]
-        try:
-            y = np.linalg.solve(even, b)
-        except np.linalg.LinAlgError:   # exactly singular, or nan
-            y = None
-        else:
-            residual = np.linalg.norm(even @ y - b)
         if not _certified(col, work[m * m:].view(float).reshape(2, m, m)):
             cond = _condition(_fold(col))
             if not np.isfinite(cond) or cond > _COND_LIMIT:
                 raise SolverError("system condition estimate %.3g exceeds %.1g"
                                   % (cond, _COND_LIMIT))
-    if y is None:
-        raise SolverError("even-mode block is singular")
+    even = _fold(col, work[:m * m].reshape(1, m, m))[0]
+    b = np.zeros(m, dtype=complex)
+    b[p] = 1.0
+    try:
+        z = np.linalg.solve(even, b)
+    except np.linalg.LinAlgError:   # exactly singular
+        raise SolverError("even-mode block is singular") from None
+    r = even @ z - b
+    residual = math.sqrt(np.vdot(r, r).real + np.vdot(r[:p], r[:p]).real)
     if residual > _RESIDUAL_LIMIT:
         raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
-    currents = np.empty(n, dtype=y.dtype)
-    np.divide(y[:p], _SQRT2, out=currents[:p])
-    currents[p] = y[p]
-    currents[p + 1:] = currents[:p][::-1]
+    currents = np.concatenate((z, z[p - 1::-1]))
+    currents[p] *= 2.0
     return CurrentDistribution(currents=currents, mesh=mesh)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import types
 
@@ -131,6 +132,14 @@ def test_synthesize_fr4():
     assert r.geometry.L == pytest.approx(51.15584528140206, rel=1e-12)
     assert r.geometry.W == pytest.approx(0.06 * r.lambda_d)
     assert r.recommended_h == pytest.approx(0.02 * r.lambda_d)
+
+
+def test_synthesized_geometry_has_the_default_thickness():
+    # the one thickness synthesis uses; DipoleGeometry.T still moves rules
+    assert "T" not in inspect.signature(synthesize_geometry).parameters
+    for style in ("ideal_center", "open_stub", "via_hole"):
+        assert synthesize_geometry(FR4, 1.8e9, style).geometry.T \
+            == design.DEFAULT_T_MM
 
 
 def test_synthesize_feed_styles():

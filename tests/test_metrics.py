@@ -188,6 +188,20 @@ def test_bandwidth_edge_clipped():
     assert bw.f_low == 1.0e9 and bw.f_high == 1.2e9
 
 
+def test_bandwidth_at_a_perfect_match():
+    # S11 = -inf dB at the exact match: each edge on that side is the
+    # first sample outside the run, the interpolation's limit, not nan
+    one = fractional_bandwidth(SweepResult([1.0e9, 1.1e9, 1.2e9], [100, 50, 100]))
+    assert one == BandwidthResult(100.0 * 0.2e9 / 1.1e9, 1.0e9, 1.2e9, 1.1e9, False)
+    sw = SweepResult([1.0e9, 1.1e9, 1.2e9, 1.3e9, 1.4e9], [100, 50, 55, 60, 100])
+    assert sw.s11_db[1] == -math.inf
+    bw = fractional_bandwidth(sw)
+    assert bw.f_low == 1.0e9 and bw.f_center == 1.1e9 and not bw.edge_clipped
+    s = sw.s11_db
+    assert bw.f_high == 1.3e9 + 0.1e9 * (-10.0 - s[3]) / (s[4] - s[3])
+    assert bw.percent == 100.0 * (bw.f_high - bw.f_low) / 1.1e9
+
+
 def test_s11_minimum():
     sw = _sweep_from([(1.0e9, 80 + 0j), (1.1e9, 52 + 0j), (1.2e9, 80 + 0j)])
     assert sw.f[s11_minimum(sw)] == 1.1e9

@@ -77,10 +77,25 @@ def toeplitz(col: np.ndarray) -> np.ndarray:
     return col[np.abs(i[:, None] - i)]
 
 
+def dense_t_h(system: np.ndarray) -> np.ndarray:
+    """T + H and T - H of a dense matrix about its center p, read entry by
+    entry as A[:m, :m] +- A[:m, n-1-j] (m = p + 1): _fold's oracle, and the
+    way to hand _condition matrices that no column can write."""
+    n = len(system)
+    m = n // 2 + 1
+    a = system[:m, :m]
+    mirror = system[:m, n - 1 - np.arange(m)]
+    blocks = np.empty((2, m, m), dtype=complex)
+    np.add(a, mirror, out=blocks[0])
+    np.subtract(a, mirror, out=blocks[1])
+    return blocks
+
+
 def dense_fold(system: np.ndarray, p: int) -> np.ndarray:
-    """Reference fold of a dense centrosymmetric matrix about p, read entry
-    by entry from the matrix: _fold's oracle, and the way to hand _condition
-    matrices that no column can write."""
+    """Orthogonal fold Q^T A Q of a dense centrosymmetric matrix about p,
+    read entry by entry from the matrix: the blocks whose spectra are the
+    even and odd modes' (T + H is S times the even block times S, S =
+    diag(1, ..., 1, sqrt(2)))."""
     m = p + 1
     blocks = np.zeros((2, m, m), dtype=complex)
     a = system[:p, :p]
@@ -258,12 +273,12 @@ def test_meshes_and_currents_compare_by_identity():
 @pytest.mark.parametrize("n", [11, 21, 83, 321])
 def test_system_is_exactly_symmetric_toeplitz(n):
     # the blocks solve_current reads from the column are, bit for bit, the
-    # fold of the exactly symmetric Toeplitz matrix the column stands for
+    # T +- H of the exactly symmetric Toeplitz matrix the column stands for
     base = thin_half_wave()
     model = WireModel(base.total_length, base.radius, 3.3)
     col = assemble_system(build_mesh(model, n=n), 1.8e9)
     blocks = _fold(col)
-    assert blocks.tobytes() == dense_fold(toeplitz(col), n // 2).tobytes()
+    assert blocks.tobytes() == dense_t_h(toeplitz(col)).tobytes()
     assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
 
 
@@ -276,8 +291,13 @@ def test_fold_matches_the_dense_fold_for_any_column(n, dtype):
         col += 1j * rng.standard_normal(n)
     blocks = _fold(col)
     assert blocks.dtype == complex
-    assert blocks.tobytes() == dense_fold(toeplitz(col), n // 2).tobytes()
+    assert blocks.tobytes() == dense_t_h(toeplitz(col)).tobytes()
     assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+    # a float out gets the real parts, and an out of one block only T + H
+    real = _fold(col, np.empty(blocks.shape))
+    assert real.tobytes() == blocks.real.copy().tobytes()
+    even = _fold(col, np.empty((1,) + blocks.shape[1:], dtype=complex))
+    assert even.tobytes() == blocks[:1].tobytes()
 
 
 def test_assemble_returns_an_owned_writeable_column():
@@ -460,7 +480,7 @@ def test_ill_conditioned_non_symmetric_system_refused():
     system = np.eye(mesh.n) - 1e7 * np.outer(u, w)
     assert np.array_equal(system, system[::-1, ::-1])
     assert np.linalg.cond(system) > 1e12
-    assert _condition(dense_fold(system, p)) > 1e12
+    assert _condition(dense_t_h(system)) > 1e12
 
 
 @pytest.mark.parametrize("delta", np.logspace(-14, -10, 17))
@@ -673,7 +693,7 @@ def test_solve_leaves_the_system_bit_identical():
 
 
 def test_non_centrosymmetric_system_fails_residual():
-    # no column writes it: on its dense fold the SVD accepts it (cond <
+    # no column writes it: on its dense T +- H the SVD accepts it (cond <
     # 10), and the even-mode solve misses the full system by far more than
     # the residual limit
     mesh = build_mesh(thin_half_wave(), n=21)
@@ -681,11 +701,11 @@ def test_non_centrosymmetric_system_fails_residual():
     rng = np.random.default_rng(6)
     system = np.eye(mesh.n) + 0.1 * rng.standard_normal((mesh.n, mesh.n))
     assert np.linalg.cond(system) < 10
-    blocks = dense_fold(system, p)
+    blocks = dense_t_h(system)
     assert _condition(blocks) < 10
-    y = np.linalg.solve(blocks[0], np.eye(p + 1)[p])
-    x = np.concatenate((y[:p], y[p::-1])) / np.sqrt(2.0)
-    x[p] = y[p]
+    z = np.linalg.solve(blocks[0], np.eye(p + 1)[p])
+    x = np.concatenate((z, z[p - 1::-1]))
+    x[p] *= 2.0
     assert np.linalg.norm(system @ x - np.eye(mesh.n)[p]) > 1e-8
 
 
@@ -698,6 +718,39 @@ def test_perturbed_even_solve_fails_residual(monkeypatch):
                         lambda a, b: solve(a, b) * (1.0 + 1e-6))
     with pytest.raises(SolverError, match="residual"):
         solve_current(col, mesh)
+
+
+class RecordingLimit:
+    """Stands in for the residual limit: records each residual compared
+    with it, and lets every solve pass."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __lt__(self, residual):    # residual > limit
+        self.seen.append(residual)
+        return False
+
+
+@pytest.mark.parametrize("n", [11, 83])
+def test_reported_residual_is_the_dense_residual(n, monkeypatch):
+    # a solve perturbed far above rounding, in every unknown, so that both
+    # the doubled rows r[:p] and the centre row r_p count
+    mesh = build_mesh(thin_half_wave(), n=n)
+    col = assemble_system(mesh, 1.8e9)
+    limit = RecordingLimit()
+    monkeypatch.setattr(mom, "_RESIDUAL_LIMIT", limit)
+    rng = np.random.default_rng(n)
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        z = solve(a, b)
+        return z + 1e-6 * np.abs(z).max() * rng.standard_normal(z.shape)
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    cur = solve_current(col, mesh)
+    dense = np.linalg.norm(toeplitz(col) @ cur.currents - np.eye(n)[mesh.feed_index])
+    assert dense > 1e-6
+    assert limit.seen == [pytest.approx(dense, rel=1e-8)]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])

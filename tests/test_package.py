@@ -64,3 +64,25 @@ def test_no_module_imports_a_private_name_of_another():
                       for a in node.names
                       if internal and a.name.startswith("_")]
     assert found == []
+
+
+def test_only_the_fold_and_the_assembly_view_a_buffer_as_an_array():
+    # np.ndarray(shape, dtype, buffer, ...) reads one array through another's
+    # memory: _fold's Toeplitz and Hankel views of the column's ramp, and
+    # assemble_system's two test halves of one interval table
+    found = set()
+    for path in sorted((SRC / "dipolekit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scope = {}
+        for fn in ast.walk(tree):   # outer functions first, so inner win
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    scope[node] = fn.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "ndarray"
+                    and (len(node.args) >= 3
+                         or any(k.arg == "buffer" for k in node.keywords))):
+                found.add("%s.%s" % (path.stem, scope.get(node, "<module>")))
+    assert found == {"mom._fold", "mom.assemble_system"}
