@@ -20,12 +20,12 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .design import DipoleGeometry, Substrate, check_design_rules, \
-    load_substrates, synthesize_geometry
+    load_substrates, parse_substrate, synthesize_geometry
 from .errors import ConfigError, DesignRuleError, NoResonanceError, \
     SolverError
 from .farfield import PatternCut
-from .metrics import SweepResult, fractional_bandwidth, resonant_frequency, \
-    s11_minimum
+from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, SweepResult, \
+    fractional_bandwidth, resonant_frequency, s11_minimum
 from .mom import sweep
 from .studies import StudyRow, length_study, optimize_length, \
     study_pattern, width_study
@@ -92,9 +92,10 @@ class RunConfig:
                      "ideal|stub|via; non-ideal feeds for design only")
     mesh: int | None = _opt(None, int, "--mesh",
                             "odd segment count (default: automatic)")
-    bw_threshold_db: float = _opt(-10.0, _finite, "--bw-threshold",
-                                  "bandwidth threshold, dB")
-    z0_ohm: float = _opt(50.0, _finite, "--z0", "reference impedance, ohm")
+    bw_threshold_db: float = _opt(DEFAULT_BW_THRESHOLD_DB, _finite,
+                                  "--bw-threshold", "bandwidth threshold, dB")
+    z0_ohm: float = _opt(DEFAULT_Z0, _finite, "--z0",
+                         "reference impedance, ohm")
     plane: str = _opt("E", _plane, "--plane", "pattern cut: E or H")
     lengths_mm: tuple[float, ...] = _opt((63.0, 65.0, 67.0), _float_list,
                                          "--lengths", "comma list, mm")
@@ -145,15 +146,8 @@ def resolve_substrate(config: RunConfig) -> Substrate:
     """Catalog name, or inline eps_r:h_mm:tan_delta."""
     text = config.substrate
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("inline substrate must be eps_r:h_mm:tand, got %r"
-                              % text)
-        try:
-            eps_r, h, tand = (_finite(p) for p in parts)
-            return Substrate(name="inline", eps_r=eps_r, h=h, tan_delta=tand)
-        except ValueError as exc:
-            raise ConfigError("bad inline substrate %r: %s" % (text, exc)) from exc
+        return parse_substrate("inline", text.split(":"),
+                               "inline substrate %r" % text)
     catalog = load_substrates(config.catalog)
     if text not in catalog:
         raise ConfigError("substrate %r not in catalog (have: %s)"

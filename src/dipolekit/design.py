@@ -7,7 +7,6 @@ rounded before display.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from importlib import resources
 from math import inf, isfinite, sqrt
@@ -21,8 +20,6 @@ FEED_STYLES = ("ideal_center", "open_stub", "via_hole")
 
 #: default copper cladding thickness, mm (standard 1 oz foil)
 DEFAULT_T_MM = 0.035
-
-ENV_CATALOG = "DIPOLEKIT_SUBSTRATES"
 
 
 @dataclass(frozen=True)
@@ -56,6 +53,8 @@ class DipoleGeometry:
     feed_style: str = "ideal_center"
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.L, self.W, self.g, self.T))):
+            raise ValueError("L, W, g and T must be finite")
         if self.L <= 0 or self.W <= 0:
             raise ValueError("L and W must be > 0")
         if self.g < 0 or self.T < 0:
@@ -211,25 +210,27 @@ def check_design_rules(geometry: DipoleGeometry, substrate: Substrate,
     return RuleCheckResult(entries=entries)
 
 
+def parse_substrate(name: str, fields: list[str], where: str) -> Substrate:
+    """The substrate `name` from the text fields eps_r, h_mm, tan_delta; any
+    field count, text or value it refuses is a ConfigError "<where>: why"."""
+    try:
+        if len(fields) != 3:
+            raise ValueError("expected 3 fields eps_r, h_mm, tan_delta, got %d"
+                             % len(fields))
+        eps_r, h, tan_delta = map(float, fields)
+        return Substrate(name=name, eps_r=eps_r, h=h, tan_delta=tan_delta)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from exc
+
+
 def parse_catalog(text: str, source: str = "<catalog>") -> dict[str, Substrate]:
     """Parse a flat substrate catalog: one `name,eps_r,h_mm,tan_delta` per line."""
     out: dict[str, Substrate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise ConfigError("%s:%d: expected name,eps_r,h_mm,tan_delta" % (source, lineno))
-        name = parts[0]
-        try:
-            eps_r, h, tand = (float(p) for p in parts[1:])
-        except ValueError:
-            raise ConfigError("%s:%d: non-numeric substrate field" % (source, lineno))
-        try:
-            out[name] = Substrate(name=name, eps_r=eps_r, h=h, tan_delta=tand)
-        except ValueError as exc:
-            raise ConfigError("%s:%d: %s" % (source, lineno, exc))
+        if line:
+            name, *fields = map(str.strip, line.split(","))
+            out[name] = parse_substrate(name, fields, "%s:%d" % (source, lineno))
     return out
 
 
@@ -241,14 +242,12 @@ def _bundled_catalog() -> dict[str, Substrate]:
 
 
 def load_substrates(path: str | None = None) -> dict[str, Substrate]:
-    """Load the substrate catalog into a new dict on every call.
+    """Load the catalog at `path`, or the bundled one, into a new dict.
 
-    Resolution order: explicit path, the DIPOLEKIT_SUBSTRATES environment
-    variable, then the bundled catalog. A named file is read again on every
-    call; the bundled one, which ships with the package, once per process.
+    A named file is read again on every call; the bundled one, which ships
+    with the package, once per process.
     """
-    path = path or os.environ.get(ENV_CATALOG)
-    if path:
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_catalog(fh.read(), source=path)
     return dict(_bundled_catalog())

@@ -98,6 +98,7 @@ def pattern_from_current(current: CurrentDistribution, mesh: SegmentMesh,
 def h_plane_cut(directivity_dbi: float) -> PatternCut:
     """Azimuth cut at theta = 90 deg over 0..359 deg: flat by axial symmetry."""
     phi = np.arange(0.0, 360.0, 1.0)
-    return PatternCut(plane="H", angles_deg=phi, field_db=np.zeros_like(phi),
+    flat = np.zeros_like(phi)
+    return PatternCut(plane="H", angles_deg=phi, field_db=flat,
                       directivity_dbi=float(directivity_dbi),
-                      hpbw_deg=float(phi[-1] - phi[0]))
+                      hpbw_deg=hpbw_from_cut(phi, flat))

@@ -101,6 +101,9 @@ class WireModel:
     eps_e: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (self.total_length, self.radius, self.eps_e))):
+            raise ValueError("total_length, radius and eps_e must be finite")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
         if self.total_length <= 20.0 * self.radius:

@@ -132,14 +132,12 @@ def optimize_length(substrate: Substrate, f: float,
             "X(low)=%.3f ohm, X(high)=%.3f ohm"
             % (l_low, l_high, z_lo.imag, z_hi.imag))
     lo, hi = l_low, l_high
-    x_lo = z_lo.imag
-    z_mid = z_lo
-    iterations = 0
+    sign_lo = np.sign(z_lo.imag)
     for iterations in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         z_mid = z_of(mid)
-        if np.sign(z_mid.imag) == np.sign(x_lo):
-            lo, x_lo = mid, z_mid.imag
+        if np.sign(z_mid.imag) == sign_lo:
+            lo = mid
         else:
             hi = mid
         if hi - lo < _BISECT_TOL_MM and abs(z_mid.imag) < _REACTANCE_TOL_OHM:

@@ -334,19 +334,26 @@ def test_cli_config_values_do_not_carry_over(tmp_path, capsys):
     assert _stdout(argv, capsys) == plain
 
 
-@pytest.mark.parametrize("named_by", ["--catalog", "DIPOLEKIT_SUBSTRATES"])
+@pytest.mark.parametrize("named_by", ["--catalog", "catalog"])
 def test_cli_rereads_a_named_catalog_on_every_call(named_by, tmp_path,
-                                                   monkeypatch, capsys):
+                                                   capsys):
     cat = tmp_path / "cat.txt"
     argv = ["design", "--substrate", "mine"]
     if named_by == "--catalog":
         argv += ["--catalog", str(cat)]
     else:
-        monkeypatch.setenv(named_by, str(cat))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s = %s\n" % (named_by, cat))
+        argv += ["--config", str(cfg)]
     cat.write_text("mine,4.3,1.6,0.002\n")
     assert "eps_e=2.6500 " in _stdout(argv, capsys)
     cat.write_text("mine,2.2,0.8,0\n")
     assert "eps_e=1.6000 " in _stdout(argv, capsys)
+
+
+def test_cli_empty_catalog_path_is_not_the_bundled_catalog(capsys):
+    assert main(["design", "--catalog", ""]) == 5
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 def test_cli_exit_code_design_rule(capsys):
@@ -512,6 +519,22 @@ def test_cli_catalog_rejects_non_finite_values(line, tmp_path, capsys):
     for command in ("pattern", "analyze"):
         assert main([command, "--catalog", str(cat), "--substrate", name]) == 2
         assert ":1: eps_r and h must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_r, h", [("nan", "1.6"), ("4.3", "inf")])
+def test_catalog_and_inline_substrates_are_refused_alike(eps_r, h, tmp_path,
+                                                         capsys):
+    # one reader: each error names its place and gives the same reason
+    cat = tmp_path / "cat.txt"
+    cat.write_text("bad,%s,%s,0\n" % (eps_r, h))
+    inline = "%s:%s:0" % (eps_r, h)
+    assert main(["design", "--catalog", str(cat), "--substrate", "bad"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:1: eps_r and h must be finite\n" % cat)
+    assert main(["design", "--substrate", inline]) == 2
+    assert capsys.readouterr().err == (
+        "config error: inline substrate %r: eps_r and h must be finite\n"
+        % inline)
 
 
 @pytest.mark.parametrize("command", ["analyze", "pattern", "study-length",

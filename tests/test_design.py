@@ -19,6 +19,7 @@ from dipolekit.design import (
     half_wave_length,
     load_substrates,
     parse_catalog,
+    parse_substrate,
     stub_fed_length,
     synthesize_geometry,
     via_fed_length,
@@ -219,6 +220,24 @@ def test_parse_catalog_rejects_non_finite_values(line):
         parse_catalog("fr4,4.3,1.6,0.002\n" + line + "\n", source="cat")
 
 
+@pytest.mark.parametrize("fields, reason", [
+    (["4.3", "1.6"], "expected 3 fields eps_r, h_mm, tan_delta, got 2"),
+    (["4.3", "1.6", "0", "1"], "expected 3 fields eps_r, h_mm, tan_delta, got 4"),
+    (["4.3", "thick", "0"], "could not convert string to float: 'thick'"),
+    (["0.5", "1.6", "0"], "eps_r must be >= 1, got 0.5"),
+    (["4.3", "nan", "0"], "eps_r and h must be finite"),
+])
+def test_parse_substrate_names_its_place_and_reason(fields, reason):
+    with pytest.raises(ConfigError) as info:
+        parse_substrate("s", fields, "here")
+    assert str(info.value) == "here: " + reason
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_parse_substrate_reads_text_fields():
+    assert parse_substrate("fr4", [" 4.3", "1.6 ", "0.002"], "x") == FR4
+
+
 def test_bundled_catalog():
     cat = load_substrates()
     assert "fr4" in cat
@@ -226,16 +245,17 @@ def test_bundled_catalog():
     assert cat["fr4"].h == 1.6
 
 
-def test_catalog_env_var(tmp_path, monkeypatch):
+def test_load_substrates_ignores_the_environment(tmp_path, monkeypatch):
+    # a catalog is named by its path alone, never by an environment variable
     p = tmp_path / "cat.txt"
     p.write_text("custom,3.5,1.0,0.001\n")
+    bundled = load_substrates()
     monkeypatch.setenv("DIPOLEKIT_SUBSTRATES", str(p))
-    cat = load_substrates()
-    assert set(cat) == {"custom"}
+    assert load_substrates() == bundled
+    assert set(load_substrates(str(p))) == {"custom"}
 
 
-def test_load_substrates_returns_a_new_dict(monkeypatch):
-    monkeypatch.delenv("DIPOLEKIT_SUBSTRATES", raising=False)
+def test_load_substrates_returns_a_new_dict():
     first = load_substrates()
     del first["fr4"]
     first["mine"] = FR4
@@ -252,7 +272,6 @@ def test_bundled_catalog_is_read_once(monkeypatch):
         reads.append(package)
         return real_files(package)
 
-    monkeypatch.delenv("DIPOLEKIT_SUBSTRATES", raising=False)
     monkeypatch.setattr(design, "resources",
                         types.SimpleNamespace(files=files))
     design._bundled_catalog.cache_clear()

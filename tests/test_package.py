@@ -66,10 +66,9 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def test_only_the_fold_and_the_assembly_view_a_buffer_as_an_array():
-    # np.ndarray(shape, dtype, buffer, ...) reads one array through another's
-    # memory: _fold's Toeplitz and Hankel views of the column's ramp, and
-    # assemble_system's two test halves of one interval table
+def _functions_that(calls) -> set[str]:
+    """`module.function` (or `module.<module>`) of every call in src/ that
+    `calls(node)` accepts."""
     found = set()
     for path in sorted((SRC / "dipolekit").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -79,10 +78,41 @@ def test_only_the_fold_and_the_assembly_view_a_buffer_as_an_array():
                 for node in ast.walk(fn):
                     scope[node] = fn.name
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "ndarray"
-                    and (len(node.args) >= 3
-                         or any(k.arg == "buffer" for k in node.keywords))):
+            if isinstance(node, ast.Call) and calls(node):
                 found.add("%s.%s" % (path.stem, scope.get(node, "<module>")))
-    assert found == {"mom._fold", "mom.assemble_system"}
+    return found
+
+
+def test_only_the_fold_and_the_assembly_view_a_buffer_as_an_array():
+    # np.ndarray(shape, dtype, buffer, ...) reads one array through another's
+    # memory: _fold's Toeplitz and Hankel views of the column's ramp, and
+    # assemble_system's two test halves of one interval table
+    def views_a_buffer(node):
+        return (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "ndarray"
+                and (len(node.args) >= 3
+                     or any(k.arg == "buffer" for k in node.keywords)))
+    assert _functions_that(views_a_buffer) == {"mom._fold",
+                                               "mom.assemble_system"}
+
+
+def test_one_function_builds_a_substrate_from_text():
+    # the catalog's lines and the CLI's inline triples share one reader
+    def builds_a_substrate(node):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "Substrate"
+    assert _functions_that(builds_a_substrate) == {"design.parse_substrate"}
+
+
+def test_no_module_reads_the_environment():
+    # what a run reads is named by its arguments, not by os.environ
+    found = []
+    for path in sorted((SRC / "dipolekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb")]
+    assert found == []
