@@ -19,8 +19,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
-from .design import DipoleGeometry, Substrate, check_design_rules, \
-    load_substrates, parse_substrate, synthesize_geometry
+from .design import DipoleGeometry, Substrate, load_substrates, \
+    parse_substrate, synthesize_geometry
 from .errors import ConfigError, DesignRuleError, NoResonanceError, \
     SolverError
 from .farfield import PatternCut
@@ -125,6 +125,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, value = key.strip(), value.strip()
         if key not in _PARSERS:
             raise ConfigError("%s:%d: unknown key %r" % (source, lineno, key))
+        if key in values:
+            raise ConfigError("%s:%d: key %r is set twice"
+                              % (source, lineno, key))
         try:
             values[key] = _PARSERS[key](value)
         except ValueError as exc:
@@ -229,12 +232,11 @@ def _summary_line(result: SweepResult, threshold_db: float) -> str:
 def cmd_design(config: RunConfig, substrate: Substrate) -> None:
     f = config.freq_mhz * _MHZ
     synth = synthesize_geometry(substrate, f, feed_style=_FEED_NAMES[config.feed])
-    g = synth.geometry
+    g, rules = synth.geometry, synth.rules
     print("substrate %s: eps_e=%.4f lambda_d=%.4f mm" %
           (substrate.name, synth.eps_e, synth.lambda_d))
     print("geometry: L=%.4f mm W=%.4f mm (h=%.4f mm recommended)" %
           (g.L, g.W, synth.recommended_h))
-    rules = check_design_rules(g, substrate, f)
     for e in rules.entries:
         print("  rule %-14s %-14s measured=%.6g  [%s]" %
               (e.rule, e.kind, e.measured, e.status))
@@ -247,8 +249,9 @@ def cmd_analyze(config: RunConfig, substrate: Substrate) -> None:
     start, stop, step = _band_hz(config)
     result = sweep(_geometry(config), substrate, start, stop, step,
                    n=config.mesh, z0=config.z0_ohm)
+    summary = _summary_line(result, config.bw_threshold_db)
     emit_sweep_csv(result, config.out)
-    print("analyze: " + _summary_line(result, config.bw_threshold_db))
+    print("analyze: " + summary)
 
 
 def cmd_pattern(config: RunConfig, substrate: Substrate) -> None:

@@ -50,7 +50,6 @@ class DipoleGeometry:
     W: float                      # strip width, mm
     g: float = 0.0                # center gap, mm
     T: float = DEFAULT_T_MM       # conductor thickness, mm
-    feed_style: str = "ideal_center"
 
     def __post_init__(self):
         if not all(map(isfinite, (self.L, self.W, self.g, self.T))):
@@ -61,8 +60,6 @@ class DipoleGeometry:
             raise ValueError("g and T must be >= 0")
         if self.g >= self.L:
             raise ValueError("gap g must be smaller than L")
-        if self.feed_style not in FEED_STYLES:
-            raise ValueError("feed_style must be one of %s" % (FEED_STYLES,))
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,7 @@ class SynthesisResult:
     eps_e: float            # averaged effective permittivity used for lambda_d
     lambda_d: float         # design wavelength, mm
     recommended_h: float    # 0.02 * lambda_d, mm
+    rules: RuleCheckResult  # the rule table synthesis enforced at f
 
 
 def free_space_wavelength(f: float) -> float:
@@ -168,6 +166,8 @@ def synthesize_geometry(substrate: Substrate, f: float,
     """
     eps_e = eps_eff_average(substrate.eps_r)
     lambda_d = guided_wavelength(f, eps_e)
+    if feed_style not in FEED_STYLES:
+        raise ValueError("feed_style must be one of %s" % (FEED_STYLES,))
     W = WIDTH_FRACTION * lambda_d
     if feed_style == "ideal_center":
         L = half_wave_length(lambda_d)
@@ -175,10 +175,11 @@ def synthesize_geometry(substrate: Substrate, f: float,
         eps_f = eps_eff_microstrip(substrate.eps_r, W, substrate.h)
         lam_f = guided_wavelength(f, eps_f)
         L = stub_fed_length(lam_f) if feed_style == "open_stub" else via_fed_length(lam_f)
-    geometry = DipoleGeometry(L=L, W=W, feed_style=feed_style)
-    check_design_rules(geometry, substrate, f).raise_violations()
+    geometry = DipoleGeometry(L=L, W=W)
+    rules = check_design_rules(geometry, substrate, f)
+    rules.raise_violations()
     return SynthesisResult(geometry=geometry, eps_e=eps_e, lambda_d=lambda_d,
-                           recommended_h=0.02 * lambda_d)
+                           recommended_h=0.02 * lambda_d, rules=rules)
 
 
 def _entry(rule, kind, measured, low, high):
@@ -230,7 +231,11 @@ def parse_catalog(text: str, source: str = "<catalog>") -> dict[str, Substrate]:
         line = raw.split("#", 1)[0].strip()
         if line:
             name, *fields = map(str.strip, line.split(","))
-            out[name] = parse_substrate(name, fields, "%s:%d" % (source, lineno))
+            where = "%s:%d" % (source, lineno)
+            if name in out:
+                raise ConfigError("%s: substrate %r is defined twice"
+                                  % (where, name))
+            out[name] = parse_substrate(name, fields, where)
     return out
 
 

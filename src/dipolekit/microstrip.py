@@ -56,7 +56,6 @@ def synth_width_for_z0(z0_target: float, substrate: Substrate) -> float:
             "z0=%.3g ohm is outside the achievable range [%.3g, %.3g] ohm "
             "for w/h in [%.3g, %.3g]" % (z0_target, z_lo, z_hi, WH_MIN, WH_MAX))
     lo, hi = WH_MIN, WH_MAX
-    w = (lo + hi) / 2 * h
     for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
         w = mid * h

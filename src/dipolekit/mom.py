@@ -446,8 +446,6 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
         raise ValueError("f_start must be <= f_stop")
     if f_step <= 0:
         raise ValueError("f_step must be > 0")
-    if f_start == f_stop:
-        return np.array([f_start])
     steps = (f_stop - f_start) / f_step
     if not steps < MAX_GRID_POINTS:
         raise ValueError("band has %.3g steps, limit %d" % (steps, MAX_GRID_POINTS))

@@ -18,7 +18,7 @@ from dipolekit.cli import (
     resolve_config,
     resolve_substrate,
 )
-from dipolekit import cli, mom
+from dipolekit import cli, design, mom
 from dipolekit.design import DipoleGeometry, load_substrates
 from dipolekit.errors import ConfigError, NonPassiveError, SolverError
 from dipolekit.farfield import PatternCut
@@ -143,6 +143,13 @@ def test_parse_config_line_without_equals_names_line():
         parse_config_text("length_mm = 63\nmesh 21\n")
 
 
+def test_parse_config_refuses_a_repeated_key():
+    with pytest.raises(ConfigError,
+                       match="^run.cfg:3: key 'length_mm' is set twice$"):
+        parse_config_text("length_mm = 60\nwidth_mm = 5\nlength_mm = 70\n",
+                          source="run.cfg")
+
+
 def test_resolve_substrate_catalog_and_inline():
     sub = resolve_substrate(RunConfig())
     assert sub.eps_r == 4.3 and sub.h == 1.6
@@ -218,6 +225,11 @@ def test_emit_study_table(tmp_path):
     assert "boom" in lines[2]
 
 
+def test_emit_study_table_refuses_no_rows():
+    with pytest.raises(ValueError, match="^empty study$"):
+        emit_study_table([], None)
+
+
 def test_emit_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_sweep_csv(_sweep(), str(a))
@@ -230,6 +242,49 @@ def test_cli_design_runs(capsys):
     out = capsys.readouterr().out
     assert "design ok" in out
     assert "eps_e=2.6500" in out
+
+
+def test_cli_design_evaluates_the_rule_table_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(check):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+        return wrapper
+
+    for module in (design, cli):
+        if hasattr(module, "check_design_rules"):
+            monkeypatch.setattr(module, "check_design_rules",
+                                counted(module.check_design_rules))
+    assert main(["design"]) == 0
+    assert len(calls) == 1
+    assert "design ok" in capsys.readouterr().out
+
+
+def test_cli_refused_analyze_writes_no_csv(tmp_path, capsys):
+    argv = ["analyze", "--band", "1000:1100:50", "--bw-threshold", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: threshold must be negative dB\n"
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_repeated_catalog_name_or_config_key_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("a,4.3,1.6,0\na,2.2,1,0\n")
+    assert main(["analyze", "--catalog", str(cat), "--substrate", "a"]) == 2
+    assert ("%s:2: substrate 'a' is defined twice" % cat) \
+        in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length_mm = 60\nlength_mm = 70\n")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert ("%s:2: key 'length_mm' is set twice" % cfg) \
+        in capsys.readouterr().err
 
 
 def test_cli_analyze_writes_csv(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import inspect
 import math
 import types
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,8 +105,6 @@ def test_geometry_validation():
         DipoleGeometry(L=0, W=6)
     with pytest.raises(ValueError):
         DipoleGeometry(L=67, W=6, g=70)
-    with pytest.raises(ValueError):
-        DipoleGeometry(L=67, W=6, feed_style="magic")
     for bad in (dict(g=-1.0), dict(T=-0.1)):
         with pytest.raises(ValueError, match="g and T must be >= 0"):
             DipoleGeometry(L=67, W=6, **bad)
@@ -149,6 +148,18 @@ def test_synthesize_feed_styles():
     via = synthesize_geometry(FR4, 1.8e9, feed_style="via_hole")
     assert stub.geometry.L == pytest.approx(67.1332, abs=1e-3)
     assert via.geometry.L == pytest.approx(59.6739, abs=1e-3)
+
+
+def test_geometry_holds_only_dimensions():
+    # the feed style is an argument of synthesis, not a geometry field
+    assert [f.name for f in fields(DipoleGeometry)] == ["L", "W", "g", "T"]
+
+
+@pytest.mark.parametrize("style", ["ideal_center", "open_stub", "via_hole"])
+def test_synthesis_returns_the_rule_table_it_enforced(style):
+    r = synthesize_geometry(FR4, 1.8e9, style)
+    assert r.rules == check_design_rules(r.geometry, FR4, 1.8e9)
+    assert r.rules.ok
 
 
 def test_synthesize_refuses_an_unknown_feed_style():
@@ -211,6 +222,12 @@ def test_parse_catalog_errors():
         parse_catalog("foo,4.3,1.6,0.002\nbar,notanumber,1,0\n")
     with pytest.raises(ConfigError):
         parse_catalog("only,two\n")
+
+
+def test_parse_catalog_refuses_a_repeated_name():
+    with pytest.raises(ConfigError,
+                       match="^cat:3: substrate 'a' is defined twice$"):
+        parse_catalog("a,4.3,1.6,0\nb,3,1,0\na,2.2,1,0\n", source="cat")
 
 
 @pytest.mark.parametrize("line", ["bad,nan,1.6,0", "infh,4.3,inf,0"])
