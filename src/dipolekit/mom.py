@@ -441,6 +441,15 @@ def geometry_model(geometry: DipoleGeometry, substrate: Substrate) -> WireModel:
                      eps_e=eps_e)
 
 
+def checked_model(geometry: DipoleGeometry, substrate: Substrate,
+                  f: float) -> WireModel:
+    """geometry_model after the design-rule restrictions at f: a
+    DesignRuleError names each violated one. Every solve of a geometry
+    takes its wire model from here."""
+    check_design_rules(geometry, substrate, f).raise_violations()
+    return geometry_model(geometry, substrate)
+
+
 def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
     if f_start > f_stop:
         raise ValueError("f_start must be <= f_stop")
@@ -457,10 +466,10 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
 def sweep(geometry: DipoleGeometry, substrate: Substrate,
           f_start: float, f_stop: float, f_step: float,
           n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
-    """Impedance and match metrics over a band, solved on result.mesh."""
-    check_design_rules(geometry, substrate,
-                       0.5 * (f_start + f_stop)).raise_violations()
-    mesh = build_mesh(geometry_model(geometry, substrate), n)
+    """Impedance and match metrics over a band, solved on result.mesh, after
+    the design rules are checked at the band centre."""
+    mesh = build_mesh(checked_model(geometry, substrate,
+                                    0.5 * (f_start + f_stop)), n)
     freqs = frequency_grid(f_start, f_stop, f_step)
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs):

@@ -19,7 +19,7 @@ from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, \
     fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
-from .mom import build_mesh, default_segments, geometry_model, impedance_at, \
+from .mom import build_mesh, checked_model, default_segments, impedance_at, \
     input_impedance, solve_at, sweep
 
 #: golden-section stopping span, mm
@@ -107,10 +107,11 @@ class OptimizeResult:
 def _impedance_of_length(substrate: Substrate, f: float, l_low: float,
                          l_high: float, width_mm: float) -> Callable:
     """Cached Z_in(L) at f; the segment count is fixed from l_low so Z is a
-    continuous function of length."""
+    continuous function of length. The design-rule restrictions, which do
+    not depend on L, are checked once, at f on the l_low geometry."""
     if not l_low < l_high:
         raise ValueError("need l_low < l_high")
-    model = geometry_model(DipoleGeometry(L=l_low, W=width_mm), substrate)
+    model = checked_model(DipoleGeometry(L=l_low, W=width_mm), substrate, f)
     n = default_segments(l_low, model.radius)
 
     @functools.cache
@@ -123,7 +124,8 @@ def optimize_length(substrate: Substrate, f: float,
                     l_low: float, l_high: float,
                     width_mm: float = 6.0,
                     z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Bisect for the length whose input reactance crosses zero at f."""
+    """Bisect for the length whose input reactance crosses zero at f; the
+    design rules are checked once, at f, before the first solve."""
     z_of = _impedance_of_length(substrate, f, l_low, l_high, width_mm)
     z_lo, z_hi = z_of(l_low), z_of(l_high)
     if np.sign(z_lo.imag) == np.sign(z_hi.imag):
@@ -158,6 +160,7 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
 
     A 9-point presample checks unimodality; if the samples are not
     unimodal the best grid point is returned with a "non-unimodal" note.
+    The design rules are checked once, at f, before the first solve.
     """
     z_of = _impedance_of_length(substrate, f, l_low, l_high, width_mm)
 
@@ -204,7 +207,8 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
 
 def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
                   f: float) -> tuple:
-    """Both principal-plane cuts for one geometry."""
-    mesh = build_mesh(geometry_model(geometry, substrate))
+    """Both principal-plane cuts for one geometry, after its design rules
+    are checked at f."""
+    mesh = build_mesh(checked_model(geometry, substrate, f))
     e_cut = pattern_from_current(solve_at(mesh, f), mesh, f)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

@@ -411,12 +411,20 @@ def test_cli_empty_catalog_path_is_not_the_bundled_catalog(capsys):
     assert capsys.readouterr().err.startswith("i/o error: ")
 
 
-def test_cli_exit_code_design_rule(capsys):
-    # w/h exceeds the hard 20:1 restriction
-    rc = main(["analyze", "--length", "300", "--width", "64",
-               "--band", "1050:1150:50"])
-    assert rc == 3
-    assert "design-rule" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, violated", [
+    # w/h exceeds the hard 20:1 restriction on every route to a solve
+    (["analyze", "--length", "300", "--width", "64", "--band", "1050:1150:50"],
+     "w_over_h"),
+    (["pattern", "--length", "700", "--width", "33"], "w_over_h"),
+    (["optimize", "--width", "33", "--opt-low", "250", "--opt-high", "500",
+      "--freq", "300"], "w_over_h"),
+    (["pattern", "--length=1e10", "--width=1e-300"], "w_over_h, t_over_w"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_exit_code_design_rule(argv, violated, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "design-rule violation: geometry violates restriction(s): %s\n"
+        % violated)
 
 
 def test_cli_exit_code_io_error(tmp_path, capsys):
@@ -473,6 +481,7 @@ def _exit_code(argv):
     ["analyze", "--band", "1000:inf:50"],
     ["analyze", "--band", "1000:2000:1e-310"],        # step count overflows
     ["analyze", "--band", "1.7e308:1.7e308:1"],       # f in Hz overflows
+    ["pattern", "--freq=1e305"],                      # f in Hz overflows
     ["analyze", "--band", "1000:2000"],               # no step
     ["study-length", "--lengths", ","],               # empty list
     ["pattern", "--plane", "X"],
@@ -485,8 +494,9 @@ def test_cli_bad_values_exit_2(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["pattern", "--freq=1e-300"],                       # sin(kh) underflows
-    ["pattern", "--freq=1e305"],                        # non-finite matrix
-    ["pattern", "--length=1e10", "--width=1e-300"],     # L/(2a) overflows
+    ["pattern", "--length=1e308", "--width=1"],         # L/a overflows
+    ["pattern", "--length=3.6894994835786546e289", "--width=6",
+     "--freq=1.3e23"],                                  # k*R overflows
 ], ids=" ".join)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_degenerate_solves_exit_4(argv, capsys):
@@ -633,8 +643,7 @@ _ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))
        length=_ANY_FLOAT, width=_ANY_FLOAT, z0=_ANY_FLOAT, freq=_ANY_FLOAT,
        bw_threshold=_ANY_FLOAT)
 @example(command="pattern", length=3.6894994835786546e289,   # k*R overflows
-         width=1261007895663703.0, z0=50.0, freq=1.1212699280039864e23,
-         bw_threshold=-10.0)
+         width=6.0, z0=50.0, freq=1.3e23, bw_threshold=-10.0)
 @example(command="pattern", length=67.0, width=6.0, z0=50.0,  # sin^2(kh)
          freq=1e-150, bw_threshold=-10.0)                     # is subnormal
 def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,

@@ -796,6 +796,13 @@ def test_overflowing_kr_raises_solver_error(capfd):
     assert out == "" and err == ""
 
 
+def test_infinite_wavenumber_raises_solver_error():
+    # f = inf passes wavenumber's f > 0 check; assembly refuses its k
+    mesh = build_mesh(WireModel(67.0, 1.5, 3.455))
+    with pytest.raises(SolverError, match="^wavenumber is not finite$"):
+        assemble_system(mesh, math.inf)
+
+
 def test_half_wave_impedance_reference():
     # classical MoM/NEC-style value for a = lambda/1000 at L = lambda/2;
     # the real part sits well above the 73-ohm sinusoidal approximation

@@ -3,7 +3,7 @@ import pytest
 
 from dipolekit import mom, studies
 from dipolekit.design import DipoleGeometry, Substrate
-from dipolekit.errors import BracketError
+from dipolekit.errors import BracketError, DesignRuleError
 from dipolekit.studies import (
     OptimizeResult,
     StudyRow,
@@ -150,6 +150,33 @@ def test_every_solve_takes_the_one_path(monkeypatch):
     assert counts["solve_at"] > 0
     assert counts["assemble_system"] == counts["solve_at"] \
         == counts["solve_current"]
+
+
+# W = 33 mm on 1.6 mm FR4 is W/h = 20.6, past the 20:1 restriction
+@pytest.mark.parametrize("solve", [
+    lambda: studies.study_pattern(DipoleGeometry(L=700.0, W=33.0), FR4, 1.8e9),
+    lambda: optimize_length(FR4, 0.3e9, 250.0, 500.0, width_mm=33.0),
+    lambda: optimize_for_max_rl(FR4, 0.3e9, 200.0, 400.0, width_mm=33.0),
+], ids=["study_pattern", "optimize_length", "optimize_for_max_rl"])
+def test_every_route_to_a_solve_checks_the_design_rules(solve):
+    with pytest.raises(DesignRuleError,
+                       match="^geometry violates restriction\\(s\\): w_over_h$"):
+        solve()
+
+
+def test_optimizer_evaluates_the_rule_table_once(monkeypatch):
+    # the restrictions do not depend on L, so no length re-checks them
+    calls = []
+    check = mom.check_design_rules
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(mom, "check_design_rules", counted)
+    res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0)
+    assert res.converged
+    assert len(calls) == 1
 
 
 def test_optimizers_agree():
