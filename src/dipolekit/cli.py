@@ -25,7 +25,7 @@ from .errors import ConfigError, DesignRuleError, NoResonanceError, \
     SolverError
 from .farfield import PatternCut
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, SweepResult, \
-    fractional_bandwidth, resonant_frequency, s11_minimum
+    check_bw_threshold, fractional_bandwidth, resonant_frequency, s11_minimum
 from .mom import sweep
 from .studies import StudyRow, length_study, optimize_length, \
     study_pattern, width_study
@@ -177,9 +177,11 @@ def _write(path: str | None, text: str) -> None:
 def emit_sweep_csv(result: SweepResult, path: str | None) -> None:
     """`freq_hz,r_ohm,x_ohm,s11_db,vswr`, one row per sample."""
     lines = ["freq_hz,r_ohm,x_ohm,s11_db,vswr"]
-    for row in zip(result.f, result.z_in.real, result.z_in.imag,
-                   result.s11_db, result.vswr):
-        lines.append(",".join(map(_fmt, row)))
+    # tolist() yields the same doubles as Python floats, so repr is _fmt
+    for row in zip(result.f.tolist(), result.z_in.real.tolist(),
+                   result.z_in.imag.tolist(), result.s11_db.tolist(),
+                   result.vswr.tolist()):
+        lines.append("%r,%r,%r,%r,%r" % row)
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -247,6 +249,7 @@ def cmd_design(config: RunConfig, substrate: Substrate) -> None:
 
 def cmd_analyze(config: RunConfig, substrate: Substrate) -> None:
     start, stop, step = _band_hz(config)
+    check_bw_threshold(config.bw_threshold_db)
     result = sweep(_geometry(config), substrate, start, stop, step,
                    n=config.mesh, z0=config.z0_ohm)
     summary = _summary_line(result, config.bw_threshold_db)

@@ -136,6 +136,12 @@ def level_crossings(x, y, i0: int, level: float, inside):
     return edge(range(i0 - 1, -1, -1)), edge(range(i0 + 1, len(y)))
 
 
+def check_bw_threshold(threshold_db: float) -> None:
+    """Refuse a threshold that is not negative dB (nan too), before solving."""
+    if not threshold_db < 0:
+        raise ValueError("threshold must be negative dB")
+
+
 def fractional_bandwidth(sweep: SweepResult,
                          threshold_db: float = DEFAULT_BW_THRESHOLD_DB) -> BandwidthResult:
     """Contiguous band around the deepest S11 dip meeting the threshold.
@@ -144,8 +150,7 @@ def fractional_bandwidth(sweep: SweepResult,
     frequency of the deepest sample. Bands cut off by the sweep limits are
     flagged edge_clipped.
     """
-    if threshold_db >= 0:
-        raise ValueError("threshold must be negative dB")
+    check_bw_threshold(threshold_db)
     f, s = sweep.f.tolist(), sweep.s11_db.tolist()
     i0 = s11_minimum(sweep)
     f_c = f[i0]

@@ -77,7 +77,7 @@ _WQ = np.concatenate((_W8[::-1], _W8))
 #: relative condition limit before the solve is refused
 _COND_LIMIT = 1e12
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 #: squared Frobenius norms _certified covers: far enough from underflow
 #: that absolute rounding stays under its margin, and from overflow that no
@@ -201,7 +201,7 @@ def wavenumber(f: float, eps_e: float) -> float:
     """k in 1/mm inside the effective medium."""
     if f <= 0:
         raise ValueError("frequency must be > 0")
-    return 2.0 * np.pi * f * np.sqrt(eps_e) / C_MM_PER_S
+    return 2.0 * math.pi * f * math.sqrt(eps_e) / C_MM_PER_S
 
 
 def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
@@ -212,23 +212,27 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
     if not math.isfinite(k):
         raise SolverError("wavenumber is not finite")
     # the largest R is quad_r[-1, -1]; Python floats overflow to inf, unwarned
-    if math.isinf(float(k) * float(mesh.quad_r[-1, -1])):
+    if math.isinf(k * float(mesh.quad_r[-1, -1])):
         raise SolverError("k*R overflows")
-    eta = ETA0 / np.sqrt(model.eps_e)
     h = model.total_length / (mesh.n + 1)
-    sk = np.sin(k * h)
+    sk = math.sin(k * h)
     # col's scale in Python floats (inf unwarned); a zero divisor would raise
-    if sk * sk == 0.0 or not math.isfinite(
-            float(eta) / (4.0 * math.pi * float(sk) * float(sk))):
+    if sk * sk == 0.0 or not math.isfinite(scale := ETA0 / math.sqrt(
+            model.eps_e) / (4.0 * math.pi * sk * sk)):
         raise SolverError("sin(kh) underflows")
     # field of one basis = three spherical-wave centers at its knots; both
     # test halves read e from one view, the upper half one interval row on
-    e = mesh.quad_w * np.exp(-1j * k * mesh.quad_r)
+    e = np.multiply(-1j * k, mesh.quad_r)
+    np.exp(e, out=e)
+    e *= mesh.quad_w
     halves = np.ndarray((2, mesh.n + 2, _N_QUAD), e.dtype, e, 0,
                         e.strides[:1] + e.strides)
-    s = np.einsum("hsq,hsq->s", np.sin(k * mesh.quad_sine_arg), halves)
-    col = s[2:] - 2.0 * np.cos(k * h) * s[1:-1] + s[:-2]
-    col *= 1j * eta / (4.0 * np.pi * sk * sk)
+    sine = np.multiply(k, mesh.quad_sine_arg)
+    s = np.einsum("hsq,hsq->s", np.sin(sine, out=sine), halves)
+    col = s[1:-1] * (-2.0 * math.cos(k * h))
+    col += s[2:]
+    col += s[:-2]
+    col *= 1j * scale
     return col
 
 
@@ -343,20 +347,18 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     None), which solve_current takes from its one workspace.
     """
     n = col.size
-    p = (n - 1) // 2
-    m = p + 1
+    m = (n + 1) // 2
     weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times,
     weights[0] = n                            # and c_0 n times
-    a = np.abs(col)
-    a *= a
-    s2 = np.dot(weights, a)
+    a = np.abs(col)   # einsum, unlike a ufunc or dot, overflows unwarned
+    s2 = np.einsum("i,i,i->", weights, a, a)
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
         return False
-    s = np.sqrt(s2)
+    s = math.sqrt(s2)
     x = col * _ROTATION
     x.real[0] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
     blocks = _fold(x, np.empty((2, m, m)) if out is None else out)
-    blocks[1, p, p] = s
+    blocks[1, -1, -1] = s   # the pad's diagonal
     try:
         np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
@@ -379,31 +381,33 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     symmetric x, (A x)[:p+1] = (T + H) z with x = (z_0, ..., z_{p-1}, 2 z_p,
     z_{p-1}, ..., z_0), so the LU solves (T + H) z = e_p and, with r =
     (T + H) z - e_p, the residual ||A x - e_p|| is sqrt(2 ||r[:p]||^2 +
-    |r_p|^2). T + H and the certificate's blocks share one workspace (the
-    module docstring's memory budget). `col` is never written. An exactly
-    singular T + H behind a passing guard raises SolverError.
+    |r_p|^2) = sqrt(2 ||r||^2 - |r_p|^2). T + H and the certificate's
+    blocks share one workspace (the module docstring's memory budget).
+    `col` is never written. An exactly singular T + H behind a passing
+    guard raises SolverError.
     """
     n, p = mesh.n, mesh.feed_index
     if col.shape != (n,):
         raise MeshError("system shape %s does not match the mesh's n = %d"
                         % (col.shape, n))
     m = p + 1
-    work = np.empty(2 * m * m, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
-        if not _certified(col, work[m * m:].view(float).reshape(2, m, m)):
+    work = np.empty((2, m, m), dtype=complex)
+    if not _certified(col, work[1].view(float).reshape(2, m, m)):
+        with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
             cond = _condition(_fold(col))
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise SolverError("system condition estimate %.3g exceeds %.1g"
-                                  % (cond, _COND_LIMIT))
-    even = _fold(col, work[:m * m].reshape(1, m, m))[0]
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SolverError("system condition estimate %.3g exceeds %.1g"
+                              % (cond, _COND_LIMIT))
+    even = _fold(col, work[:1])[0]
     b = np.zeros(m, dtype=complex)
     b[p] = 1.0
     try:
         z = np.linalg.solve(even, b)
     except np.linalg.LinAlgError:   # exactly singular
         raise SolverError("even-mode block is singular") from None
-    r = even @ z - b
-    residual = math.sqrt(np.vdot(r, r).real + np.vdot(r[:p], r[:p]).real)
+    r = even @ z
+    r[p] -= 1.0
+    residual = math.sqrt(2.0 * np.vdot(r, r).real - abs(r[p]) ** 2)
     if residual > _RESIDUAL_LIMIT:
         raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
     currents = np.concatenate((z, z[p - 1::-1]))
@@ -414,7 +418,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
 def input_impedance(current: CurrentDistribution) -> complex:
     """Z_in = 1 V / I at the feed node."""
     i_feed = current.feed_current
-    scale = np.max(np.abs(current.currents))
+    scale = np.abs(current.currents).max()
     if scale > 0 and abs(i_feed) < 1e-9 * scale:
         warnings.warn("feed current nearly zero: numerical antiresonance",
                       RuntimeWarning, stacklevel=2)
@@ -472,6 +476,6 @@ def sweep(geometry: DipoleGeometry, substrate: Substrate,
                                     0.5 * (f_start + f_stop)), n)
     freqs = frequency_grid(f_start, f_stop, f_step)
     z_in = np.empty(freqs.size, dtype=complex)
-    for i, f in enumerate(freqs):
-        z_in[i] = input_impedance(solve_at(mesh, float(f)))
+    for i, f in enumerate(freqs.tolist()):
+        z_in[i] = input_impedance(solve_at(mesh, f))
     return SweepResult(freqs, z_in, z0, mesh)

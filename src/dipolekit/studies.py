@@ -17,7 +17,7 @@ import numpy as np
 from .design import DipoleGeometry, Substrate
 from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
-from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, \
+from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, check_bw_threshold, \
     fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
 from .mom import build_mesh, checked_model, default_segments, impedance_at, \
     input_impedance, solve_at, sweep
@@ -51,8 +51,11 @@ def _study(params: Sequence[float],
     rows = []
     for param in params:
         try:
-            result = sweep(make_geometry(param), substrate, f_start, f_stop,
-                           f_step, z0=z0)
+            geometry = make_geometry(param)
+            # the row's restrictions, then the threshold, before any solve
+            checked_model(geometry, substrate, 0.5 * (f_start + f_stop))
+            check_bw_threshold(threshold_db)
+            result = sweep(geometry, substrate, f_start, f_stop, f_step, z0=z0)
             mesh = result.mesh
             best = s11_minimum(result)
             bw = fractional_bandwidth(result, threshold_db)

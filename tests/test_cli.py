@@ -18,7 +18,7 @@ from dipolekit.cli import (
     resolve_config,
     resolve_substrate,
 )
-from dipolekit import cli, design, mom
+from dipolekit import cli, design, mom, studies
 from dipolekit.design import DipoleGeometry, load_substrates
 from dipolekit.errors import ConfigError, NonPassiveError, SolverError
 from dipolekit.farfield import PatternCut
@@ -168,6 +168,21 @@ def _sweep():
     return SweepResult([1.0e9, 1.1e9], [40 - 5j, 50 + 2j])
 
 
+def test_emit_sweep_csv_writes_non_finite_columns_as_repr(capsys):
+    # a matched sample (s11 = -inf dB, VSWR 1) and a shorted one (VSWR inf)
+    result = SweepResult([1.0e9, 2.0e9], [50.0 + 0j, 0j])
+    emit_sweep_csv(result, None)
+    text = capsys.readouterr().out
+    assert text == ("freq_hz,r_ohm,x_ohm,s11_db,vswr\n"
+                    "1000000000.0,50.0,0.0,-inf,1.0\n"
+                    "2000000000.0,0.0,0.0,0.0,inf\n")
+    columns = (result.f, result.z_in.real, result.z_in.imag, result.s11_db,
+               result.vswr)
+    assert text.splitlines()[1:] == [",".join(repr(float(c[i]))
+                                              for c in columns)
+                                     for i in range(2)]
+
+
 def test_emit_sweep_csv(tmp_path):
     p = tmp_path / "s.csv"
     emit_sweep_csv(_sweep(), str(p))
@@ -260,6 +275,31 @@ def test_cli_design_evaluates_the_rule_table_once(monkeypatch, capsys):
     assert main(["design"]) == 0
     assert len(calls) == 1
     assert "design ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["analyze", "study-length",
+                                     "study-width"])
+def test_cli_non_negative_bw_threshold_is_refused_before_any_solve(
+        command, monkeypatch, capsys):
+    calls = []
+    solve_at = mom.solve_at
+
+    def counted(*args):
+        calls.append(args)
+        return solve_at(*args)
+
+    for module in (mom, studies):
+        monkeypatch.setattr(module, "solve_at", counted)
+    argv = [command, "--band", "1700:1900:100", "--lengths", "63",
+            "--widths", "6"]
+    assert main(argv) == 0
+    assert calls   # the wrapper sees the command's solves
+    calls.clear()
+    capsys.readouterr()
+    assert main(argv + ["--bw-threshold", "0"]) == 2
+    assert "config error: threshold must be negative dB" \
+        in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_refused_analyze_writes_no_csv(tmp_path, capsys):
@@ -492,16 +532,20 @@ def test_cli_bad_values_exit_2(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["pattern", "--freq=1e-300"],                       # sin(kh) underflows
-    ["pattern", "--length=1e308", "--width=1"],         # L/a overflows
-    ["pattern", "--length=3.6894994835786546e289", "--width=6",
-     "--freq=1.3e23"],                                  # k*R overflows
-], ids=" ".join)
+@pytest.mark.parametrize("argv, guard", [
+    pytest.param(argv, guard, id=" ".join(argv)) for argv, guard in [
+        (["pattern", "--freq=1e-300"], "sin(kh) underflows"),
+        (["pattern", "--length=1e308", "--width=1"], "L/a overflows"),
+        (["pattern", "--length=3.6894994835786546e289", "--width=6",
+          "--freq=1.3e23"], "k*R overflows"),
+    ]])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cli_degenerate_solves_exit_4(argv, capsys):
+def test_cli_degenerate_solves_exit_4(argv, guard, capsys):
+    # each case is refused by the guard it is paired with
     assert main(argv) == 4
-    assert "solver error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ")
+    assert guard in err
 
 
 def test_cli_sweep_error_names_its_frequency(capsys):

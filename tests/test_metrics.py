@@ -8,6 +8,7 @@ from dipolekit.errors import NonPassiveError, NoResonanceError
 from dipolekit.metrics import (
     BandwidthResult,
     SweepResult,
+    check_bw_threshold,
     fractional_bandwidth,
     gamma_from_return_loss,
     gamma_from_vswr,
@@ -173,6 +174,14 @@ def test_fractional_bandwidth_exact():
     assert bw.f_high == pytest.approx(1.98e9, rel=2e-3)
     assert bw.percent == pytest.approx(100 * 0.33 / 1.8, rel=1e-2)
     assert not bw.edge_clipped
+
+
+@pytest.mark.parametrize("threshold_db", [0.0, 3.0, float("nan")])
+def test_bandwidth_threshold_must_be_negative_db(threshold_db):
+    for refuse in (check_bw_threshold,
+                   lambda t: fractional_bandwidth(_parabolic_sweep(), t)):
+        with pytest.raises(ValueError, match="^threshold must be negative dB$"):
+            refuse(threshold_db)
 
 
 def test_bandwidth_below_threshold():

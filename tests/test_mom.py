@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -662,6 +664,40 @@ def test_scaled_system_solved_silently(scale, n, capfd):
     assert np.abs(scaled * scale - cur).max() <= 1e-11 * np.abs(cur).max()
     out, err = capfd.readouterr()
     assert out == "" and err == ""
+
+
+def _calls_made_by(package_dir, call):
+    """The c_call and call events that frames of package_dir's files make
+    while call() runs, by callee name."""
+    events = {}
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            caller, name = frame, getattr(arg, "__qualname__", repr(arg))
+        elif event == "call" and frame.f_back is not None:
+            caller, name = frame.f_back, frame.f_code.co_name
+        else:
+            return
+        if caller.f_code.co_filename.startswith(package_dir):
+            events[name] = events.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return events
+
+
+def test_solve_at_dispatch_count_does_not_grow():
+    # a deterministic count, not a timing: every call a dipolekit frame
+    # makes during one band sample at n = 21 (NumPy's ufuncs, which the
+    # profiler does not report, excepted); the bound is today's count
+    mesh = build_mesh(thin_half_wave(), n=21)
+    solve_at(mesh, 1.8e9)
+    events = _calls_made_by(os.path.dirname(mom.__file__),
+                            lambda: solve_at(mesh, 1.8e9))
+    assert sum(events.values()) <= 43, sorted(events.items())
 
 
 def test_system_from_another_mesh_raises_mesh_error():
