@@ -102,10 +102,15 @@ class SynthesisResult:
     rules: RuleCheckResult  # the rule table synthesis enforced at f
 
 
-def free_space_wavelength(f: float) -> float:
-    """Free-space wavelength in mm for frequency f in Hz."""
+def check_frequency(f: float) -> None:
+    """Refuse a frequency in Hz outside (0, inf), nan included."""
     if not 0 < f < inf:
         raise ValueError("frequency must be finite and > 0, got %g" % f)
+
+
+def free_space_wavelength(f: float) -> float:
+    """Free-space wavelength in mm for frequency f in Hz."""
+    check_frequency(f)
     return C_MM_PER_S / f
 
 
@@ -188,27 +193,31 @@ def _entry(rule, kind, measured, low, high):
     return RuleEntry(rule, kind, measured, low, high, status)
 
 
-def check_design_rules(geometry: DipoleGeometry, substrate: Substrate,
-                       f: float) -> RuleCheckResult:
-    """Evaluate the eight width/length/height/thickness clauses.
-
-    The reference wavelength is the guided wavelength from the averaged
-    effective permittivity. Failed recommendations warn; failed
-    restrictions are hard violations.
-    """
-    lam = guided_wavelength(f, eps_eff_average(substrate.eps_r))
-    L, W, T, h = geometry.L, geometry.W, geometry.T, substrate.h
-    entries = (
-        _entry("width_band", "recommendation", W / lam, 0.05, 0.1),
-        _entry("min_length", "recommendation", L / lam, 0.48, None),
-        _entry("max_height", "recommendation", h / lam, None, 0.02),
-        _entry("thin_conductor", "recommendation", T / lam, None, 0.001),
+def check_restrictions(geometry: DipoleGeometry,
+                       substrate: Substrate) -> RuleCheckResult:
+    """The four restrictions: ratios of the strip to its board, at no f."""
+    W, T, h = geometry.W, geometry.T, substrate.h
+    return RuleCheckResult(entries=(
         _entry("w_over_h", "restriction", W / h, 0.05, 20.0),
         _entry("t_over_w", "restriction", T / W, None, 0.5),
         _entry("t_over_h", "restriction", T / h, None, 0.5),
         _entry("eps_min", "restriction", substrate.eps_r, 1.0, None),
-    )
-    return RuleCheckResult(entries=entries)
+    ))
+
+
+def check_design_rules(geometry: DipoleGeometry, substrate: Substrate,
+                       f: float) -> RuleCheckResult:
+    """The eight clauses: four recommendations (a failed one warns) at the
+    guided wavelength from the averaged effective permittivity at f, then
+    the entries of check_restrictions (a failed one is a violation)."""
+    lam = guided_wavelength(f, eps_eff_average(substrate.eps_r))
+    L, W, T, h = geometry.L, geometry.W, geometry.T, substrate.h
+    return RuleCheckResult(entries=(
+        _entry("width_band", "recommendation", W / lam, 0.05, 0.1),
+        _entry("min_length", "recommendation", L / lam, 0.48, None),
+        _entry("max_height", "recommendation", h / lam, None, 0.02),
+        _entry("thin_conductor", "recommendation", T / lam, None, 0.001),
+    ) + check_restrictions(geometry, substrate).entries)
 
 
 def parse_substrate(name: str, fields: list[str], where: str) -> Substrate:

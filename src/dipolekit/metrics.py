@@ -25,8 +25,7 @@ DEFAULT_BW_THRESHOLD_DB = -10.0
 
 def reflection_coefficient(z_in, z0: float = DEFAULT_Z0):
     """Gamma = (Z - Z0) / (Z + Z0) for a scalar or array Z and a real Z0 > 0."""
-    if not z0 > 0:
-        raise ValueError("reference impedance must be > 0")
+    check_z0(z0)
     r = np.real(z_in)
     if np.count_nonzero(r < 0):
         raise NonPassiveError("Re(Z_in) = %g < 0 is not passive" % np.min(r))
@@ -134,6 +133,12 @@ def level_crossings(x, y, i0: int, level: float, inside):
         return None
 
     return edge(range(i0 - 1, -1, -1)), edge(range(i0 + 1, len(y)))
+
+
+def check_z0(z0: float) -> None:
+    """Refuse a reference impedance not > 0 (nan too), before solving."""
+    if not z0 > 0:
+        raise ValueError("reference impedance must be > 0")
 
 
 def check_bw_threshold(threshold_db: float) -> None:

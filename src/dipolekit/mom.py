@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_design_rules, \
-    eps_eff_microstrip
+from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_frequency, \
+    check_restrictions, eps_eff_microstrip
 from .errors import MeshError, SolverError
-from .metrics import DEFAULT_Z0, SweepResult
+from .metrics import DEFAULT_Z0, SweepResult, check_z0
 
 #: free-space wave impedance, ohm
 ETA0 = 376.730313668
@@ -198,9 +198,9 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
 
 
 def wavenumber(f: float, eps_e: float) -> float:
-    """k in 1/mm inside the effective medium."""
-    if f <= 0:
-        raise ValueError("frequency must be > 0")
+    """k in 1/mm inside the effective medium, for f in (0, inf) Hz."""
+    if not 0 < f < math.inf:   # one call fewer per band sample when f is good
+        check_frequency(f)
     return 2.0 * math.pi * f * math.sqrt(eps_e) / C_MM_PER_S
 
 
@@ -439,26 +439,21 @@ def impedance_at(model: WireModel, f: float, n: int | None = None) -> complex:
 
 
 def geometry_model(geometry: DipoleGeometry, substrate: Substrate) -> WireModel:
-    """Strip dipole on a substrate reduced to an embedded wire model."""
+    """Strip dipole on a substrate reduced to an embedded wire model, once
+    its design-rule restrictions hold; every solve of a geometry starts here."""
+    check_restrictions(geometry, substrate).raise_violations()
     eps_e = eps_eff_microstrip(substrate.eps_r, geometry.W, substrate.h)
     return WireModel(total_length=geometry.L, radius=strip_to_wire(geometry.W),
                      eps_e=eps_e)
 
 
-def checked_model(geometry: DipoleGeometry, substrate: Substrate,
-                  f: float) -> WireModel:
-    """geometry_model after the design-rule restrictions at f: a
-    DesignRuleError names each violated one. Every solve of a geometry
-    takes its wire model from here."""
-    check_design_rules(geometry, substrate, f).raise_violations()
-    return geometry_model(geometry, substrate)
-
-
 def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
+    check_frequency(f_start)
+    check_frequency(f_stop)
     if f_start > f_stop:
         raise ValueError("f_start must be <= f_stop")
-    if f_step <= 0:
-        raise ValueError("f_step must be > 0")
+    if not 0 < f_step < math.inf:   # an inf step would make a nan grid
+        raise ValueError("f_step must be finite and > 0, got %g" % f_step)
     steps = (f_stop - f_start) / f_step
     if not steps < MAX_GRID_POINTS:
         raise ValueError("band has %.3g steps, limit %d" % (steps, MAX_GRID_POINTS))
@@ -470,11 +465,12 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
 def sweep(geometry: DipoleGeometry, substrate: Substrate,
           f_start: float, f_stop: float, f_step: float,
           n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
-    """Impedance and match metrics over a band, solved on result.mesh, after
-    the design rules are checked at the band centre."""
-    mesh = build_mesh(checked_model(geometry, substrate,
-                                    0.5 * (f_start + f_stop)), n)
+    """Impedance and match metrics over a band, solved on result.mesh. z0 and
+    the band are refused before the geometry's design-rule restrictions,
+    and those before the mesh."""
+    check_z0(z0)
     freqs = frequency_grid(f_start, f_stop, f_step)
+    mesh = build_mesh(geometry_model(geometry, substrate), n)
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs.tolist()):
         z_in[i] = input_impedance(solve_at(mesh, f))

@@ -2,8 +2,9 @@
 
 Each study row evaluates one geometry over a frequency band and reports the
 match figures at the deepest-S11 point, the -10 dB fractional bandwidth,
-and the broadside directivity. Rows that fail (design rules, solver) carry
-the error instead of aborting the table.
+and the broadside directivity. A bad band, probe frequency, z0 or threshold
+is refused before the first row; rows that fail (design rules, solver)
+carry the error instead of aborting the table.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import DipoleGeometry, Substrate
+from .design import DipoleGeometry, Substrate, check_frequency
 from .errors import BracketError, DipolekitError
 from .farfield import h_plane_cut, pattern_from_current
 from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, check_bw_threshold, \
-    fractional_bandwidth, reflection_coefficient, return_loss_db, s11_minimum
-from .mom import build_mesh, checked_model, default_segments, impedance_at, \
-    input_impedance, solve_at, sweep
+    check_z0, fractional_bandwidth, reflection_coefficient, return_loss_db, \
+    s11_minimum
+from .mom import build_mesh, default_segments, frequency_grid, geometry_model, \
+    impedance_at, input_impedance, solve_at, sweep
 
 #: golden-section stopping span, mm
 _GOLDEN_TOL_MM = 0.1
@@ -48,14 +50,15 @@ def _study(params: Sequence[float],
            make_geometry: Callable[[float], DipoleGeometry],
            substrate: Substrate, f_start: float, f_stop: float, f_step: float,
            f_probe: float, z0: float, threshold_db: float) -> list[StudyRow]:
+    frequency_grid(f_start, f_stop, f_step)
+    check_frequency(f_probe)
+    check_z0(z0)
+    check_bw_threshold(threshold_db)
     rows = []
     for param in params:
         try:
-            geometry = make_geometry(param)
-            # the row's restrictions, then the threshold, before any solve
-            checked_model(geometry, substrate, 0.5 * (f_start + f_stop))
-            check_bw_threshold(threshold_db)
-            result = sweep(geometry, substrate, f_start, f_stop, f_step, z0=z0)
+            result = sweep(make_geometry(param), substrate, f_start, f_stop,
+                           f_step, z0=z0)
             mesh = result.mesh
             best = s11_minimum(result)
             bw = fractional_bandwidth(result, threshold_db)
@@ -110,11 +113,11 @@ class OptimizeResult:
 def _impedance_of_length(substrate: Substrate, f: float, l_low: float,
                          l_high: float, width_mm: float) -> Callable:
     """Cached Z_in(L) at f; the segment count is fixed from l_low so Z is a
-    continuous function of length. The design-rule restrictions, which do
-    not depend on L, are checked once, at f on the l_low geometry."""
+    continuous function of length. The design-rule restrictions, which read
+    neither L nor f, are checked once, on the l_low geometry."""
     if not l_low < l_high:
         raise ValueError("need l_low < l_high")
-    model = checked_model(DipoleGeometry(L=l_low, W=width_mm), substrate, f)
+    model = geometry_model(DipoleGeometry(L=l_low, W=width_mm), substrate)
     n = default_segments(l_low, model.radius)
 
     @functools.cache
@@ -127,8 +130,9 @@ def optimize_length(substrate: Substrate, f: float,
                     l_low: float, l_high: float,
                     width_mm: float = 6.0,
                     z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Bisect for the length whose input reactance crosses zero at f; the
-    design rules are checked once, at f, before the first solve."""
+    """Bisect for the length whose input reactance crosses zero at f; z0 and
+    then the design-rule restrictions are checked before the first solve."""
+    check_z0(z0)
     z_of = _impedance_of_length(substrate, f, l_low, l_high, width_mm)
     z_lo, z_hi = z_of(l_low), z_of(l_high)
     if np.sign(z_lo.imag) == np.sign(z_hi.imag):
@@ -163,8 +167,9 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
 
     A 9-point presample checks unimodality; if the samples are not
     unimodal the best grid point is returned with a "non-unimodal" note.
-    The design rules are checked once, at f, before the first solve.
+    z0 and then the design-rule restrictions are checked before the first solve.
     """
+    check_z0(z0)
     z_of = _impedance_of_length(substrate, f, l_low, l_high, width_mm)
 
     def s11_of(L: float) -> float:
@@ -210,8 +215,8 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
 
 def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
                   f: float) -> tuple:
-    """Both principal-plane cuts for one geometry, after its design rules
-    are checked at f."""
-    mesh = build_mesh(checked_model(geometry, substrate, f))
+    """Both principal-plane cuts for one geometry at f, after its design-rule
+    restrictions are checked."""
+    mesh = build_mesh(geometry_model(geometry, substrate))
     e_cut = pattern_from_current(solve_at(mesh, f), mesh, f)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

@@ -277,10 +277,8 @@ def test_cli_design_evaluates_the_rule_table_once(monkeypatch, capsys):
     assert "design ok" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["analyze", "study-length",
-                                     "study-width"])
-def test_cli_non_negative_bw_threshold_is_refused_before_any_solve(
-        command, monkeypatch, capsys):
+def _count_solves(monkeypatch) -> list:
+    """The argument tuples of every solve_at call that mom and studies make."""
     calls = []
     solve_at = mom.solve_at
 
@@ -290,6 +288,14 @@ def test_cli_non_negative_bw_threshold_is_refused_before_any_solve(
 
     for module in (mom, studies):
         monkeypatch.setattr(module, "solve_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "study-length",
+                                     "study-width"])
+def test_cli_non_negative_bw_threshold_is_refused_before_any_solve(
+        command, monkeypatch, capsys):
+    calls = _count_solves(monkeypatch)
     argv = [command, "--band", "1700:1900:100", "--lengths", "63",
             "--widths", "6"]
     assert main(argv) == 0
@@ -300,6 +306,46 @@ def test_cli_non_negative_bw_threshold_is_refused_before_any_solve(
     assert "config error: threshold must be negative dB" \
         in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "study-length", "optimize"])
+def test_cli_non_positive_z0_is_refused_before_any_solve(command, monkeypatch,
+                                                         capsys):
+    calls = _count_solves(monkeypatch)
+    assert main([command, "--z0", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: reference impedance must be > 0\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("flag, reason", [
+    pytest.param(flag, reason, id=flag) for flag, reason in (
+        ("--band=-100:-50:10", "frequency must be finite and > 0, got -1e+08"),
+        ("--band=1.7e308:1.7e308:1",
+         "frequency must be finite and > 0, got inf"),
+        ("--band=1000:2000:1e-310", "band has inf steps, limit 1000000"),
+        ("--band=1000:2000:1e308", "f_step must be finite and > 0, got inf"),
+        ("--bw-threshold=0", "threshold must be negative dB"),
+        ("--z0=-5", "reference impedance must be > 0"),
+        ("--freq=1e308", "frequency must be finite and > 0, got inf"))])
+@pytest.mark.parametrize("command", ["study-length", "study-width"])
+def test_cli_study_refuses_shared_inputs_once(command, flag, reason,
+                                              monkeypatch, capsys):
+    # every row shares them, so the study refuses them before its first
+    # row, as analyze does, and writes no table
+    calls = _count_solves(monkeypatch)
+    assert main([command, flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s\n" % reason
+    assert calls == []
+
+
+def test_cli_overflowing_band_names_the_infinite_frequency(capsys):
+    assert main(["analyze", "--band=1.7e308:1.7e308:1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: frequency must be finite and > 0, got inf\n"
 
 
 def test_cli_refused_analyze_writes_no_csv(tmp_path, capsys):
@@ -579,8 +625,6 @@ def test_cli_solver_errors_name_the_frequency_once(argv, capsys):
      "solver error: at 1e-294 Hz: sin(kh) underflows"),
     (["study-width", "--length", "300", "--widths", "64,70"], 3,
      "design-rule violation: geometry violates restriction(s): w_over_h"),
-    (["study-length", "--bw-threshold", "0"], 2,
-     "config error: threshold must be negative dB"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_all_error_study_exits_with_the_first_rows_code(argv, code, first,
                                                               capsys):

@@ -13,6 +13,7 @@ from dipolekit.design import (
     RuleCheckResult,
     Substrate,
     check_design_rules,
+    check_restrictions,
     eps_eff_average,
     eps_eff_microstrip,
     free_space_wavelength,
@@ -186,6 +187,25 @@ def test_check_design_rules_violation():
     rules = check_design_rules(thick, FR4, 1.8e9)
     assert not rules.ok
     assert any(e.rule == "t_over_w" for e in rules.violations)
+
+
+@pytest.mark.parametrize("f", [0.3e9, 1.8e9, 5e9])
+@pytest.mark.parametrize("geometry", [
+    DipoleGeometry(L=67, W=6, g=3),
+    DipoleGeometry(L=67, W=0.01, T=4.0),
+    DipoleGeometry(L=700, W=33),
+], ids=["ok", "three_violations", "w_over_h"])
+def test_check_restrictions_are_the_frequency_free_rows_of_the_table(f,
+                                                                     geometry):
+    # the four restrictions read no wavelength: the table's last four rows,
+    # after the four recommendations at f
+    table = check_design_rules(geometry, FR4, f).entries
+    restrictions = check_restrictions(geometry, FR4)
+    assert restrictions.entries == table[4:]
+    assert [e.kind for e in table] == (["recommendation"] * 4
+                                       + ["restriction"] * 4)
+    assert restrictions.violations == check_design_rules(geometry, FR4,
+                                                         f).violations
 
 
 def test_raise_violations_names_each_restriction_in_table_order():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from dipolekit import mom
-from dipolekit.design import DipoleGeometry, Substrate
+from dipolekit.design import DipoleGeometry, Substrate, eps_eff_microstrip
 from dipolekit.errors import DesignRuleError, MeshError, SolverError
 from dipolekit.metrics import SweepResult
 from dipolekit.mom import (
@@ -154,6 +155,14 @@ def test_wavenumber():
     k = wavenumber(1.8e9, 1.0)
     assert k == pytest.approx(2 * np.pi / LAMBDA_18)
     assert wavenumber(1.8e9, 4.0) == pytest.approx(2 * k)
+
+
+@pytest.mark.parametrize("f", [0.0, -1.8e9, math.inf, -math.inf, math.nan])
+def test_wavenumber_refuses_a_frequency_outside_the_open_half_line(f):
+    # the first use of f in a solve; design.free_space_wavelength's reason
+    with pytest.raises(ValueError, match="^frequency must be finite and > 0, "
+                       "got %s$" % re.escape("%g" % f)):
+        wavenumber(f, 1.0)
 
 
 def test_build_mesh_basics():
@@ -821,8 +830,10 @@ def test_non_finite_system_refused_without_lapack_output(value, capfd):
 def test_overflowing_kr_raises_solver_error(capfd):
     # k*R overflows although k and sin(kh) are finite: refused before the
     # kernel's arithmetic would print an overflow warning
-    model = geometry_model(DipoleGeometry(L=3.6894994835786546e289,
-                                          W=1261007895663703.0), FR4)
+    # the wire of a W = 1.26e15 mm strip on FR4 (which breaks w_over_h)
+    W = 1261007895663703.0
+    model = WireModel(3.6894994835786546e289, W / 4,
+                      eps_eff_microstrip(4.3, W, 1.6))
     mesh = build_mesh(model)
     with pytest.raises(SolverError, match="k\\*R overflows"):
         assemble_system(mesh, 1.1212699280039864e29)
@@ -833,10 +844,10 @@ def test_overflowing_kr_raises_solver_error(capfd):
 
 
 def test_infinite_wavenumber_raises_solver_error():
-    # f = inf passes wavenumber's f > 0 check; assembly refuses its k
-    mesh = build_mesh(WireModel(67.0, 1.5, 3.455))
+    # a finite f and eps_e whose k overflows; assembly refuses the k
+    mesh = build_mesh(WireModel(67.0, 1.5, 1e300))
     with pytest.raises(SolverError, match="^wavenumber is not finite$"):
-        assemble_system(mesh, math.inf)
+        assemble_system(mesh, 1e200)
 
 
 def test_half_wave_impedance_reference():
@@ -896,17 +907,41 @@ def test_frequency_grid():
     assert frequency_grid(1.8e9, 1.8e9, 0.1e9).tolist() == [1.8e9]
     with pytest.raises(ValueError):
         frequency_grid(2e9, 1e9, 0.1e9)
-    with pytest.raises(ValueError):
-        frequency_grid(1e9, 2e9, 0.0)
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^f_step must be finite and > 0"):
+            frequency_grid(1e9, 2e9, step)
     for step in (1e-310, 1e-3):     # inf steps; 1e12 steps
         with pytest.raises(ValueError, match="limit"):
             frequency_grid(1e9, 2e9, step)
+
+
+@pytest.mark.parametrize("band, named", [
+    ((-1e8, -5e7, 1e7), "-1e+08"),
+    ((0.0, 1e9, 1e7), "0"),
+    ((1e9, math.inf, 1e7), "inf"),
+    ((math.inf, math.inf, 1e6), "inf"),
+    ((math.nan, 1e9, 1e7), "nan"),
+])
+def test_frequency_grid_refuses_band_ends_outside_the_open_half_line(band,
+                                                                     named):
+    # the first band end outside (0, inf), not "band has nan steps"
+    with pytest.raises(ValueError, match="^frequency must be finite and > 0, "
+                       "got %s$" % re.escape(named)):
+        frequency_grid(*band)
 
 
 def test_geometry_model_uses_fringing_eps():
     model = geometry_model(DipoleGeometry(L=67, W=6, g=3), FR4)
     assert model.radius == 1.5
     assert model.eps_e == pytest.approx(3.45511756018254, rel=1e-12)
+
+
+def test_geometry_model_checks_the_restrictions():
+    # W/h = 20.6 on 1.6 mm FR4: the reduction itself is the gate, with no
+    # frequency to choose
+    with pytest.raises(DesignRuleError, match="^geometry violates "
+                       "restriction\\(s\\): w_over_h$"):
+        geometry_model(DipoleGeometry(L=700.0, W=33.0), FR4)
 
 
 def test_sweep_returns_metrics_result():

@@ -104,6 +104,15 @@ def test_one_function_builds_a_substrate_from_text():
     assert _functions_that(builds_a_substrate) == {"design.parse_substrate"}
 
 
+def test_one_function_reduces_a_geometry_to_a_wire():
+    # geometry_model checks the design-rule restrictions, so it stays the
+    # one way from a geometry to a WireModel
+    def builds_a_wire(node):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "WireModel"
+    assert _functions_that(builds_a_wire) == {"mom.geometry_model"}
+
+
 def test_no_module_reads_the_environment():
     # what a run reads is named by its arguments, not by os.environ
     found = []

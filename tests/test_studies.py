@@ -53,14 +53,14 @@ def test_width_study_rule_violation_row_keeps_its_message():
     assert str(rows[1].error) == "geometry violates restriction(s): w_over_h"
 
 
-def test_study_row_keeps_the_first_failing_stage_message():
-    # the design rules run inside the sweep, before the bandwidth refuses
-    # the threshold
-    rows = width_study([6.0, 40.0], FR4, 1.7e9, 1.9e9, 0.1e9,
-                       length_mm=60.0, threshold_db=0.0)
-    assert [str(r.error) for r in rows] == [
-        "threshold must be negative dB",
-        "geometry violates restriction(s): w_over_h"]
+def test_study_refuses_a_bad_threshold_before_any_row(monkeypatch):
+    # every row shares the threshold, so the study refuses it once, before
+    # the first row's design rules (W = 40 mm breaks w_over_h) or solves;
+    # with sweep unset, a row that ran would fail with a TypeError
+    monkeypatch.setattr(studies, "sweep", None)
+    with pytest.raises(ValueError, match="^threshold must be negative dB$"):
+        width_study([6.0, 40.0], FR4, 1.7e9, 1.9e9, 0.1e9,
+                    length_mm=60.0, threshold_db=0.0)
 
 
 def test_width_study_bandwidth_trend():
@@ -157,26 +157,53 @@ def test_every_solve_takes_the_one_path(monkeypatch):
     lambda: studies.study_pattern(DipoleGeometry(L=700.0, W=33.0), FR4, 1.8e9),
     lambda: optimize_length(FR4, 0.3e9, 250.0, 500.0, width_mm=33.0),
     lambda: optimize_for_max_rl(FR4, 0.3e9, 200.0, 400.0, width_mm=33.0),
-], ids=["study_pattern", "optimize_length", "optimize_for_max_rl"])
+    # the restrictions read no f, so they are checked before f is first used
+    lambda: studies.study_pattern(DipoleGeometry(L=700.0, W=33.0), FR4,
+                                  -1.8e9),
+    lambda: optimize_length(FR4, -0.3e9, 250.0, 500.0, width_mm=33.0),
+], ids=["study_pattern", "optimize_length", "optimize_for_max_rl",
+        "study_pattern_at_a_negative_f", "optimize_length_at_a_negative_f"])
 def test_every_route_to_a_solve_checks_the_design_rules(solve):
     with pytest.raises(DesignRuleError,
                        match="^geometry violates restriction\\(s\\): w_over_h$"):
         solve()
 
 
-def test_optimizer_evaluates_the_rule_table_once(monkeypatch):
-    # the restrictions do not depend on L, so no length re-checks them
+@pytest.fixture
+def restriction_checks(monkeypatch):
+    """The argument tuples of every evaluation of the restriction table."""
     calls = []
-    check = mom.check_design_rules
+    check = mom.check_restrictions
 
     def counted(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(mom, "check_design_rules", counted)
+    monkeypatch.setattr(mom, "check_restrictions", counted)
+    return calls
+
+
+def test_optimizer_evaluates_the_rule_table_once(restriction_checks):
+    # the restrictions do not depend on L, so no length re-checks them
     res = optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0)
     assert res.converged
-    assert len(calls) == 1
+    assert len(restriction_checks) == 1
+
+
+@pytest.mark.parametrize("route, evaluations", [
+    (lambda: mom.sweep(DipoleGeometry(L=67.0, W=6.0), FR4, *BAND), 1),
+    (lambda: length_study([63.0, 65.0, 67.0], FR4, 1.7e9, 1.9e9, 0.1e9), 3),
+    (lambda: studies.study_pattern(DipoleGeometry(L=67.0, W=6.0), FR4,
+                                   1.8e9), 1),
+    (lambda: optimize_length(FR4, 1.8e9, 35.0, 48.0), 1),
+    (lambda: optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0), 1),
+], ids=["sweep", "length_study", "study_pattern", "optimize_length",
+        "optimize_for_max_rl"])
+def test_every_route_evaluates_the_restrictions_once(route, evaluations,
+                                                     restriction_checks):
+    # once per geometry solved: a study row's sweep is its only gate
+    route()
+    assert len(restriction_checks) == evaluations
 
 
 def test_optimizers_agree():
