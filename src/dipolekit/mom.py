@@ -18,19 +18,23 @@ k-dependent factors and returns the matrix's first column. The matrix is
 also centrosymmetric and the center feed excites only its even mode, so
 each solve folds that column to the (n+1)/2 even-mode unknowns. The
 matrix is complex symmetric, so the condition guard first tries to prove
-the limit with one real Cholesky test of the even and odd blocks of the
-real part of the column after a small phase turn, with a margin for
-rounding, and computes the exact condition number by SVD only when that
-test fails. solve_at(mesh, f) is the one path from a mesh to its currents.
+the limit on the real part of the column after a small phase turn, each
+time with a margin for rounding: by one real FFT of the circulant that
+embeds it, then, where that bound falls short, by one real Cholesky test
+of its even and odd blocks. It computes the exact condition number by SVD
+only when both fail. solve_at(mesh, f) is the one path from a mesh to its
+currents.
 
 No n x n matrix is built: above n = 64 the largest block is one solve's
-workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first:
-the certificate factors the real even and odd blocks in its second half,
-adding the Cholesky's input copy and factor (B/4, B/2), which are freed
-before the LU reads the complex T + H in its first half and adds its copy
-(B/2). So a solve stays under 2 B, glibc's heap trim threshold once B is
-freed. A separate real buffer, or one more O(n^2) copy, moves that
-threshold or hands the heap back, for the next frequency to fault in again.
+workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first.
+On the certified path it reads only O(n) vectors: neither the real fold
+nor the Cholesky's input copy and factor (B/4, B/2) are made, and the LU
+reads the complex T + H in the workspace's first half and adds its copy
+(B/2). Where the Cholesky test runs, it factors the real even and odd
+blocks in the second half, and its copies are freed before the LU. So a
+solve stays under 2 B, glibc's heap trim threshold once B is freed. A
+separate real buffer, or one more O(n^2) copy, moves that threshold or
+hands the heap back, for the next frequency to fault in again.
 """
 
 from __future__ import annotations
@@ -292,45 +296,90 @@ def _condition(blocks: np.ndarray) -> float:
 def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     """Prove that A[i, j] = col[|i - j|] has cond(A) <= _COND_LIMIT.
 
-    Let rho be _ROTATION, r = |rho|, L = _COND_LIMIT, and for each m x m
-    block E of the exact orthogonal fold Q^T A Q (_fold) let M = Re(rho E).
-    A is
-    symmetric, so E^T = E and M is the Hermitian part of rho E: for unit x
+    Let rho be _ROTATION, r = |rho|, L = _COND_LIMIT and M = Re(rho A), the
+    Toeplitz matrix T(x) of the real column x = Re(rho col). A is
+    symmetric, so A^T = A and M is the Hermitian part of rho A: for unit v
     (the field of values; Horn & Johnson, Topics in Matrix Analysis, ch. 1)
-    r ||Ex|| >= |x^H rho E x| >= x^H M x, and sigma_min(E) >= lambda_min(M)/r.
-    With s = ||A||_F, which the orthogonal fold gives both blocks together,
-    s >= sigma_max, so lambda_min(M) > r s/L for each block proves cond <= L.
-    Let tau = s (1/L + 2(m+1)^1.5 u). The test folds rho col, with tau
-    taken off Re(rho c_0), through _fold into a float out, which reads the
-    real column x = Re(rho col): in _fold's layout the even block T + H is
-    S (M - tau I) S, its centre row and column holding 2x rather than
-    sqrt(2) x, and the odd block's centre row and column are its pad,
-    exactly zero, whose diagonal is then set to s. Both are exactly
-    symmetric, so the lower triangle a Cholesky reads is the whole block. A
-    Cholesky factorization that runs to completion proves M - tau I
-    definite for the exact M and s: with K the computed block, dF the
-    rounding of the fold and shift in it and dK the Cholesky's, K + dK =
-    R^T R gives lambda_min(M) >= tau - ||dF|| - ||dK||, as ||S^-1|| = 1.
-    With gamma_k = ku/(1 - ku) and u' = u(1 + O(mu)):
+    r ||Av|| >= |v^H rho A v| >= v^H M v, and sigma_min(A) >= lambda_min(M)/r.
+    With s = ||A||_F >= sigma_max, lambda_min(M) > r s/L proves cond <= L.
+    Let m = (n+1)/2, tau = s (1/L + 2(m+1)^1.5 u) and x' the computed x
+    with tau taken off x_0. The computed tau exceeds r s/L (see s below) by
+    about 2(m+1)^1.5 u s: the circulant tier shows lambda_min(M) > tau for
+    the exact M outright, and the Cholesky tier spends that excess on its
+    own rounding. With gamma_k = ku/(1 - ku) and u' = u(1 + O(mu)), both
+    tiers share these errors:
 
-    - the fold: each x_k errs by <= gamma_2 (|Re rho||Re c_k| + |Im rho||Im
-      c_k|) <= gamma_2 r |c_k|, and the sum or difference of x_a and x_b
-      adds one rounding, so an entry errs by <= gamma_3 r (|c_a| + |c_b|).
-      An even entry and the odd one beside it have |E_ij|^2 + |O_ij|^2 =
-      |c_a + c_b|^2 + |c_a - c_b|^2 = 2(|c_a|^2 + |c_b|^2) >= (|c_a| +
-      |c_b|)^2, and a centre entry 2x_k errs by <= 2 gamma_2 r |c_k| <=
-      sqrt(2) gamma_3 r |E_ip|, so the fold adds <= sqrt(2) gamma_3 r s to
-      ||dF||.
-    - the shift: fl(x_0 - tau) adds <= 2u(r |c_0| + tau) to each diagonal
-      entry, so <= u' r s to ||dF||, since n|c_0|^2 <= s^2 and n >= 11.
-    - the Cholesky (Higham 2002, Thm 10.3; Rump, BIT 46, 2006): |dK_ij| <=
-      gamma_{m+1}/(1 - gamma_{m+1}) sqrt(k_ii k_jj), so ||dK||_2 <= (m+1) u'
-      tr(K), where tr(K) <= (1 + 5u') r (sum |E_ii| + |c_0|) <= (1 + 5u') r
-      s (sqrt(m) + 1/sqrt(n)), and (m+1)/sqrt(n) <= sqrt(m+1).
+    - x: each x_k errs by <= gamma_2 (|Re rho||Re c_k| + |Im rho||Im c_k|)
+      <= gamma_2 r |c_k|.
+    - the shift: fl(x_0 - tau) adds <= 2u(r |c_0| + tau) <= u' r s to the
+      diagonal, since n|c_0|^2 <= s^2 and n >= 11.
     - s: s^2 = n|c_0|^2 + 2 sum_k (n-k)|c_k|^2 sums n nonnegative terms with
       exact integer weights, so the computed s^2 is at least (1 -
       gamma_{n+3}) times the exact one, and with n = 2m - 1 the computed tau
       at least (1 - (m+8)u') times the exact one.
+
+    The circulant tier. T(x') is the leading n x n block of the symmetric
+    circulant of order G = 2^k >= 2n - 1 whose first column is (x'_0,
+    x'_1, ..., x'_{n-1}, 0, ..., 0, x'_{n-1}, ..., x'_1). Its eigenvalues
+    are lambda_j = x'_0 + 2 sum_{i>0} x'_i cos(2 pi ij/G) = 2 Re(F x')_j -
+    x'_0, F the length-G DFT of x' padded with zeros, j = 0..G/2, and by
+    Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28)
+    lambda_min(T(x')) >= min_j lambda_j. One rfft gives them all, and a
+    minimum above the margin 64(k+2) sqrt(G) u s proves the claim, because
+    the rounding takes less:
+
+    - x and the shift: T(x') = M - tau I + T(delta), and T(delta) repeats
+      each entry with the weights of s, so ||T(delta)||_2 <=
+      ||T(delta)||_F <= (gamma_2 + u') r s <= 3u' s.
+    - the FFT (Higham 2002, sec. 24.1, Thm 24.2): a radix-2 FFT whose
+      twiddles err by <= mu errs in the 2-norm by <= k eta/(1 - k eta)
+      ||F x'||_2, eta = mu + gamma_4 (sqrt(2) + mu), and ||F x'||_2 =
+      sqrt(G) ||x'||_2. NumPy's pocketfft runs radix-4 passes (and one
+      radix-2 pass for odd k): a pass turns its inputs by the twiddles w^j,
+      w^2j and w^3j, then adds them through two radix-2 levels whose
+      twiddles +-1, +-i are exact, so it errs by no more than the two
+      levels it replaces, and its real transform forms the same sums for
+      the half spectrum it keeps. Each twiddle, a product of two table
+      entries from octant-reduced angles, is taken to be within mu <= 5u'
+      (tests compare the whole transform with exact sums). As s^2 >=
+      2(|c_0|^2 + sum_k |c_k|^2), ||x'||_2 <= (1 + gamma_3) r s/sqrt(2) +
+      tau <= 0.71 s, so with eta <= 10.7u' and k <= 13 (MAX_SEGMENTS) each
+      lambda_j errs by <= 2 (0.71) (10.7) k sqrt(G) u' s <= 16 k sqrt(G)
+      u' s.
+    - forming 2 min Re(F x') - x'_0, the margin and s adds a relative
+      error <= (m+12)u'.
+
+    So lambda_min(M) - tau >= (64(k+2)(1 - (m+12)u') - 16k) sqrt(G) u' s -
+    3u' s > 0. The bound is loose where the circulant's wrapped tail
+    matters: on a tridiagonal Toeplitz matrix with off-diagonal b the
+    circulant's minimum lies 2|b|(1 - cos(pi/(n+1))) below
+    lambda_min(T(x')). Such a column falls through to the Cholesky tier.
+
+    The Cholesky tier. For each m x m block E of the exact orthogonal fold
+    Q^T A Q (_fold), Re(rho E) is a diagonal block of Q^T M Q, which has no
+    others, so lambda_min(M) is the lower of theirs. The test folds x'
+    through _fold into a float out, which reads its real parts: in _fold's
+    layout the even block T + H is S (Re(rho E) - tau I) S, its centre row
+    and column holding 2x rather than sqrt(2) x, and the odd block's centre
+    row and column are its pad, exactly zero, whose diagonal is then set to
+    s. Both are exactly symmetric, so the lower triangle a Cholesky reads
+    is the whole block. A Cholesky factorization that runs to completion
+    proves Re(rho E) - tau I definite for the exact M and s: with K the
+    computed block, dF the rounding of the fold and shift in it and dK the
+    Cholesky's, K + dK = R^T R gives lambda_min(Re(rho E)) >= tau - ||dF||
+    - ||dK||, as ||S^-1|| = 1.
+
+    - the fold: each x_k errs as above, and the sum or difference of x_a
+      and x_b adds one rounding, so an entry errs by <= gamma_3 r (|c_a| +
+      |c_b|). An even entry and the odd one beside it have |E_ij|^2 +
+      |O_ij|^2 = |c_a + c_b|^2 + |c_a - c_b|^2 = 2(|c_a|^2 + |c_b|^2) >=
+      (|c_a| + |c_b|)^2, and a centre entry 2x_k errs by <= 2 gamma_2 r
+      |c_k| <= sqrt(2) gamma_3 r |E_ip|, so the fold adds <= sqrt(2)
+      gamma_3 r s to ||dF||, and the shift u' r s.
+    - the Cholesky (Higham 2002, Thm 10.3; Rump, BIT 46, 2006): |dK_ij| <=
+      gamma_{m+1}/(1 - gamma_{m+1}) sqrt(k_ii k_jj), so ||dK||_2 <= (m+1) u'
+      tr(K), where tr(K) <= (1 + 5u') r (sum |E_ii| + |c_0|) <= (1 + 5u') r
+      s (sqrt(m) + 1/sqrt(n)), and (m+1)/sqrt(n) <= sqrt(m+1).
 
     So lambda_min(M) >= tau - ((m+1) sqrt(m) + sqrt(m+1) + 3 sqrt(2) + 1)
     u' r s - (m+8) u' s/L, and the margin 2(m+1)^1.5 u s in tau exceeds
@@ -338,13 +387,15 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     sqrt(m+1) - 3 sqrt(2) - 1) u' s - (m+10) u' s/L > 0 for m >= 3
     (MIN_SEGMENTS gives m >= 6) and m << L. The odd block's pad is zero off
     its diagonal, so the factor's pad row is zero and the bound holds for
-    the leading p x p part. An s^2 outside _SQUARED_NORM_RANGE, nan
-    included, is not certified; inside it underflow's absolute errors are
-    far below the margin and nothing overflows. False means unproven, not
-    refused.
+    the leading p x p part.
 
-    The blocks go into out, a C-contiguous float (2, m, m) buffer (new if
-    None), which solve_current takes from its one workspace.
+    An s^2 outside _SQUARED_NORM_RANGE, nan included, is not certified;
+    inside it underflow's absolute errors are far below either margin and
+    nothing overflows. False means unproven, not refused.
+
+    The Cholesky tier's blocks go into out, a C-contiguous float (2, m, m)
+    buffer (new if None), which solve_current takes from its one workspace;
+    the circulant tier writes none.
     """
     n = col.size
     m = (n + 1) // 2
@@ -357,6 +408,13 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     s = math.sqrt(s2)
     x = col * _ROTATION
     x.real[0] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
+    k = (2 * n - 2).bit_length()   # G = 2^k >= 2n - 1
+    # the circulant's eigenvalues are 2 Re(F x') - x'_0; minimum.reduce
+    # skips the Python wrapper that ndarray.min calls
+    spectrum = np.fft.rfft(x.real, 1 << k).real
+    if (2.0 * np.minimum.reduce(spectrum) - x.real[0]
+            > 64 * (k + 2) * 2.0 ** (k / 2) * _UNIT_ROUNDOFF * s):
+        return True
     blocks = _fold(x, np.empty((2, m, m)) if out is None else out)
     blocks[1, -1, -1] = s   # the pad's diagonal
     try:
@@ -375,13 +433,13 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     (p = feed_index) and the current is mirrored back, exactly symmetric.
     The condition guard runs first and covers both blocks, whose singular
     values together are sigma(A): _certified proves cond(A) <= _COND_LIMIT
-    by a real Cholesky test of the blocks of the column's real part after a
-    phase turn, and only if that fails does _condition compute
+    by a circulant bound or a real Cholesky test on the column's real part
+    after a phase turn, and only if both fail does _condition compute
     np.linalg.cond(A) by SVD, so the verdict is that of the SVD alone. For a
     symmetric x, (A x)[:p+1] = (T + H) z with x = (z_0, ..., z_{p-1}, 2 z_p,
     z_{p-1}, ..., z_0), so the LU solves (T + H) z = e_p and, with r =
     (T + H) z - e_p, the residual ||A x - e_p|| is sqrt(2 ||r[:p]||^2 +
-    |r_p|^2) = sqrt(2 ||r||^2 - |r_p|^2). T + H and the certificate's
+    |r_p|^2) = sqrt(2 ||r||^2 - |r_p|^2). T + H and the Cholesky tier's
     blocks share one workspace (the module docstring's memory budget).
     `col` is never written. An exactly singular T + H behind a passing
     guard raises SolverError.

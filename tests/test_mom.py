@@ -422,6 +422,20 @@ def condition_spy(monkeypatch):
     return calls
 
 
+def fold_spy(monkeypatch):
+    """Record the out dtype of each _fold call: complex for the LU's even
+    block, float for the Cholesky tier's blocks."""
+    calls = []
+    fold = mom._fold
+
+    def spy(col, out=None):
+        calls.append(None if out is None else out.dtype)
+        return fold(col, out)
+
+    monkeypatch.setattr(mom, "_fold", spy)
+    return calls
+
+
 def mode_column(n, delta, mode=1):
     """Toeplitz column, positive definite at cond about 1/delta, whose
     lowest eigenvalue lies in the even (mode 0) or the odd mode (mode 1),
@@ -452,12 +466,15 @@ def mode_column(n, delta, mode=1):
 @pytest.mark.parametrize("eps_e", [1.0, 3.3])
 def test_assembled_systems_are_certified_without_svd(n, eps_e, monkeypatch):
     calls = condition_spy(monkeypatch)
+    folds = fold_spy(monkeypatch)
     base = thin_half_wave()
     model = WireModel(base.total_length, base.radius, eps_e)
     mesh = build_mesh(model, n=n)
     for f in (0.9e9, 1.8e9, 2.6e9):
         solve_at(mesh, f)
     assert calls == []
+    # decided by the circulant tier: each solve folds once, for its LU
+    assert folds == [np.complex128] * 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -654,6 +671,79 @@ def test_certificate_claim_holds_exactly():
             assert not certified or exact_claim(col)
             if excess >= 1e-2:
                 assert certified
+
+
+def circulant_cosines(n):
+    """cos(2 pi jk/G), j = 0..G/2 by k = 0..n-1, for the order G = 2^k >=
+    2n - 1 of _certified's circulant tier."""
+    g = 2 ** (2 * n - 2).bit_length()
+    jk = np.outer(np.arange(g // 2 + 1), np.arange(n)) % g
+    return np.cos(2 * np.pi * jk / g)
+
+
+def circulant_threshold_column(n, excess, rng):
+    """Random complex symmetric Toeplitz column whose turned real part,
+    less tau, embeds in a circulant whose lowest eigenvalue, summed over its
+    cosines, is about (1 + excess) times the circulant tier's margin
+    64(k+2) sqrt(G) u s: where that tier's test is decided."""
+    col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        / np.arange(1, n + 1)
+    rho, u = mom._ROTATION, mom._UNIT_ROUNDOFF
+    m, k = (n + 1) // 2, (2 * n - 2).bit_length()
+    for _ in range(3):
+        s = np.linalg.norm(toeplitz(col))
+        x = (rho * col).real
+        x[0] -= s * (1e-12 + 2 * (m + 1) ** 1.5 * u)
+        low = (circulant_cosines(n) @ np.concatenate((x[:1], 2.0 * x[1:]))).min()
+        target = 64 * (k + 2) * 2 ** (k / 2) * u * s * (1.0 + excess)
+        col[0] += np.conj(rho) * (target - low) / abs(rho) ** 2
+    return col
+
+
+def test_circulant_tier_is_sound_at_its_own_threshold(monkeypatch):
+    # within 1e-5 of its margin (as finely as x_0's rounding places it)
+    # rounding decides the circulant test, either way about as often; a
+    # column it accepts (no fold) must meet the proof's claim exactly. Half
+    # the margin away, the tier alone accepts or falls through to the
+    # Cholesky tier (one float fold).
+    folds = fold_spy(monkeypatch)
+    rng = np.random.default_rng(26)
+    verdicts = []
+    for _ in range(10):
+        for excess in (-1e-5, -3e-6, -1e-6, 1e-6, 3e-6, 1e-5):
+            col = circulant_threshold_column(11, excess, rng)
+            del folds[:]
+            if _certified(col) and folds == []:
+                assert exact_claim(col)
+            verdicts.append(folds == [])
+    assert 0 < sum(verdicts) < len(verdicts)
+    for n in (11, 83, 321):
+        for excess, tiers in ((0.5, []), (-0.5, [np.float64])):
+            del folds[:]
+            _certified(circulant_threshold_column(n, excess, rng))
+            assert folds == tiers
+
+
+@pytest.mark.parametrize("n", [11, 83, 321])
+def test_circulant_spectrum_rounding_is_inside_its_bound(n):
+    # the circulant tier's eigenvalues from one rfft against exactly
+    # rounded sums of the same cosines: the _certified docstring bounds
+    # their gap by 16 k sqrt(G) u s, a quarter of the tier's margin
+    rng = np.random.default_rng(n)
+    k = (2 * n - 2).bit_length()
+    g = 2 ** k
+    cos = circulant_cosines(n)
+    for decay in (0.0, 1.0, 2.0):
+        for _ in range(3):
+            col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+                / np.arange(1, n + 1) ** decay
+            s = np.linalg.norm(toeplitz(col))
+            x = (col * mom._ROTATION).real
+            fast = 2.0 * np.fft.rfft(x, g).real - x[0]
+            y = np.concatenate((x[:1], 2.0 * x[1:]))
+            exact = [math.fsum(row) for row in cos * y]
+            assert np.abs(fast - exact).max() \
+                <= 16 * k * math.sqrt(g) * mom._UNIT_ROUNDOFF * s
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
