@@ -17,13 +17,12 @@ so each assembly takes only the mesh and a frequency, evaluates the
 k-dependent factors and returns the matrix's first column. The matrix is
 also centrosymmetric and the center feed excites only its even mode, so
 each solve folds that column to the (n+1)/2 even-mode unknowns. The
-matrix is complex symmetric, so the condition guard first tries to prove
-the limit on the real part of the column after a small phase turn, each
-time with a margin for rounding: by one real FFT of the circulant that
-embeds it, then, where that bound falls short, by one real Cholesky test
-of its even and odd blocks. It computes the exact condition number by SVD
-only when both fail. solve_at(mesh, f) is the one path from a mesh to its
-currents.
+matrix is complex symmetric, so the condition guard proves the limit on
+the real part of the column after a small phase turn, with a margin for
+rounding: by one real FFT of the circulant that embeds it or, where that
+falls short, by one real Cholesky test of its even and odd blocks. What
+it cannot prove is refused. solve_at(mesh, f), the one path from a mesh to
+its currents, also refuses segments over lambda_e/4, where the guard can fail.
 
 No n x n matrix is built: above n = 64 the largest block is one solve's
 workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first.
@@ -34,7 +33,8 @@ reads the complex T + H in the workspace's first half and adds its copy
 blocks in the second half, and its copies are freed before the LU. So a
 solve stays under 2 B, glibc's heap trim threshold once B is freed. A
 separate real buffer, or one more O(n^2) copy, moves that threshold or
-hands the heap back, for the next frequency to fault in again.
+hands the heap back, for the next frequency to fault in again; so does a
+workspace of the LU's block alone, which measured slower on fine meshes.
 """
 
 from __future__ import annotations
@@ -83,9 +83,8 @@ _COND_LIMIT = 1e12
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
-#: squared Frobenius norms _certified covers: far enough from underflow
-#: that absolute rounding stays under its margin, and from overflow that no
-#: sum or Cholesky entry can be inf or nan
+#: squared Frobenius norms _certified judges unscaled: absolute rounding
+#: stays under its margin, and no sum or Cholesky entry is inf or nan
 _SQUARED_NORM_RANGE = (np.finfo(float).tiny / _UNIT_ROUNDOFF,
                        _UNIT_ROUNDOFF / np.finfo(float).tiny)
 
@@ -278,21 +277,6 @@ def _fold(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _condition(blocks: np.ndarray) -> float:
-    """2-norm condition number of the matrix that _fold split into blocks,
-    from the SVD of S^-1 (T + H) S^-1 and T - H (whose pad S leaves zero)."""
-    if not np.isfinite(blocks).all():   # else LAPACK prints to fd 2
-        return np.inf
-    scale = np.ones(blocks.shape[-1])
-    scale[-1] = np.sqrt(0.5)
-    try:
-        s = np.linalg.svd(blocks * np.outer(scale, scale), compute_uv=False)
-    except np.linalg.LinAlgError:      # the SVD did not converge
-        return np.inf
-    s_min = min(s[0, -1], s[1, -2])    # s[1, -1] is the padding's zero
-    return max(s[0, 0], s[1, 0]) / s_min if s_min > 0 else np.inf
-
-
 def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     """Prove that A[i, j] = col[|i - j|] has cond(A) <= _COND_LIMIT.
 
@@ -389,9 +373,13 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     its diagonal, so the factor's pad row is zero and the bound holds for
     the leading p x p part.
 
-    An s^2 outside _SQUARED_NORM_RANGE, nan included, is not certified;
-    inside it underflow's absolute errors are far below either margin and
-    nothing overflows. False means unproven, not refused.
+    cond does not see scale, so a column whose s^2 leaves _SQUARED_NORM_RANGE
+    is judged as c' = 2^-e c, 2^e from math.frexp of max |c_k|: max |c'_k|
+    is in [1/2, 1), so s'^2 is in [1/2, n^2]. np.ldexp is exact except where
+    a part lands below the normal range and rounds to a multiple of 2^-1074,
+    so each c'_k errs by <= 2^-1074: a matrix of norm <= n 2^-1074 <
+    2^-1061, far under the u s' >= 2^-54 by which either margin exceeds its
+    errors. A zero column, or one holding inf or nan, stays unproven.
 
     The Cholesky tier's blocks go into out, a C-contiguous float (2, m, m)
     buffer (new if None), which solve_current takes from its one workspace;
@@ -404,7 +392,11 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     a = np.abs(col)   # einsum, unlike a ufunc or dot, overflows unwarned
     s2 = np.einsum("i,i,i->", weights, a, a)
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
-        return False
+        top = np.maximum.reduce(a)
+        if not 0.0 < top < math.inf:   # zero, inf or nan
+            return False
+        e = -math.frexp(top)[1]
+        return _certified(np.ldexp(col.real, e) + 1j * np.ldexp(col.imag, e), out)
     s = math.sqrt(s2)
     x = col * _ROTATION
     x.real[0] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
@@ -432,17 +424,14 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     only its even mode, so the solve runs on the (p+1) x (p+1) block T + H
     (p = feed_index) and the current is mirrored back, exactly symmetric.
     The condition guard runs first and covers both blocks, whose singular
-    values together are sigma(A): _certified proves cond(A) <= _COND_LIMIT
-    by a circulant bound or a real Cholesky test on the column's real part
-    after a phase turn, and only if both fail does _condition compute
-    np.linalg.cond(A) by SVD, so the verdict is that of the SVD alone. For a
-    symmetric x, (A x)[:p+1] = (T + H) z with x = (z_0, ..., z_{p-1}, 2 z_p,
-    z_{p-1}, ..., z_0), so the LU solves (T + H) z = e_p and, with r =
-    (T + H) z - e_p, the residual ||A x - e_p|| is sqrt(2 ||r[:p]||^2 +
-    |r_p|^2) = sqrt(2 ||r||^2 - |r_p|^2). T + H and the Cholesky tier's
-    blocks share one workspace (the module docstring's memory budget).
-    `col` is never written. An exactly singular T + H behind a passing
-    guard raises SolverError.
+    values together are sigma(A): unless _certified proves cond(A) <=
+    _COND_LIMIT, the solve is refused. For a symmetric x, (A x)[:p+1] =
+    (T + H) z with x = (z_0, ..., z_{p-1}, 2 z_p, z_{p-1}, ..., z_0), so
+    the LU solves (T + H) z = e_p and, with r = (T + H) z - e_p, the
+    residual ||A x - e_p|| is sqrt(2 ||r[:p]||^2 + |r_p|^2) = sqrt(2 ||r||^2
+    - |r_p|^2). T + H and the Cholesky tier's blocks share one workspace
+    (the module docstring's memory budget). `col` is never written. An
+    exactly singular T + H behind a passing guard raises SolverError.
     """
     n, p = mesh.n, mesh.feed_index
     if col.shape != (n,):
@@ -451,11 +440,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     m = p + 1
     work = np.empty((2, m, m), dtype=complex)
     if not _certified(col, work[1].view(float).reshape(2, m, m)):
-        with np.errstate(over="ignore", invalid="ignore"):  # guard refuses inf
-            cond = _condition(_fold(col))
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SolverError("system condition estimate %.3g exceeds %.1g"
-                              % (cond, _COND_LIMIT))
+        raise SolverError("system condition not proven <= %.1g" % _COND_LIMIT)
     even = _fold(col, work[:1])[0]
     b = np.zeros(m, dtype=complex)
     b[p] = 1.0
@@ -484,9 +469,19 @@ def input_impedance(current: CurrentDistribution) -> complex:
 
 
 def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
-    """1 V delta-gap currents on mesh at f; a SolverError names f once."""
+    """1 V delta-gap currents on mesh at f; a SolverError names f once.
+    After assembly, segments longer than lambda_e/4 (kh > pi/2, the thin-wire
+    MoM rule of Burke & Poggio, NEC-2 Part I, 1981) are refused, naming the
+    smallest odd n (> mesh.n) that passes."""
     try:
-        return solve_current(assemble_system(mesh, f), mesh)
+        col = assemble_system(mesh, f)
+        quarter = C_MM_PER_S / (4.0 * f * mesh.model.eps_e ** 0.5)   # mm
+        if (L := mesh.model.total_length) > quarter * (mesh.n + 1):
+            n = 2 * math.ceil(L / quarter / 2.0) - 1
+            n += 2 * (L > quarter * (n + 1))   # a ratio that rounded down
+            raise SolverError("h = %.4g mm > lambda_e/4 = %.4g mm; use n >= %d"
+                              % (L / (mesh.n + 1), quarter, n))
+        return solve_current(col, mesh)
     except SolverError as exc:
         raise type(exc)("at %g Hz: %s" % (f, exc)) from exc
 

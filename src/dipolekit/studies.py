@@ -114,10 +114,11 @@ def _impedance_of_length(substrate: Substrate, f: float, l_low: float,
                          l_high: float, width_mm: float) -> Callable:
     """Cached Z_in(L) at f; the segment count is fixed from l_low so Z is a
     continuous function of length. The design-rule restrictions, which read
-    neither L nor f, are checked once, on the l_low geometry."""
+    neither L nor f, are checked once, on the l_low geometry, and then f."""
     if not l_low < l_high:
         raise ValueError("need l_low < l_high")
     model = geometry_model(DipoleGeometry(L=l_low, W=width_mm), substrate)
+    check_frequency(f)
     n = default_segments(l_low, model.radius)
 
     @functools.cache
@@ -216,7 +217,9 @@ def optimize_for_max_rl(substrate: Substrate, f: float,
 def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
                   f: float) -> tuple:
     """Both principal-plane cuts for one geometry at f, after its design-rule
-    restrictions are checked."""
-    mesh = build_mesh(geometry_model(geometry, substrate))
+    restrictions and then f are checked."""
+    model = geometry_model(geometry, substrate)
+    check_frequency(f)
+    mesh = build_mesh(model)
     e_cut = pattern_from_current(solve_at(mesh, f), mesh, f)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

@@ -600,6 +600,50 @@ def test_cli_sweep_error_names_its_frequency(capsys):
         "solver error: at 1e-294 Hz: sin(kh) underflows")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["analyze", "--mesh", "11", "--band", "7000:8000:500"], 13),
+    (["analyze", "--band", "13000:14000:1000"], 23),   # automatic n = 21
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cli_segments_over_a_quarter_wavelength_exit_4(argv, named, capsys):
+    # 67 x 6 mm on FR4: the band's top sample has h > lambda_e/4, and the
+    # refusal names the smallest odd n that passes there
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"solver error: at \S+ Hz: h = \S+ mm > lambda_e/4 = "
+                        r"\S+ mm; use n >= %d\n" % named, captured.err)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["pattern", "--freq=-1800"], 2,
+     "config error: frequency must be finite and > 0, got -1.8e+09\n"),
+    (["optimize", "--freq=-1800"], 2,
+     "config error: frequency must be finite and > 0, got -1.8e+09\n"),
+    (["pattern", "--freq=-1800", "--length=300", "--width=64"], 3,
+     "design-rule violation: geometry violates restriction(s): w_over_h\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cli_bad_frequency_is_refused_before_any_mesh(argv, code, err,
+                                                      monkeypatch, capsys):
+    # the design rules first, then the frequency, then the mesh
+    built = []
+    build_mesh = mom.build_mesh
+
+    def counted(*args):
+        built.append(args)
+        return build_mesh(*args)
+
+    for module in (mom, studies):
+        monkeypatch.setattr(module, "build_mesh", counted)
+    assert main([argv[0]]) == 0
+    assert built   # the wrapper sees the command's meshes
+    built.clear()
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    assert built == []
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--band", "1e-300:1e-300:1"],
     ["study-width", "--band", "1e-300:1e-300:1"],

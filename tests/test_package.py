@@ -104,6 +104,16 @@ def test_one_function_builds_a_substrate_from_text():
     assert _functions_that(builds_a_substrate) == {"design.parse_substrate"}
 
 
+def test_no_function_computes_a_condition_number():
+    # the condition guard has one verdict, _certified's proof: no SVD or
+    # np.linalg.cond decides a solve
+    def svd_or_cond(node):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) in ("svd",
+                                                                    "cond")
+    assert _functions_that(svd_or_cond) == set()
+
+
 def test_one_function_reduces_a_geometry_to_a_wire():
     # geometry_model checks the design-rule restrictions, so it stays the
     # one way from a geometry to a WireModel
