@@ -55,6 +55,7 @@ from .mom import (
     geometry_model,
     impedance_at,
     solve_at,
+    solve_band,
     strip_to_wire,
     sweep,
 )

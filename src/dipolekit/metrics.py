@@ -73,7 +73,7 @@ class SweepResult:
 
     f (Hz) and z_in (ohm) hold one entry per frequency; gamma, s11_db and
     vswr are derived from them against the real reference impedance z0.
-    mesh is the one mom.sweep solved on, None for a sweep built from arrays.
+    mesh is the one mom.solve_band solved on, None for one built from arrays.
     """
 
     f: np.ndarray

@@ -23,6 +23,7 @@ rounding: by one real FFT of the circulant that embeds it or, where that
 falls short, by one real Cholesky test of its even and odd blocks. What
 it cannot prove is refused. solve_at(mesh, f), the one path from a mesh to
 its currents, also refuses segments over lambda_e/4, where the guard can fail.
+solve_band(mesh, freqs, z0) is the one band path: solve_at at each frequency.
 
 No n x n matrix is built: above n = 64 the largest block is one solve's
 workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first.
@@ -472,15 +473,17 @@ def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
     """1 V delta-gap currents on mesh at f; a SolverError names f once.
     After assembly, segments longer than lambda_e/4 (kh > pi/2, the thin-wire
     MoM rule of Burke & Poggio, NEC-2 Part I, 1981) are refused, naming the
-    smallest odd n (> mesh.n) that passes."""
+    smallest odd n (> mesh.n) that passes, or the limit no mesh can pass."""
     try:
         col = assemble_system(mesh, f)
         quarter = C_MM_PER_S / (4.0 * f * mesh.model.eps_e ** 0.5)   # mm
         if (L := mesh.model.total_length) > quarter * (mesh.n + 1):
             n = 2 * math.ceil(L / quarter / 2.0) - 1
             n += 2 * (L > quarter * (n + 1))   # a ratio that rounded down
-            raise SolverError("h = %.4g mm > lambda_e/4 = %.4g mm; use n >= %d"
-                              % (L / (mesh.n + 1), quarter, n))
+            top = min(max_segments(L, mesh.model.radius), MAX_SEGMENTS)
+            raise SolverError("h = %.4g mm > lambda_e/4 = %.4g mm; " % (
+                L / (mesh.n + 1), quarter) + ("use n >= %d" % n if n <= top
+                else "no mesh of this wire resolves f (n <= %d)" % top))
         return solve_current(col, mesh)
     except SolverError as exc:
         raise type(exc)("at %g Hz: %s" % (f, exc)) from exc
@@ -515,16 +518,21 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
     return grid[grid <= f_stop * (1 + 1e-12)]
 
 
-def sweep(geometry: DipoleGeometry, substrate: Substrate,
-          f_start: float, f_stop: float, f_step: float,
-          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
-    """Impedance and match metrics over a band, solved on result.mesh. z0 and
-    the band are refused before the geometry's design-rule restrictions,
-    and those before the mesh."""
-    check_z0(z0)
-    freqs = frequency_grid(f_start, f_stop, f_step)
-    mesh = build_mesh(geometry_model(geometry, substrate), n)
+def solve_band(mesh: SegmentMesh, freqs: np.ndarray, z0: float) -> SweepResult:
+    """Z_in and match metrics of mesh at each of freqs, by solve_at. Callers
+    refuse freqs and z0 before any solve; SweepResult still rejects both."""
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs.tolist()):
         z_in[i] = input_impedance(solve_at(mesh, f))
     return SweepResult(freqs, z_in, z0, mesh)
+
+
+def sweep(geometry: DipoleGeometry, substrate: Substrate,
+          f_start: float, f_stop: float, f_step: float,
+          n: int | None = None, z0: float = DEFAULT_Z0) -> SweepResult:
+    """solve_band over a band on the geometry's mesh. z0 and the band are
+    refused before the design-rule restrictions, and those before the mesh."""
+    check_z0(z0)
+    freqs = frequency_grid(f_start, f_stop, f_step)
+    mesh = build_mesh(geometry_model(geometry, substrate), n)
+    return solve_band(mesh, freqs, z0)

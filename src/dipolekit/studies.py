@@ -22,7 +22,7 @@ from .metrics import DEFAULT_BW_THRESHOLD_DB, DEFAULT_Z0, check_bw_threshold, \
     check_z0, fractional_bandwidth, reflection_coefficient, return_loss_db, \
     s11_minimum
 from .mom import build_mesh, default_segments, frequency_grid, geometry_model, \
-    impedance_at, input_impedance, solve_at, sweep
+    impedance_at, input_impedance, solve_at, solve_band
 
 #: golden-section stopping span, mm
 _GOLDEN_TOL_MM = 0.1
@@ -50,16 +50,15 @@ def _study(params: Sequence[float],
            make_geometry: Callable[[float], DipoleGeometry],
            substrate: Substrate, f_start: float, f_stop: float, f_step: float,
            f_probe: float, z0: float, threshold_db: float) -> list[StudyRow]:
-    frequency_grid(f_start, f_stop, f_step)
+    freqs = frequency_grid(f_start, f_stop, f_step)
     check_frequency(f_probe)
     check_z0(z0)
     check_bw_threshold(threshold_db)
     rows = []
     for param in params:
         try:
-            result = sweep(make_geometry(param), substrate, f_start, f_stop,
-                           f_step, z0=z0)
-            mesh = result.mesh
+            mesh = build_mesh(geometry_model(make_geometry(param), substrate))
+            result = solve_band(mesh, freqs, z0)
             best = s11_minimum(result)
             bw = fractional_bandwidth(result, threshold_db)
             z_probe = input_impedance(solve_at(mesh, f_probe))

@@ -3,7 +3,7 @@ import os
 import re
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +30,7 @@ from dipolekit.mom import (
     input_impedance,
     max_segments,
     solve_at,
+    solve_band,
     solve_current,
     strip_to_wire,
     sweep,
@@ -759,6 +760,17 @@ def test_segments_longer_than_a_quarter_wavelength_refused():
                        % re.escape("%g" % above)):
         solve_at(mesh, above)
     solve_at(build_mesh(model, n=23), above)
+    # past the finest mesh the wire allows (delta >= a, or MAX_SEGMENTS)
+    # no n is named, only that limit
+    for wire, top in ((model, 499), (replace(model, radius=1e-4), 4001)):
+        edge = mom.C_MM_PER_S / (4.0 * wire.total_length / (top + 1)
+                                 * math.sqrt(wire.eps_e))
+        coarse = build_mesh(wire, n=21)
+        with pytest.raises(SolverError, match=r"; use n >= %d$" % top):
+            solve_at(coarse, edge * (1 - 1e-9))
+        with pytest.raises(SolverError, match=r"; no mesh of this wire "
+                           r"resolves f \(n <= %d\)$" % top):
+            solve_at(coarse, edge * (1 + 1e-9))
 
 
 def test_system_from_another_mesh_raises_mesh_error():
@@ -995,6 +1007,26 @@ def test_sweep_returns_metrics_result():
     # the mesh it solved on: the automatic one, whose solves reproduce z_in
     assert res.mesh.n == default_segments(67.0, 1.5)
     assert input_impedance(solve_at(res.mesh, 1.1e9)) == res.z_in[1]
+
+
+@pytest.mark.parametrize("band", [(1.0e9, 2.6e9, 0.1e9), (1.8e9, 1.8e9, 1e6)],
+                         ids=["17 frequencies", "one frequency"])
+def test_solve_band_on_a_sweeps_mesh_and_grid_is_the_sweep(band):
+    res = sweep(DipoleGeometry(L=67, W=6), FR4, *band)
+    band_res = solve_band(res.mesh, frequency_grid(*band), res.z0)
+    assert band_res.mesh is res.mesh
+    for name in ("f", "z_in", "s11_db", "vswr"):
+        assert getattr(band_res, name).tolist() == getattr(res, name).tolist()
+
+
+def test_solve_band_leaves_a_bad_grid_or_z0_to_the_result():
+    # its callers refuse both before any solve; a direct caller's bad grid
+    # or z0 is still refused, by SweepResult
+    mesh = build_mesh(geometry_model(DipoleGeometry(L=67, W=6), FR4))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        solve_band(mesh, np.array([1.9e9, 1.8e9]), 50.0)
+    with pytest.raises(ValueError, match="^reference impedance must be > 0$"):
+        solve_band(mesh, np.array([1.8e9]), 0.0)
 
 
 def test_sweep_rejects_rule_violations():

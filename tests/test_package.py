@@ -32,6 +32,7 @@ def test_package_exports_the_one_solve_path():
     # the Toeplitz column and the mesh it pairs with stay inside mom
     import dipolekit
     assert hasattr(dipolekit, "solve_at")
+    assert hasattr(dipolekit, "solve_band")
     assert not hasattr(dipolekit, "assemble_system")
     assert not hasattr(dipolekit, "solve_current")
 
@@ -121,6 +122,15 @@ def test_one_function_reduces_a_geometry_to_a_wire():
         func = node.func
         return getattr(func, "id", getattr(func, "attr", None)) == "WireModel"
     assert _functions_that(builds_a_wire) == {"mom.geometry_model"}
+
+
+def test_one_function_makes_a_sweep_result():
+    # solve_band holds the one per-frequency loop over a band; sweep and the
+    # study rows reach it with the mesh and grid they built
+    def builds_a_sweep_result(node):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "SweepResult"
+    assert _functions_that(builds_a_sweep_result) == {"mom.solve_band"}
 
 
 def test_no_module_reads_the_environment():

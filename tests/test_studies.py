@@ -56,8 +56,8 @@ def test_width_study_rule_violation_row_keeps_its_message():
 def test_study_refuses_a_bad_threshold_before_any_row(monkeypatch):
     # every row shares the threshold, so the study refuses it once, before
     # the first row's design rules (W = 40 mm breaks w_over_h) or solves;
-    # with sweep unset, a row that ran would fail with a TypeError
-    monkeypatch.setattr(studies, "sweep", None)
+    # with solve_band unset, a row that ran would fail with a TypeError
+    monkeypatch.setattr(studies, "solve_band", None)
     with pytest.raises(ValueError, match="^threshold must be negative dB$"):
         width_study([6.0, 40.0], FR4, 1.7e9, 1.9e9, 0.1e9,
                     length_mm=60.0, threshold_db=0.0)
@@ -125,6 +125,26 @@ def test_study_row_builds_one_mesh(monkeypatch):
     assert rows[0].error is None
     # the band sweep's mesh also serves the probe and pattern solves
     assert len(meshes) == 1
+
+
+def test_study_checks_its_band_and_z0_once(monkeypatch):
+    # every row solves the grid the study refused or accepted once;
+    # reflection_coefficient's own z0 check goes through metrics, uncounted
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("frequency_grid", "check_z0"):
+        wrapper = counted(name, getattr(studies, name))
+        for module in (mom, studies):
+            monkeypatch.setattr(module, name, wrapper)
+    rows = length_study([63.0, 65.0, 67.0], FR4, 1.7e9, 1.9e9, 0.1e9)
+    assert all(row.error is None for row in rows)
+    assert sorted(calls) == ["check_z0", "frequency_grid"]
 
 
 def test_every_solve_takes_the_one_path(monkeypatch):
