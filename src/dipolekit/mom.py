@@ -252,7 +252,7 @@ class CurrentDistribution:
         return complex(self.currents[self.mesh.feed_index])
 
 
-def _fold(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _fold(col: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Blocks T + H and T - H of A[i, j] = col[|i - j|] about its center p.
 
     T = col[|i - j|] and H = col[n-1-i-j] over i, j <= p are two strided
@@ -261,24 +261,21 @@ def _fold(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     and T - H, S = diag(1, ..., 1, sqrt(2)), so sigma(A) is the union of
     their singular values. The centre row and column of T + H hold 2
     col[|p - j|]; those of T - H are exactly zero, a pad beside the p x p
-    odd block. The blocks go into out, a (2, p+1, p+1) buffer (complex and
-    new if None) whose dtype picks the kind: a float out gets the real
-    parts, and an out of one block only T + H.
+    odd block. The blocks go into out, a (2, p+1, p+1) buffer of col's
+    dtype, and an out of one block gets only T + H.
     """
     n = col.size
     p = (n - 1) // 2
-    if out is None:
-        out = np.empty((2, p + 1, p + 1), dtype=complex)
-    ramp = np.concatenate((col[p:0:-1], col), dtype=complex)   # ramp[p+k] = col[|k|]
+    ramp = np.concatenate((col[p:0:-1], col))   # ramp[p+k] = col[|k|]
     s = ramp.itemsize
-    toeplitz = np.ndarray(out.shape[1:], out.dtype, ramp, p * s, (-s, s))
-    hankel = np.ndarray(out.shape[1:], out.dtype, ramp, (n + p - 1) * s, (-s, -s))
+    toeplitz = np.ndarray(out.shape[1:], ramp.dtype, ramp, p * s, (-s, s))
+    hankel = np.ndarray(out.shape[1:], ramp.dtype, ramp, (n + p - 1) * s, (-s, -s))
     for block, op in zip(out, (np.add, np.subtract)):
         op(toeplitz, hankel, out=block)
     return out
 
 
-def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
+def _certified(col: np.ndarray, out: np.ndarray) -> bool:
     """Prove that A[i, j] = col[|i - j|] has cond(A) <= _COND_LIMIT.
 
     Let rho be _ROTATION, r = |rho|, L = _COND_LIMIT and M = Re(rho A), the
@@ -342,17 +339,17 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
 
     The Cholesky tier. For each m x m block E of the exact orthogonal fold
     Q^T A Q (_fold), Re(rho E) is a diagonal block of Q^T M Q, which has no
-    others, so lambda_min(M) is the lower of theirs. The test folds x'
-    through _fold into a float out, which reads its real parts: in _fold's
-    layout the even block T + H is S (Re(rho E) - tau I) S, its centre row
-    and column holding 2x rather than sqrt(2) x, and the odd block's centre
-    row and column are its pad, exactly zero, whose diagonal is then set to
-    s. Both are exactly symmetric, so the lower triangle a Cholesky reads
-    is the whole block. A Cholesky factorization that runs to completion
-    proves Re(rho E) - tau I definite for the exact M and s: with K the
-    computed block, dF the rounding of the fold and shift in it and dK the
-    Cholesky's, K + dK = R^T R gives lambda_min(Re(rho E)) >= tau - ||dF||
-    - ||dK||, as ||S^-1|| = 1.
+    others, so lambda_min(M) is the lower of theirs. The test folds the
+    real column x' through _fold: in its layout the even block T + H is S
+    (Re(rho E) - tau I) S, its centre row and column holding 2x rather than
+    sqrt(2) x, and the odd block's centre row and column are its pad,
+    exactly zero, whose diagonal is then set to s. Both are exactly
+    symmetric, so the lower triangle a Cholesky reads is the whole block.
+    A Cholesky factorization that runs to completion proves Re(rho E) - tau
+    I definite for the exact M and s: with K the computed block, dF the
+    rounding of the fold and shift in it and dK the Cholesky's, K + dK =
+    R^T R gives lambda_min(Re(rho E)) >= tau - ||dF|| - ||dK||, as ||S^-1||
+    = 1.
 
     - the fold: each x_k errs as above, and the sum or difference of x_a
       and x_b adds one rounding, so an entry errs by <= gamma_3 r (|c_a| +
@@ -383,8 +380,8 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     errors. A zero column, or one holding inf or nan, stays unproven.
 
     The Cholesky tier's blocks go into out, a C-contiguous float (2, m, m)
-    buffer (new if None), which solve_current takes from its one workspace;
-    the circulant tier writes none.
+    buffer, which solve_current takes from its one workspace; the circulant
+    tier writes none.
     """
     n = col.size
     m = (n + 1) // 2
@@ -408,7 +405,7 @@ def _certified(col: np.ndarray, out: np.ndarray | None = None) -> bool:
     if (2.0 * np.minimum.reduce(spectrum) - x.real[0]
             > 64 * (k + 2) * 2.0 ** (k / 2) * _UNIT_ROUNDOFF * s):
         return True
-    blocks = _fold(x, np.empty((2, m, m)) if out is None else out)
+    blocks = _fold(x.real, out)
     blocks[1, -1, -1] = s   # the pad's diagonal
     try:
         np.linalg.cholesky(blocks)
@@ -473,7 +470,8 @@ def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
     """1 V delta-gap currents on mesh at f; a SolverError names f once.
     After assembly, segments longer than lambda_e/4 (kh > pi/2, the thin-wire
     MoM rule of Burke & Poggio, NEC-2 Part I, 1981) are refused, naming the
-    smallest odd n (> mesh.n) that passes, or the limit no mesh can pass."""
+    smallest odd n (> mesh.n) that passes, or the limit no mesh can pass,
+    and the highest f that mesh resolves, rounded down to 4 digits."""
     try:
         col = assemble_system(mesh, f)
         quarter = C_MM_PER_S / (4.0 * f * mesh.model.eps_e ** 0.5)   # mm
@@ -481,9 +479,14 @@ def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
             n = 2 * math.ceil(L / quarter / 2.0) - 1
             n += 2 * (L > quarter * (n + 1))   # a ratio that rounded down
             top = min(max_segments(L, mesh.model.radius), MAX_SEGMENTS)
+            f_top = f * (quarter * (mesh.n + 1) / L)   # where kh = pi/2
+            # its 4th digit; below 1e-300 Hz no frequency is named, f <= 0
+            unit = 10.0 ** (math.floor(math.log10(max(f_top, 1e-300))) - 3)
             raise SolverError("h = %.4g mm > lambda_e/4 = %.4g mm; " % (
                 L / (mesh.n + 1), quarter) + ("use n >= %d" % n if n <= top
-                else "no mesh of this wire resolves f (n <= %d)" % top))
+                else "no mesh of this wire resolves f (n <= %d)" % top)
+                + ", or f <= %.4g Hz at n = %d" % (
+                    max(math.ceil(f_top / unit) - 1, 0) * unit, mesh.n))
         return solve_current(col, mesh)
     except SolverError as exc:
         raise type(exc)("at %g Hz: %s" % (f, exc)) from exc

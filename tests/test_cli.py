@@ -606,12 +606,25 @@ def test_cli_sweep_error_names_its_frequency(capsys):
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_segments_over_a_quarter_wavelength_exit_4(argv, named, capsys):
     # 67 x 6 mm on FR4: the band's top sample has h > lambda_e/4, and the
-    # refusal names the smallest odd n that passes there
+    # refusal names the smallest odd n that passes there and the highest f
+    # the mesh in use (n - 2) resolves
+    resolved = {13: r"7\.221e\+09", 23: r"1\.323e\+10"}[named]
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"solver error: at \S+ Hz: h = \S+ mm > lambda_e/4 = "
-                        r"\S+ mm; use n >= %d\n" % named, captured.err)
+                        r"\S+ mm; use n >= %d, or f <= %s Hz at n = %d\n"
+                        % (named, resolved, named - 2), captured.err)
+
+
+def test_cli_quarter_wavelength_refusal_names_a_frequency_that_solves(capsys):
+    # pattern takes no --mesh, so the frequency the refusal names is the
+    # one remedy it can act on; printed rounded down, it solves
+    assert main(["pattern", "--freq=14000"]) == 4
+    err = capsys.readouterr().err
+    f_hz = re.fullmatch(r"solver error: .*, or f <= (\S+) Hz at n = 21\n",
+                        err).group(1)
+    assert main(["pattern", "--freq=%r" % (float(f_hz) / 1e6)]) == 0
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -41,6 +41,19 @@ FR4 = Substrate("fr4", 4.3, 1.6, 0.002)
 LAMBDA_18 = 166.55136555555555   # mm at 1.8 GHz in free space
 
 
+def fold(col):
+    """_fold of col into a new complex (2, m, m) buffer, m = (n + 1)/2."""
+    m = (col.size + 1) // 2
+    return _fold(col, np.empty((2, m, m), dtype=complex))
+
+
+def certify(col):
+    """_certified of col with a new float (2, m, m) buffer for its
+    Cholesky tier, m = (n + 1)/2."""
+    m = (col.size + 1) // 2
+    return _certified(col, np.empty((2, m, m)))
+
+
 def thin_half_wave():
     return WireModel(total_length=LAMBDA_18 / 2, radius=LAMBDA_18 / 1000)
 
@@ -306,7 +319,7 @@ def test_system_is_exactly_symmetric_toeplitz(n):
     base = thin_half_wave()
     model = WireModel(base.total_length, base.radius, 3.3)
     col = assemble_system(build_mesh(model, n=n), 1.8e9)
-    blocks = _fold(col)
+    blocks = fold(col)
     assert blocks.tobytes() == dense_t_h(toeplitz(col)).tobytes()
     assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
 
@@ -318,15 +331,28 @@ def test_fold_matches_the_dense_fold_for_any_column(n, dtype):
     col = rng.standard_normal(n).astype(dtype)
     if dtype is complex:
         col += 1j * rng.standard_normal(n)
-    blocks = _fold(col)
+    blocks = fold(col)
     assert blocks.dtype == complex
     assert blocks.tobytes() == dense_t_h(toeplitz(col)).tobytes()
     assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
-    # a float out gets the real parts, and an out of one block only T + H
-    real = _fold(col, np.empty(blocks.shape))
+    # the real column folds into a float out, and an out of one block gets
+    # only T + H
+    real = _fold(col.real, np.empty(blocks.shape))
     assert real.tobytes() == blocks.real.copy().tobytes()
     even = _fold(col, np.empty((1,) + blocks.shape[1:], dtype=complex))
     assert even.tobytes() == blocks[:1].tobytes()
+
+
+@pytest.mark.parametrize("n", [11, 21, 83, 321])
+def test_fold_keeps_the_column_dtype(n):
+    # a complex column does not fit a float out, so no fold silently drops
+    # its imaginary parts; its real column folds to the real parts exactly
+    col = assemble_system(build_mesh(thin_half_wave(), n=n), 1.8e9)
+    m = (n + 1) // 2
+    with pytest.raises(TypeError):
+        _fold(col, np.empty((2, m, m)))
+    real = _fold(col.real, np.empty((2, m, m)))
+    assert real.tobytes() == fold(col).real.copy().tobytes()
 
 
 def test_assemble_returns_an_owned_writeable_column():
@@ -401,7 +427,7 @@ def test_odd_mode_singularity_still_refused():
     # the guard covers the whole system
     mesh = build_mesh(thin_half_wave(), n=21)
     col = mode_column(mesh.n, 0.0)
-    assert np.linalg.cond(_fold(col)[0]) < 1e4
+    assert np.linalg.cond(fold(col)[0]) < 1e4
     with pytest.raises(SolverError, match="condition"):
         solve_current(col, mesh)
 
@@ -410,11 +436,11 @@ def fold_spy(monkeypatch):
     """Record the out dtype of each _fold call: complex for the LU's even
     block, float for the Cholesky tier's blocks."""
     calls = []
-    fold = mom._fold
+    kernel = mom._fold
 
-    def spy(col, out=None):
-        calls.append(None if out is None else out.dtype)
-        return fold(col, out)
+    def spy(col, out):
+        calls.append(out.dtype)
+        return kernel(col, out)
 
     monkeypatch.setattr(mom, "_fold", spy)
     return calls
@@ -464,12 +490,12 @@ def test_uncertified_condition_is_refused():
     mesh = build_mesh(thin_half_wave(), n=21)
     # positive definite at cond 1e4 and 1e10: certified
     for delta in (1e-4, 1e-10):
-        assert _certified(mode_column(mesh.n, delta))
+        assert certify(mode_column(mesh.n, delta))
         solve_current(mode_column(mesh.n, delta), mesh)
     # -I has cond 1, but its turned real part is negative definite; the
     # other has cond 1e13: both unproven, so both refused
     for col in (-unit_column(mesh.n), mode_column(mesh.n, 1e-13)):
-        assert not _certified(col)
+        assert not certify(col)
         with pytest.raises(SolverError, match="^system condition not proven "
                            "<= 1e\\+12$"):
             solve_current(col, mesh)
@@ -478,7 +504,7 @@ def test_uncertified_condition_is_refused():
 @pytest.mark.parametrize("delta", np.logspace(-14, -10, 17))
 def test_odd_mode_certificate_is_sound(delta):
     col = mode_column(21, delta)
-    assert not _certified(col) or np.linalg.cond(toeplitz(col)) <= 1e12
+    assert not certify(col) or np.linalg.cond(toeplitz(col)) <= 1e12
 
 
 def planted_column(n, cond, rng):
@@ -502,7 +528,7 @@ def test_planted_spectrum_certificate_is_sound(cond):
     for n in (11, 21, 81):
         col = planted_column(n, cond, rng)
         dense = np.linalg.cond(toeplitz(col))
-        certified = _certified(col)
+        certified = certify(col)
         assert not certified or dense <= 1e12
         if dense <= 1e11:
             assert certified
@@ -529,7 +555,7 @@ def tight_column(n, cond):
 def test_certificate_soundness_grid(n):
     """The certificate never accepts a column whose cond exceeds 1e12."""
     def check(col):
-        certified = _certified(col)
+        certified = certify(col)
         assert not certified or np.linalg.cond(toeplitz(col)) <= 1e12
         return certified
 
@@ -542,24 +568,24 @@ def test_certificate_soundness_grid(n):
     # exactly known cond, around the limit, where the bound is tight
     for excess in np.concatenate((-np.logspace(-1, -8, 8), np.logspace(-8, 0, 9))):
         col, cond2 = tight_column(n, 1e12 * (1.0 + excess))
-        certified = _certified(col)
+        certified = certify(col)
         assert not certified or cond2 <= Fraction(10) ** 24
         if excess <= -0.1:
             assert certified
     # cond 1 but definite the wrong way; zero; not finite
     assert not check(-unit_column(n))
-    assert not _certified(np.zeros(n, dtype=complex))
+    assert not certify(np.zeros(n, dtype=complex))
     for value in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)):
         col = unit_column(n).astype(complex)
         col[n // 3] = value
-        assert not _certified(col)
+        assert not certify(col)
     # scaled to both ends of the covered squared norms: the same verdict
     # just outside as just inside, since cond does not see scale
     low, high = mom._SQUARED_NORM_RANGE
     for col, verdict in ((unit_column(n), True), (mode_column(n, 1e-11), True),
                          (mode_column(n, 1e-13, 0), False),
                          (tight_column(n, 2e12)[0], False)):
-        assert _certified(col) == verdict
+        assert certify(col) == verdict
         s2 = np.linalg.norm(toeplitz(col)) ** 2
         for end, outward in ((low, 0.99), (high, 1.01)):
             for scale in (outward, 1.0 / outward):
@@ -614,7 +640,7 @@ def test_certificate_claim_holds_exactly():
     for _ in range(40):
         for excess in (-1e-5, -3e-6, -1e-6, 1e-6, 3e-6, 1e-5, 1e-2):
             col = threshold_column(11, excess, rng)
-            certified = _certified(col)
+            certified = certify(col)
             assert not certified or exact_claim(col)
             if excess >= 1e-2:
                 assert certified
@@ -660,14 +686,14 @@ def test_circulant_tier_is_sound_at_its_own_threshold(monkeypatch):
         for excess in (-1e-5, -3e-6, -1e-6, 1e-6, 3e-6, 1e-5):
             col = circulant_threshold_column(11, excess, rng)
             del folds[:]
-            if _certified(col) and folds == []:
+            if certify(col) and folds == []:
                 assert exact_claim(col)
             verdicts.append(folds == [])
     assert 0 < sum(verdicts) < len(verdicts)
     for n in (11, 83, 321):
         for excess, tiers in ((0.5, []), (-0.5, [np.float64])):
             del folds[:]
-            _certified(circulant_threshold_column(n, excess, rng))
+            certify(circulant_threshold_column(n, excess, rng))
             assert folds == tiers
 
 
@@ -702,7 +728,7 @@ def test_scaled_system_solved_silently(scale, n, capfd):
     model = thin_half_wave()
     mesh = build_mesh(model, n=n)
     system = assemble_system(mesh, 1.8e9)
-    assert _certified(system * scale)
+    assert certify(system * scale)
     cur = solve_current(system, mesh).currents
     scaled = solve_current(system * scale, mesh).currents
     assert np.abs(scaled * scale - cur).max() <= 1e-11 * np.abs(cur).max()
@@ -746,7 +772,8 @@ def test_solve_at_dispatch_count_does_not_grow():
 
 def test_segments_longer_than_a_quarter_wavelength_refused():
     # kh = pi/2 at h = lambda_e/4: solved just below, refused just above,
-    # where the message names the smallest odd n that solves
+    # where the message names the smallest odd n that solves and the
+    # highest f this mesh resolves, rounded down so that it solves
     base = thin_half_wave()
     model = WireModel(base.total_length, base.radius, 3.3)
     mesh = build_mesh(model, n=21)
@@ -756,7 +783,8 @@ def test_segments_longer_than_a_quarter_wavelength_refused():
     solve_at(mesh, edge * (1 - 1e-9))
     above = edge * (1 + 1e-9)
     with pytest.raises(SolverError, match=r"^at %s Hz: h = 3\.785 mm > "
-                       r"lambda_e/4 = 3\.785 mm; use n >= 23$"
+                       r"lambda_e/4 = 3\.785 mm; use n >= 23, or "
+                       r"f <= 1\.089e\+10 Hz at n = 21$"
                        % re.escape("%g" % above)):
         solve_at(mesh, above)
     solve_at(build_mesh(model, n=23), above)
@@ -766,11 +794,24 @@ def test_segments_longer_than_a_quarter_wavelength_refused():
         edge = mom.C_MM_PER_S / (4.0 * wire.total_length / (top + 1)
                                  * math.sqrt(wire.eps_e))
         coarse = build_mesh(wire, n=21)
-        with pytest.raises(SolverError, match=r"; use n >= %d$" % top):
+        with pytest.raises(SolverError, match=r"; use n >= %d, or f <= "
+                           r"1\.089e\+10 Hz at n = 21$" % top):
             solve_at(coarse, edge * (1 - 1e-9))
         with pytest.raises(SolverError, match=r"; no mesh of this wire "
-                           r"resolves f \(n <= %d\)$" % top):
+                           r"resolves f \(n <= %d\), or f <= 1\.089e\+10 "
+                           r"Hz at n = 21$" % top):
             solve_at(coarse, edge * (1 + 1e-9))
+
+
+def test_quarter_wavelength_refusal_names_a_frequency_that_solves():
+    # the highest f the mesh resolves, rounded down to 4 digits, solves; one
+    # below 1e-300 Hz is named as 0, and neither overflows nor underflows
+    base = thin_half_wave()
+    mesh = build_mesh(WireModel(base.total_length, base.radius, 3.3), n=21)
+    solve_at(mesh, 1.089e10)
+    huge = build_mesh(WireModel(1e300, 1e297, 1e30), n=11)
+    with pytest.raises(SolverError, match=r", or f <= 0 Hz at n = 11$"):
+        solve_at(huge, 1e-300)
 
 
 def test_system_from_another_mesh_raises_mesh_error():
@@ -1103,3 +1144,85 @@ def test_one_basis_function_is_the_induced_emf_impedance(
     assert abs(z_m.real - r_m) <= r_bound + 3e-6 * r_m
     dx_first_order = -ETA0 * ka / (2.0 * np.pi) * (2.0 + math.cos(kl))
     assert abs(z_m.imag - x_m - dx_first_order) <= 0.01 * abs(dx_first_order)
+
+
+def on_axis_entries(n: int, h: float, k: float, eta: float) -> np.ndarray:
+    """c_d(0), d = 3..n-1: the column entries of a wire of zero radius,
+    j eta/(4 pi sin^2 kh) times the integral of the test current sin(k(h -
+    |u|)) against e^{-jk|z|}/|z| at z = u + (d - c)h, weighted 1, -2 cos kh,
+    1 at c = -1, 0, 1, by the 200-point Gauss-Legendre rule on each half of
+    the test basis, where the integrand is smooth."""
+    u = np.concatenate((-0.5 * h * (_GL_X + 1.0), 0.5 * h * (_GL_X + 1.0)))
+    weights = np.concatenate((_GL_W, _GL_W)) * (0.5 * h) \
+        * np.sin(k * (h - np.abs(u)))
+    z = np.abs(u + h * (np.arange(3, n)[:, None, None]
+                        - np.array([-1.0, 0.0, 1.0])[:, None]))
+    centres = np.array([1.0, -2.0 * math.cos(k * h), 1.0])[:, None]
+    field = (centres * np.exp(-1j * k * z) / z).sum(axis=1)
+    return 1j * eta / (4.0 * np.pi * math.sin(k * h) ** 2) * (field @ weights)
+
+
+@pytest.mark.parametrize("h_over_a", [2.0, 30.0, 1000.0])
+@pytest.mark.parametrize("n", [21, 83, 321])
+def test_disjoint_column_entries_match_the_on_axis_reference(n, h_over_a):
+    """Entries c_d, d >= 3, whose test and source supports lie at least D =
+    (d - 2)h apart, against their on-axis (a = 0) values.
+
+    c_d = j pre F(a), pre = eta/(4 pi sin^2 kh), where F(r) is the integral
+    over the test basis of J(u) = sin(k(h - |u|)) times E(r, u) = sum_c w_c
+    K_r(u + (d - c)h), w = (1, -2 cos kh, 1) at c = -1, 0, 1, and K_r(z) =
+    e^{-jkR}/R, R^2 = z^2 + r^2: the reduced kernel is the source's field
+    at radius r from its axis. K_r solves the Helmholtz equation away from
+    its source, K_rr + K_r/r + K_zz + k^2 K = 0, and J'' + k^2 J = k sum_c'
+    w_c' delta(u - c'h), so integrating by parts twice, (r F')'/r = -G(r)
+    with G(r) = k sum_c' w_c' E(r, c'h), and |F(a) - F(0)| <= (a^2/4)
+    max_{r <= a} |G(r)|.
+
+    Write K_r(z) = e^{-jkz} phi_r(z). Then G(r) = k e^{-jkdh} sum_{c,c'}
+    w_c w_c' e^{jk(c - c')h} phi_r((d - c + c')h), and as sum_c w_c
+    e^{+-jkch} = 0 the double sum vanishes on any affine phi. Taylor's
+    remainder about dh leaves |G| <= k sum |w_c w_c'| (c - c')^2 h^2/2 M =
+    4k(1 + cos kh) h^2 M, M the largest |phi_r''| on [D, D + 4h]. With q =
+    R - z = r^2/(R + z), |q'| <= r^2/(2z^2) and q'' = R'' = r^2/R^3, so
+    |phi_r''| <= (2/z^3) beta, beta = 1 + ka^2/D + (ka^2/D)^2/8 + a^2/(2D^2).
+    Altogether
+
+        |c_d(a) - c_d(0)| <= beta gamma (a/D)^2 sigma_d,
+
+    sigma_d = eta/(pi k D) and gamma = (kh)^2/(2(1 - cos kh)) in [1,
+    pi^2/8]. sigma_d = pre sum |w_c| (integral of J)/D is the size of the
+    entry's three centre terms before they cancel, and the bound is taken
+    against it, not against c_d: on the axis the 1/z fields of the centres
+    cancel, so |c_d| is a small part of sigma_d: at most 0.11 of it on this
+    grid, and under 1e-4 past d = 100 at kh = 0.01. Where kh nears pi/2 the
+    first-order term meets the bound, within 2.5% past d = 300.
+
+    Rounding. The mesh places each quadrature node at a sinh(t) from t =
+    asinh(z/a), which errs by about (asinh(z/a) + 2) u z; the weights, t
+    differences over an interval about h/z wide in t, and the sine and phase
+    factors then err by about (asinh(z/a) + 2) u z/h of their size, with z
+    <= (d + 2)h. The entry's terms, together at most sigma_d, err alike,
+    and 4 times that is allowed: at most 0.22 of the radius bound here. The
+    reference's rule is exact to rounding: its integrand's nearest
+    singularity lies a whole half-basis beyond each interval.
+    """
+    h = 1.0
+    model = WireModel((n + 1) * h, h / h_over_a, 3.3)
+    mesh = build_mesh(model, n=n)
+    eta = ETA0 / math.sqrt(model.eps_e)
+    d = np.arange(3, n)
+    big_d = (d - 2) * h
+    a = model.radius
+    for kh in (0.01, 0.1, 0.5, 1.0, 1.5, math.pi / 2 * (1 - 1e-9)):
+        k = kh / h
+        col = assemble_system(mesh, k * mom.C_MM_PER_S
+                              / (2.0 * math.pi * math.sqrt(model.eps_e)))
+        sigma = eta / (np.pi * k * big_d)
+        ka2 = k * a * a / big_d
+        beta = 1.0 + ka2 + ka2 ** 2 / 8.0 + (a / big_d) ** 2 / 2.0
+        gamma = kh ** 2 / (2.0 * (1.0 - math.cos(kh)))
+        rounding = 4.0 * (np.arcsinh((d + 2) * h / a) + 2.0) * (d + 2) \
+            * mom._UNIT_ROUNDOFF
+        bound = (beta * gamma * (a / big_d) ** 2 + rounding) * sigma
+        gap = np.abs(col[3:] - on_axis_entries(n, h, k, eta))
+        assert np.all(gap <= bound), (kh, d[np.argmax(gap / bound)])
