@@ -10,11 +10,13 @@ with an arcsinh substitution around each of the three kernel centers of a
 basis function, which keeps the quadrature accurate even when the node
 spacing approaches the wire radius. The three centers are shifted views of
 one set of n+2 integrals per test half, and both halves read one table of
-n+3 source intervals, one row apart, so e^{-jkR} is evaluated once per
-interval node. That geometry does not depend on frequency. The mesh carries
-it along with the wire model it was built for (length, radius and medium),
-so each assembly takes only the mesh and a frequency, evaluates the
-k-dependent factors and returns the matrix's first column. The matrix is
+n+3 source intervals, so e^{-jkR} is evaluated once per interval node: 16
+Gauss-Legendre nodes on the five intervals nearest the source knot, whose
+span in arcsinh(z/a) grows with h/a, and 8 on each other one, whose span
+stays under ln(4/3). That geometry does not depend on frequency. The mesh
+carries it along with the wire model it was built for (length, radius and
+medium), so each assembly takes only the mesh and a frequency, evaluates
+the k-dependent factors and returns the matrix's first column. The matrix is
 also centrosymmetric and the center feed excites only its even mode, so
 each solve folds that column to the (n+1)/2 even-mode unknowns. The
 matrix is complex symmetric, so the condition guard proves the limit on
@@ -40,6 +42,7 @@ workspace of the LU's block alone, which measured slower on fine meshes.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -67,9 +70,9 @@ MAX_SEGMENTS = 4001
 #: most frequencies one sweep may hold
 MAX_GRID_POINTS = 1_000_000
 
-#: Gauss-Legendre points per kernel integral; the rule on [-1, 1], correctly
-#: rounded, is mirrored from its positive nodes _X8 and their weights _W8
-_N_QUAD = 16
+#: Gauss-Legendre rules on [-1, 1], correctly rounded and mirrored from
+#: their positive nodes and weights: 16 points (_X8, _W8) on the near
+#: source intervals, 8 points (_X4, _W4) on the far ones
 _X8 = np.array((0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
                 0.6178762444026438, 0.755404408355003, 0.8656312023878318,
                 0.9445750230732326, 0.9894009349916499))
@@ -78,6 +81,16 @@ _W8 = np.array((0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
                 0.062253523938647894, 0.027152459411754096))
 _XQ = np.concatenate((-_X8[::-1], _X8))
 _WQ = np.concatenate((_W8[::-1], _W8))
+_X4 = np.array((0.1834346424956498, 0.525532409916329, 0.7966664774136267,
+                0.9602898564975363))
+_W4 = np.array((0.362683783378362, 0.31370664587788727, 0.22238103445337448,
+                0.10122853629037626))
+_XF = np.concatenate((-_X4[::-1], _X4))
+_WF = np.concatenate((_W4[::-1], _W4))
+
+#: source intervals [mh, (m+1)h] that take the 16-point rule: m = -2..2,
+#: knots in [-2h, 3h]; each further one spans < ln(4/3) in arcsinh(z/a)
+_NEAR = 5
 
 #: relative condition limit before the solve is refused
 _COND_LIMIT = 1e12
@@ -127,12 +140,20 @@ class SegmentMesh:
     half-bases terminate exactly at the wire tips.
 
     The kernel quadrature is laid out once per mesh, over the n+3 source
-    intervals between knots mh, m = -2..n+1, with 16 Gauss-Legendre arcsinh
-    nodes each: quad_r holds the reduced distance R and quad_w the weights
-    td*wq, both (n+3, 16). Separation i = 0..n+1, d = (i - 1)h = (j - c)h
-    from source knot c in {-1, 0, +1} to column entry j, integrates the lower
-    test half over interval row i and the upper over row i + 1. quad_sine_arg
-    holds h - |z - z'| per (half, separation, node), (2, n+2, 16).
+    intervals i = 0..n+2 between knots mh, m = i - 2, in subrows of 8
+    Gauss-Legendre nodes in t = asinh(z/a). For m >= 1 interval i spans t
+    by less than ln((m+1)/m), whatever the radius, so the _NEAR intervals
+    with knots in [-2h, 3h] take the 16-point rule as two subrows (its
+    left and right nodes) and each other one, spanning less than ln(4/3),
+    one subrow of the 8-point rule; a zero-weight copy of the last subrow
+    ends the table. quad_r holds the reduced distance R and quad_w the
+    weights, both (n+9, 8). Separation i = 0..n+1, d = (i - 1)h = (j - c)h
+    from source knot c in {-1, 0, +1} to column entry j, integrates the
+    lower test half over interval i and the upper over interval i + 1.
+    quad_sine_arg holds h - |z - z'| per (v, half, node), (n+7, 2, 8):
+    the lower half on subrow v, the upper on subrow v + 2. Flattened in
+    that order, each separation's terms are one run, starting at
+    quad_starts[i]; the zero-weight subrow closes the last one.
     """
 
     model: WireModel
@@ -142,6 +163,7 @@ class SegmentMesh:
     quad_sine_arg: np.ndarray = field(repr=False)
     quad_r: np.ndarray = field(repr=False)
     quad_w: np.ndarray = field(repr=False)
+    quad_starts: np.ndarray = field(repr=False)
 
 
 def strip_to_wire(W: float) -> float:
@@ -190,15 +212,65 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
         raise MeshError("delta = %.4g mm < radius %.4g mm; use n <= %d"
                         % (delta, a, max_segments(L, a)))
     h = L / (n + 1)
-    nodes = (np.arange(n) - (n - 1) / 2.0) * h
-    knots = np.arange(-2.0, n + 2.0) * h
-    tk = np.arcsinh(knots / a)
-    td = (tk[1:] - tk[:-1]) / 2.0
-    t = ((tk[1:] + tk[:-1]) / 2.0)[:, None] + _XQ * td[:, None]
-    above = a * np.sinh(t) - knots[:-1, None]   # height over the lower knot
-    return SegmentMesh(model=model, n=n, nodes=nodes, feed_index=(n - 1) // 2,
-                       quad_sine_arg=np.stack((above[:-1], h - above[1:])),
-                       quad_r=a * np.cosh(t), quad_w=td[:, None] * _WQ)
+    knots, lower, upper, offset, weight, bounds, starts, centred = _layout(n)
+    tk = np.arcsinh(knots * (h / a))
+    lo = tk[lower]
+    span = (tk[upper] - lo)[:, None]   # each subrow's interval in t
+    t = offset * span
+    t += lo[:, None]
+    z = np.sinh(t)
+    z *= a
+    # h - |z - z'| about the test node z': the distance to the outer knot
+    sine_arg = np.subtract(_halves(z), bounds * h)
+    np.abs(sine_arg, out=sine_arg)
+    r = np.cosh(t)
+    r *= a
+    return SegmentMesh(model=model, n=n, nodes=centred * h,
+                       feed_index=(n - 1) // 2, quad_sine_arg=sine_arg,
+                       quad_r=r, quad_w=weight * span, quad_starts=starts)
+
+
+def _halves(table: np.ndarray) -> np.ndarray:
+    """The (S - 2, 2, 8) view of an (S, 8) subrow table that the two test
+    halves read: [v, 0] is subrow v, the lower's, and [v, 1] subrow v + 2."""
+    row, item = table.strides
+    return np.ndarray((table.shape[0] - 2, 2, table.shape[1]), table.dtype,
+                      table, 0, (row, 2 * row, item))
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n: int) -> tuple:
+    """The part of build_mesh's table that depends on n alone, shared
+    read-only by the meshes of that n (a few per wire in a study or an
+    optimizer): the knot multiples m = -2..n+1; per subrow, the knot
+    indices bounding its interval and its nodes (1 + x)/2 and weights w/2
+    as fractions of the interval's span in t; per (v, half), the test
+    half's outer knot as a multiple of h; the runs' starts; and the node
+    multiples."""
+    near = min(_NEAR, n + 3)   # n = 1, below MIN_SEGMENTS, has only four
+    lower = np.concatenate((np.repeat(np.arange(near), 2),
+                            np.arange(near, n + 3)))
+    x = np.concatenate((np.tile(_XQ, near), np.tile(_XF, n + 3 - near)))
+    w = np.concatenate((np.tile(_WQ, near), np.tile(_WF, n + 3 - near)))
+    x, w = x.reshape(-1, 8), w.reshape(-1, 8)
+    if near < n + 3:
+        # the upper half reads up to two subrows past the lower's last one,
+        # one past the table: a copy of the last subrow, weighted 0
+        lower = np.append(lower, n + 2)
+        x = np.concatenate((x, x[-1:]))
+        w = np.concatenate((w, np.zeros((1, 8))))
+    knots = np.arange(-2.0, n + 2.0)
+    bounds = np.stack((knots[lower[:-2]], knots[lower[2:] + 1]), axis=1)
+    # flattened by (v, half, node), the lower half of subrow s starts at
+    # 16s and the upper at 16(s - 2) + 8; separation i's run at the first
+    # of interval i's lower terms and interval i + 1's upper terms
+    first = np.searchsorted(lower, np.arange(n + 3))
+    starts = np.minimum(16 * first[:-1], 16 * first[1:] - 24)
+    layout = (knots, lower, lower + 1, (1.0 + x) / 2.0, w / 2.0,
+              bounds[:, :, None], starts, np.arange(n) - (n - 1) / 2.0)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def wavenumber(f: float, eps_e: float) -> float:
@@ -225,14 +297,14 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
             model.eps_e) / (4.0 * math.pi * sk * sk)):
         raise SolverError("sin(kh) underflows")
     # field of one basis = three spherical-wave centers at its knots; both
-    # test halves read e from one view, the upper half one interval row on
+    # test halves read e through one view, the upper half two subrows on,
+    # and each separation sums one run of their products
     e = np.multiply(-1j * k, mesh.quad_r)
     np.exp(e, out=e)
     e *= mesh.quad_w
-    halves = np.ndarray((2, mesh.n + 2, _N_QUAD), e.dtype, e, 0,
-                        e.strides[:1] + e.strides)
     sine = np.multiply(k, mesh.quad_sine_arg)
-    s = np.einsum("hsq,hsq->s", np.sin(sine, out=sine), halves)
+    terms = np.multiply(np.sin(sine, out=sine), _halves(e))
+    s = np.add.reduceat(terms.reshape(-1), mesh.quad_starts)
     col = s[1:-1] * (-2.0 * math.cos(k * h))
     col += s[2:]
     col += s[:-2]

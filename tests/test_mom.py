@@ -15,7 +15,9 @@ from dipolekit.errors import DesignRuleError, MeshError, SolverError
 from dipolekit.metrics import SweepResult
 from dipolekit.mom import (
     ETA0,
+    _WF,
     _WQ,
+    _XF,
     _XQ,
     SegmentMesh,
     WireModel,
@@ -262,45 +264,63 @@ def test_system_is_symmetric_toeplitz():
 
 @pytest.mark.parametrize("n", [11, 21, 83])
 def test_mesh_lays_out_each_separation_once(n):
-    # one (n+3, 16) table over the source intervals between knots mh,
-    # m = -2..n+1, and the sine argument per (half, separation, node)
+    # one (n+9, 8) table of subrows over the source intervals between knots
+    # mh, m = -2..n+1, and the sine argument per (v, half, node), where the
+    # lower half reads subrow v and the upper subrow v + 2
     model = thin_half_wave()
     a = model.radius
     mesh = build_mesh(model, n=n)
     h = model.total_length / (n + 1)
-    assert mesh.quad_r.shape == mesh.quad_w.shape == (n + 3, 16)
-    assert mesh.quad_sine_arg.shape == (2, n + 2, 16)
+    assert mesh.quad_r.shape == mesh.quad_w.shape == (n + 9, 8)
+    assert mesh.quad_sine_arg.shape == (n + 7, 2, 8)
     # assemble_system's k*R overflow check reads the largest R there
     assert mesh.quad_r[-1, -1] == mesh.quad_r.max()
-    # the per-(half, separation) quadrature, recomputed from (n, h, a):
-    # the lower half of separation i + 1 and the upper half of separation i
-    # integrate over one source interval and read its row, i + 1
-    xq, wq = np.polynomial.legendre.leggauss(16)
-    d = np.arange(-1.0, n + 1.0) * h
-    for half, lo in enumerate((-1.0, 0.0)):
-        t1 = np.arcsinh((d + lo * h) / a)
-        t2 = np.arcsinh((d + (lo + 1.0) * h) / a)
-        td = (t2 - t1) / 2.0
-        t = ((t2 + t1) / 2.0)[:, None] + xq * td[:, None]
-        rows = slice(half, half + n + 2)
-        assert np.allclose(mesh.quad_r[rows], a * np.cosh(t),
-                           rtol=1e-14, atol=0)
-        assert np.allclose(mesh.quad_w[rows], td[:, None] * wq,
-                           rtol=1e-13, atol=0)
-        assert np.allclose(mesh.quad_sine_arg[half],
-                           h - np.abs(a * np.sinh(t) - d[:, None]),
-                           rtol=0, atol=1e-14 * n * h)
-    assert np.allclose(mesh.quad_sine_arg[0, 1:] + mesh.quad_sine_arg[1, :-1],
+    # flattened in assemble_system's (v, half, node) order, each separation
+    # i, d = (i - 1)h, is one run: its lower half over [d - h, d] and its
+    # upper over [d, d + h], by the 16-point rule where the interval has
+    # knots in [-2h, 3h] and the 8-point rule elsewhere, recomputed from
+    # (n, h, a); the terms left over are one zero-weight upper subrow
+    r = mom._halves(mesh.quad_r).reshape(-1)
+    w = mom._halves(mesh.quad_w).reshape(-1)
+    arg = mesh.quad_sine_arg.reshape(-1)
+    upper = np.tile(np.repeat([False, True], 8), n + 7)
+    starts = mesh.quad_starts
+    assert starts.shape == (n + 2,) and starts[0] == 0
+    assert np.all(np.diff(starts) > 0)
+    assert np.array_equal(np.flatnonzero(w == 0),
+                          np.arange(r.size - 8, r.size))
+    for i, run in enumerate(np.split(np.arange(r.size), starts[1:])):
+        d = (i - 1) * h
+        for half, lo in enumerate((d - h, d)):
+            take = run[(upper[run] == half) & (w[run] != 0)]
+            m = round(lo / h)
+            xq, wq = np.polynomial.legendre.leggauss(16 if m <= 2 else 8)
+            t1, t2 = np.arcsinh(lo / a), np.arcsinh((lo + h) / a)
+            td = (t2 - t1) / 2.0
+            t = (t2 + t1) / 2.0 + xq * td
+            assert take.shape == t.shape
+            assert np.allclose(r[take], a * np.cosh(t), rtol=1e-14, atol=0)
+            assert np.allclose(w[take], td * wq, rtol=1e-13, atol=0)
+            assert np.allclose(arg[take], h - np.abs(a * np.sinh(t) - d),
+                               rtol=0, atol=1e-14 * n * h)
+    # the lower half on subrow s and the upper half on it, two rows back,
+    # split the test basis' span h
+    assert np.allclose(mesh.quad_sine_arg[2:, 0] + mesh.quad_sine_arg[:-2, 1],
                        h, rtol=0, atol=1e-14 * n * h)
 
 
 def test_gauss_legendre_rule_matches_numpy_polynomial():
-    # mom builds its 16-point rule without importing numpy.polynomial
-    x, w = np.polynomial.legendre.leggauss(16)
-    assert np.abs(_XQ - x).max() <= 1e-14
-    assert (np.abs(_WQ - w) / w).max() <= 1e-14
-    # exact through degree 31
-    assert np.sum(_WQ * _XQ ** 30) == pytest.approx(2.0 / 31.0, rel=1e-14)
+    # mom builds its 16- and 8-point rules without importing numpy.polynomial
+    for points, nodes, weights in ((16, _XQ, _WQ), (8, _XF, _WF)):
+        x, w = np.polynomial.legendre.leggauss(points)
+        assert np.abs(nodes - x).max() <= 1e-14
+        assert (np.abs(weights - w) / w).max() <= 1e-14
+        # exact through degree 2 points - 1: the odd moments vanish by symmetry
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        for degree in range(0, 2 * points, 2):
+            assert np.sum(weights * nodes ** degree) == pytest.approx(
+                2.0 / (degree + 1), rel=1e-14)
 
 
 def test_meshes_and_currents_compare_by_identity():
@@ -369,16 +389,24 @@ def test_assemble_returns_an_owned_writeable_column():
 @pytest.mark.parametrize("n", [11, 21, 83, 321])
 @pytest.mark.parametrize("eps_e", [1.0, 3.3])
 def test_assemble_matches_loop_reference(n, eps_e):
+    # the 16-point reference on every interval, against the table's 8-point
+    # rule past the near ones: on the thin half-wave and at h/a from 1 (a
+    # thin wire, L > 20a, from n = 21 on) to 1000, up to the lambda_e/4 limit
     base = thin_half_wave()
-    model = WireModel(base.total_length, base.radius, eps_e)
-    mesh = build_mesh(model, n=n)
-    for f in (0.9e9, 1.8e9, 2.6e9):
-        ref = loop_assemble(n, f, model)
-        # relative to the column scale: the far entries come out of a
-        # three-term cancellation, so any change in summation order moves
-        # them by a few ulps of the near entries
-        err = np.abs(assemble_system(mesh, f) - ref).max()
-        assert err <= 1e-12 * np.abs(ref).max()
+    h = base.total_length / (n + 1)
+    for h_over_a in (h / base.radius, 1.0, 2.0, 30.0, 1000.0):
+        if n + 1 <= 20.0 / h_over_a:
+            continue
+        model = WireModel(base.total_length, h / h_over_a, eps_e)
+        mesh = build_mesh(model, n=n)
+        for kh in (0.05, 0.5, 1.0, math.pi / 2 * (1 - 1e-9)):
+            f = kh / h * mom.C_MM_PER_S / (2.0 * math.pi * math.sqrt(eps_e))
+            ref = loop_assemble(n, f, model)
+            # relative to the column scale: the far entries come out of a
+            # three-term cancellation, so any change in summation order
+            # moves them by a few ulps of the near entries
+            err = np.abs(assemble_system(mesh, f) - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max()
 
 
 def test_mesh_reused_across_frequencies():
@@ -767,7 +795,7 @@ def test_solve_at_dispatch_count_does_not_grow():
     solve_at(mesh, 1.8e9)
     events = _calls_made_by(os.path.dirname(mom.__file__),
                             lambda: solve_at(mesh, 1.8e9))
-    assert sum(events.values()) <= 43, sorted(events.items())
+    assert sum(events.values()) <= 40, sorted(events.items())
 
 
 def test_segments_longer_than_a_quarter_wavelength_refused():
@@ -934,15 +962,21 @@ def test_non_finite_system_refused_without_lapack_output(value, capfd):
 def test_overflowing_kr_raises_solver_error(capfd):
     # k*R overflows although k and sin(kh) are finite: refused before the
     # kernel's arithmetic would print an overflow warning
-    # the wire of a W = 1.26e15 mm strip on FR4 (which breaks w_over_h)
+    # the wire of a W = 1.26e15 mm strip on FR4 (which breaks w_over_h),
+    # the shortest whose largest R, quad_r[-1, -1] at the far end's outermost
+    # 8-point node, takes k*R past the float range
     W = 1261007895663703.0
-    model = WireModel(3.6894994835786546e289, W / 4,
+    f = 1.1212699280039864e29
+    model = WireModel(3.690793813047976e289, W / 4,
                       eps_eff_microstrip(4.3, W, 1.6))
+    shorter = replace(model, total_length=np.nextafter(model.total_length, 0))
+    assert math.isfinite(wavenumber(f, model.eps_e)
+                         * float(build_mesh(shorter).quad_r[-1, -1]))
     mesh = build_mesh(model)
     with pytest.raises(SolverError, match="k\\*R overflows"):
-        assemble_system(mesh, 1.1212699280039864e29)
+        assemble_system(mesh, f)
     with pytest.raises(SolverError, match="k\\*R overflows"):
-        impedance_at(model, 1.1212699280039864e29)
+        impedance_at(model, f)
     out, err = capfd.readouterr()
     assert out == "" and err == ""
 

@@ -87,14 +87,13 @@ def _functions_that(calls) -> set[str]:
 def test_only_the_fold_and_the_assembly_view_a_buffer_as_an_array():
     # np.ndarray(shape, dtype, buffer, ...) reads one array through another's
     # memory: _fold's Toeplitz and Hankel views of the column's ramp, and
-    # assemble_system's two test halves of one interval table
+    # _halves' two test halves of one subrow table, which assembly reads
     def views_a_buffer(node):
         return (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "ndarray"
                 and (len(node.args) >= 3
                      or any(k.arg == "buffer" for k in node.keywords)))
-    assert _functions_that(views_a_buffer) == {"mom._fold",
-                                               "mom.assemble_system"}
+    assert _functions_that(views_a_buffer) == {"mom._fold", "mom._halves"}
 
 
 def test_one_function_builds_a_substrate_from_text():
