@@ -2,10 +2,12 @@
 
 Each option is declared once, as a RunConfig field: the field name is its
 config-file key, and its metadata holds the flag, the help text and the
-parser that reads both the flag and the config line. Configuration is a
-flat ``key = value`` text file with '#' comments; flags override file
-values, file values override defaults. All CSV output is byte-deterministic:
-full-precision repr formatting, '.' decimal, newline-terminated rows.
+parser that reads both the flag and the config line. A command's parameters
+after the resolved substrate name the fields it reads; it is refused any
+other but ``catalog``. Configuration is a flat ``key = value`` text file
+with '#' comments; flags override file values, file values override
+defaults. All CSV output is byte-deterministic: full-precision repr
+formatting, '.' decimal, newline-terminated rows.
 
 Exit codes: 0 success, 2 config error, 3 design-rule violation,
 4 solver error, 5 I/O error.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -86,29 +89,28 @@ class RunConfig:
     freq_mhz: float = _opt(1800.0, _finite, "--freq", "spot frequency, MHz")
     band_mhz: tuple[float, float, float] = _opt(
         (1000.0, 2600.0, 10.0), _band, "--band", "start:stop:step, MHz")
-    length_mm: float = _opt(67.0, _finite, "--length", "mm")
-    width_mm: float = _opt(6.0, _finite, "--width", "mm")
-    feed: str = _opt("ideal", _feed, "--feed",
-                     "ideal|stub|via; non-ideal feeds for design only")
+    length_mm: float = _opt(67.0, _finite, "--length", "strip length, mm")
+    width_mm: float = _opt(6.0, _finite, "--width", "strip width, mm")
+    feed: str = _opt("ideal", _feed, "--feed", "ideal|stub|via, design only: "
+                     "the solver models only an ideal center feed")
     mesh: int | None = _opt(None, int, "--mesh",
-                            "odd segment count (default: automatic)")
+                            "odd segment count, default automatic")
     bw_threshold_db: float = _opt(DEFAULT_BW_THRESHOLD_DB, _finite,
                                   "--bw-threshold", "bandwidth threshold, dB")
     z0_ohm: float = _opt(DEFAULT_Z0, _finite, "--z0",
                          "reference impedance, ohm")
     plane: str = _opt("E", _plane, "--plane", "pattern cut: E or H")
     lengths_mm: tuple[float, ...] = _opt((63.0, 65.0, 67.0), _float_list,
-                                         "--lengths", "comma list, mm")
+                                         "--lengths", "study lengths, mm list")
     widths_mm: tuple[float, ...] = _opt((5.0, 6.0, 7.0, 8.0), _float_list,
-                                        "--widths", "comma list, mm")
-    opt_low_mm: float = _opt(35.0, _finite, "--opt-low", "mm")
-    opt_high_mm: float = _opt(48.0, _finite, "--opt-high", "mm")
-    out: str | None = _opt(None, str, "--out", "output path (default stdout)")
-    catalog: str | None = _opt(None, str, "--catalog",
-                               "substrate catalog path")
+                                        "--widths", "study widths, mm list")
+    opt_low_mm: float = _opt(35.0, _finite, "--opt-low", "bracket min L, mm")
+    opt_high_mm: float = _opt(48.0, _finite, "--opt-high", "bracket max L, mm")
+    out: str | None = _opt(None, str, "--out", "output CSV, default stdout")
+    catalog: str | None = _opt(None, str, "--catalog", "catalog file path")
 
 
-_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+_META = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -123,13 +125,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                               % (source, lineno, raw.strip()))
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
+        if key not in _META:
             raise ConfigError("%s:%d: unknown key %r" % (source, lineno, key))
         if key in values:
             raise ConfigError("%s:%d: key %r is set twice"
                               % (source, lineno, key))
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = _META[key]["parse"](value)
         except ValueError as exc:
             raise ConfigError("%s:%d: bad value for %r: %s"
                               % (source, lineno, key, exc)) from exc
@@ -140,7 +142,7 @@ def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
     """Merge defaults < file < flags."""
     values = {**file_values, **flag_values}
     for key in values:
-        if key not in _PARSERS:
+        if key not in _META:
             raise ConfigError("unknown key %r" % key)
     return RunConfig(**values)
 
@@ -156,10 +158,6 @@ def resolve_substrate(config: RunConfig) -> Substrate:
         raise ConfigError("substrate %r not in catalog (have: %s)"
                           % (text, ", ".join(sorted(catalog))))
     return catalog[text]
-
-
-def _geometry(config: RunConfig) -> DipoleGeometry:
-    return DipoleGeometry(L=config.length_mm, W=config.width_mm)
 
 
 def _fmt(x) -> str:
@@ -213,11 +211,6 @@ def emit_study_table(rows: list[StudyRow], path: str | None) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def _band_hz(config: RunConfig) -> tuple[float, float, float]:
-    start, stop, step = config.band_mhz
-    return start * _MHZ, stop * _MHZ, step * _MHZ
-
-
 def _summary_line(result: SweepResult, threshold_db: float) -> str:
     i = s11_minimum(result)
     bw = fractional_bandwidth(result, threshold_db)
@@ -231,9 +224,9 @@ def _summary_line(result: SweepResult, threshold_db: float) -> str:
                result.vswr[i]))
 
 
-def cmd_design(config: RunConfig, substrate: Substrate) -> None:
-    f = config.freq_mhz * _MHZ
-    synth = synthesize_geometry(substrate, f, feed_style=_FEED_NAMES[config.feed])
+def cmd_design(substrate: Substrate, freq_mhz, feed) -> None:
+    synth = synthesize_geometry(substrate, freq_mhz * _MHZ,
+                                feed_style=_FEED_NAMES[feed])
     g, rules = synth.geometry, synth.rules
     print("substrate %s: eps_e=%.4f lambda_d=%.4f mm" %
           (substrate.name, synth.eps_e, synth.lambda_d))
@@ -247,27 +240,29 @@ def cmd_design(config: RunConfig, substrate: Substrate) -> None:
            len(rules.entries)))
 
 
-def cmd_analyze(config: RunConfig, substrate: Substrate) -> None:
-    start, stop, step = _band_hz(config)
-    check_bw_threshold(config.bw_threshold_db)
-    result = sweep(_geometry(config), substrate, start, stop, step,
-                   n=config.mesh, z0=config.z0_ohm)
-    summary = _summary_line(result, config.bw_threshold_db)
-    emit_sweep_csv(result, config.out)
+def cmd_analyze(substrate: Substrate, band_mhz, length_mm, width_mm, mesh,
+                bw_threshold_db, z0_ohm, out) -> None:
+    start, stop, step = (x * _MHZ for x in band_mhz)
+    check_bw_threshold(bw_threshold_db)
+    result = sweep(DipoleGeometry(L=length_mm, W=width_mm), substrate,
+                   start, stop, step, n=mesh, z0=z0_ohm)
+    summary = _summary_line(result, bw_threshold_db)
+    emit_sweep_csv(result, out)
     print("analyze: " + summary)
 
 
-def cmd_pattern(config: RunConfig, substrate: Substrate) -> None:
-    e_cut, h_cut = study_pattern(_geometry(config), substrate,
-                                 config.freq_mhz * _MHZ)
-    cut = e_cut if config.plane == "E" else h_cut
-    emit_pattern_csv(cut, config.out)
+def cmd_pattern(substrate: Substrate, freq_mhz, length_mm, width_mm, plane,
+                out) -> None:
+    e_cut, h_cut = study_pattern(DipoleGeometry(L=length_mm, W=width_mm),
+                                 substrate, freq_mhz * _MHZ)
+    cut = e_cut if plane == "E" else h_cut
+    emit_pattern_csv(cut, out)
     print("pattern: %s-plane, directivity %.3f dBi, HPBW %.2f deg"
           % (cut.plane, cut.directivity_dbi, cut.hpbw_deg))
 
 
-def _print_study(rows: list[StudyRow], config: RunConfig, label: str) -> None:
-    emit_study_table(rows, config.out)
+def _print_study(rows: list[StudyRow], out: str | None, label: str) -> None:
+    emit_study_table(rows, out)
     ok = [r for r in rows if r.error is None]
     failed = len(rows) - len(ok)
     if ok:
@@ -280,41 +275,41 @@ def _print_study(rows: list[StudyRow], config: RunConfig, label: str) -> None:
         raise rows[0].error   # main's exit code for the first row's error
 
 
-def cmd_study_length(config: RunConfig, substrate: Substrate) -> None:
-    start, stop, step = _band_hz(config)
-    rows = length_study(config.lengths_mm, substrate, start, stop, step,
-                        width_mm=config.width_mm, f_probe=config.freq_mhz * _MHZ,
-                        z0=config.z0_ohm, threshold_db=config.bw_threshold_db)
-    _print_study(rows, config, "study-length")
+def cmd_study_length(substrate: Substrate, band_mhz, lengths_mm, width_mm,
+                     freq_mhz, z0_ohm, bw_threshold_db, out) -> None:
+    start, stop, step = (x * _MHZ for x in band_mhz)
+    rows = length_study(lengths_mm, substrate, start, stop, step,
+                        width_mm=width_mm, f_probe=freq_mhz * _MHZ,
+                        z0=z0_ohm, threshold_db=bw_threshold_db)
+    _print_study(rows, out, "study-length")
 
 
-def cmd_study_width(config: RunConfig, substrate: Substrate) -> None:
-    start, stop, step = _band_hz(config)
-    rows = width_study(config.widths_mm, substrate, start, stop, step,
-                       length_mm=config.length_mm,
-                       f_probe=config.freq_mhz * _MHZ,
-                       z0=config.z0_ohm, threshold_db=config.bw_threshold_db)
-    _print_study(rows, config, "study-width")
+def cmd_study_width(substrate: Substrate, band_mhz, widths_mm, length_mm,
+                    freq_mhz, z0_ohm, bw_threshold_db, out) -> None:
+    start, stop, step = (x * _MHZ for x in band_mhz)
+    rows = width_study(widths_mm, substrate, start, stop, step,
+                       length_mm=length_mm, f_probe=freq_mhz * _MHZ,
+                       z0=z0_ohm, threshold_db=bw_threshold_db)
+    _print_study(rows, out, "study-width")
 
 
-def cmd_optimize(config: RunConfig, substrate: Substrate) -> None:
-    f = config.freq_mhz * _MHZ
-    res = optimize_length(substrate, f, config.opt_low_mm, config.opt_high_mm,
-                          width_mm=config.width_mm, z0=config.z0_ohm)
+def cmd_optimize(substrate: Substrate, freq_mhz, opt_low_mm, opt_high_mm,
+                 width_mm, z0_ohm) -> None:
+    res = optimize_length(substrate, freq_mhz * _MHZ, opt_low_mm, opt_high_mm,
+                          width_mm=width_mm, z0=z0_ohm)
     print("optimize: L=%.4f mm, Z=%.3f%+.3fj ohm, S11 %.2f dB, "
           "%d iterations%s"
           % (res.length_mm, res.z_in.real, res.z_in.imag, res.s11_db,
              res.iterations, "" if res.converged else " (not converged)"))
 
 
-_COMMANDS = {
-    "design": cmd_design,
-    "analyze": cmd_analyze,
-    "pattern": cmd_pattern,
-    "study-length": cmd_study_length,
-    "study-width": cmd_study_width,
-    "optimize": cmd_optimize,
-}
+#: each command, named by its function, and the parameter names of that
+#: function, read from its signature once per process
+_COMMANDS = {cmd.__name__[4:].replace("_", "-"): cmd for cmd in (
+    cmd_design, cmd_analyze, cmd_pattern, cmd_study_length, cmd_study_width,
+    cmd_optimize)}
+_PARAMS = {name: tuple(inspect.signature(cmd).parameters)
+           for name, cmd in _COMMANDS.items()}
 
 
 def _flag_type(parse):
@@ -363,10 +358,15 @@ def run(argv: list[str] | None = None) -> int:
             raise ConfigError("cannot read config: %s" % exc) from exc
         file_values = parse_config_text(text, source=args.config)
     config = resolve_config(file_values, flag_values)
-    if config.feed != "ideal" and args.command != "design":
-        raise ConfigError("feed %r is not modelled: the solver has only an "
-                          "ideal center feed" % config.feed)
-    _COMMANDS[args.command](config, resolve_substrate(config))
+    params = _PARAMS[args.command]   # ("substrate", the fields it reads...)
+    for key in [*flag_values, *file_values]:
+        if key not in params and key != "catalog":
+            name = (_META[key]["flag"] if key in flag_values
+                    else "key %r in %s" % (key, args.config))
+            raise ConfigError("%s takes no %s (%s)"
+                              % (args.command, name, _META[key]["help"]))
+    _COMMANDS[args.command](resolve_substrate(config),
+                            *(getattr(config, key) for key in params[1:]))
     return 0
 
 

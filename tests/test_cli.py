@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import re
 from dataclasses import fields
@@ -52,6 +53,111 @@ _SAMPLE_TEXT = {
     "opt_low_mm": "30", "opt_high_mm": "50", "out": "x.csv",
     "catalog": "cat.txt",
 }
+
+
+#: the fields each command reads besides substrate and catalog, which every
+#: command reads: 45 settable values in all, of 6 x 16 fields
+_READS = {
+    "design": {"freq_mhz", "feed"},
+    "analyze": {"band_mhz", "length_mm", "width_mm", "mesh", "bw_threshold_db",
+                "z0_ohm", "out"},
+    "pattern": {"freq_mhz", "length_mm", "width_mm", "plane", "out"},
+    "study-length": {"band_mhz", "lengths_mm", "width_mm", "freq_mhz",
+                     "z0_ohm", "bw_threshold_db", "out"},
+    "study-width": {"band_mhz", "widths_mm", "length_mm", "freq_mhz",
+                    "z0_ohm", "bw_threshold_db", "out"},
+    "optimize": {"freq_mhz", "opt_low_mm", "opt_high_mm", "width_mm",
+                 "z0_ohm"},
+}
+
+#: a small run of each command, from its own options only
+_SMALL = {
+    "design": [],
+    "analyze": ["--band", "1700:1900:100"],
+    "pattern": [],
+    "study-length": ["--band", "1700:1900:100", "--lengths", "63"],
+    "study-width": ["--band", "1700:1900:100", "--widths", "6"],
+    "optimize": [],
+}
+
+_FIELDS = {f.name for f in fields(RunConfig)}
+
+
+def _params(command):
+    return list(inspect.signature(cli._COMMANDS[command]).parameters)
+
+
+def test_each_command_reads_the_fields_its_signature_names():
+    assert list(cli._COMMANDS) == list(_READS)
+    for command, reads in _READS.items():
+        first, *rest = _params(command)
+        assert first == "substrate"
+        assert set(rest) == reads, command
+    assert sum(2 + len(reads) for reads in _READS.values()) == 45
+
+
+def test_every_command_parameter_but_substrate_is_a_field():
+    for command in _READS:
+        assert set(_params(command)[1:]) <= _FIELDS, command
+
+
+def test_every_field_is_read_by_some_command():
+    assert set().union(*_READS.values()) | {"substrate", "catalog"} == _FIELDS
+
+
+_FOREIGN = [(command, option) for command in _READS
+            for option in fields(RunConfig)
+            if option.name not in _READS[command] | {"substrate", "catalog"}]
+
+
+@pytest.mark.parametrize("command, option", _FOREIGN,
+                         ids=["%s-%s" % (c, o.name) for c, o in _FOREIGN])
+def test_cli_refuses_an_option_its_command_does_not_read(
+        command, option, tmp_path, monkeypatch, capsys):
+    # as a flag and as a config key: exit 2 before any solve, naming it
+    monkeypatch.chdir(tmp_path)     # a refused --out x.csv writes no file
+    calls = _count_solves(monkeypatch)
+    flag, text = option.metadata["flag"], _SAMPLE_TEXT[option.name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = %s\n" % (option.name, text))
+    for argv, named in (
+            ([command, "%s=%s" % (flag, text)], flag),
+            ([command, "--config", str(cfg)],
+             "key %r in %s" % (option.name, cfg))):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: %s takes no %s (%s)\n" % (
+            command, named, option.metadata["help"])
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["pattern", "--mesh", "41"],
+     "pattern takes no --mesh (odd segment count, default automatic)"),
+    (["optimize", "--plane", "H"],
+     "optimize takes no --plane (pattern cut: E or H)"),
+    (["analyze", "--freq", "900"],
+     "analyze takes no --freq (spot frequency, MHz)"),
+    (["design", "--length", "60"],
+     "design takes no --length (strip length, mm)"),
+    (["optimize", "--out", "x.csv"],
+     "optimize takes no --out (output CSV, default stdout)"),
+], ids=" ".join)
+def test_cli_foreign_option_is_named(argv, err, tmp_path, monkeypatch,
+                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "config error: %s\n" % err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_flag_is_named_before_the_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("plane = H\n")
+    assert main(["optimize", "--config", str(cfg), "--mesh", "41"]) == 2
+    assert "optimize takes no --mesh " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", fields(RunConfig), ids=lambda f: f.name)
@@ -296,8 +402,7 @@ def _count_solves(monkeypatch) -> list:
 def test_cli_non_negative_bw_threshold_is_refused_before_any_solve(
         command, monkeypatch, capsys):
     calls = _count_solves(monkeypatch)
-    argv = [command, "--band", "1700:1900:100", "--lengths", "63",
-            "--widths", "6"]
+    argv = [command, *_SMALL[command]]
     assert main(argv) == 0
     assert calls   # the wrapper sees the command's solves
     calls.clear()
@@ -750,14 +855,17 @@ def test_catalog_and_inline_substrates_are_refused_alike(eps_r, h, tmp_path,
 @pytest.mark.parametrize("command", ["analyze", "pattern", "study-length",
                                      "study-width", "optimize"])
 def test_cli_rejects_unmodelled_feed(command, tmp_path, capsys):
-    assert main([command, "--feed", "stub"]) == 2
-    assert "ideal center feed" in capsys.readouterr().err
+    # --feed is design's alone, so even an ideal one is refused here
+    for feed in ("stub", "ideal"):
+        assert main([command, "--feed", feed]) == 2
+        assert "the solver models only an ideal center feed" \
+            in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("feed = via\n")
     assert main([command, "--config", str(cfg)]) == 2
-    assert "ideal center feed" in capsys.readouterr().err
-    assert main([command, "--feed", "ideal", "--band", "1700:1900:100",
-                 "--lengths", "63", "--widths", "6"]) == 0
+    assert "the solver models only an ideal center feed" \
+        in capsys.readouterr().err
+    assert main([command, *_SMALL[command]]) == 0
 
 
 @pytest.mark.parametrize("key, text, reason", [
@@ -781,6 +889,23 @@ def test_cli_design_keeps_feed_styles(capsys):
 
 
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))
+_FLAGS = {f.name: f.metadata["flag"] for f in fields(RunConfig)}
+
+
+def _own_argv(command, **texts):
+    """`command` with those of the options given that it reads."""
+    return [command] + ["%s=%s" % (_FLAGS[name], text)
+                        for name, text in texts.items()
+                        if name in _READS[command]]
+
+
+def _check_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _exit_code(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err.getvalue()
+    assert " takes no " not in err.getvalue()   # only the command's options
 
 
 @settings(max_examples=50, deadline=None)
@@ -791,36 +916,45 @@ _ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))
          width=6.0, z0=50.0, freq=1.3e23, bw_threshold=-10.0)
 @example(command="pattern", length=67.0, width=6.0, z0=50.0,  # sin^2(kh)
          freq=1e-150, bw_threshold=-10.0)                     # is subnormal
+@example(command="analyze", length=67.0, width=6.0, z0=50.0,  # each command
+         freq=1800.0, bw_threshold=-10.0)                     # solves
+@example(command="pattern", length=67.0, width=6.0, z0=50.0,
+         freq=1800.0, bw_threshold=-10.0)
+@example(command="optimize", length=67.0, width=6.0, z0=50.0,
+         freq=1800.0, bw_threshold=-10.0)
 def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
                                            bw_threshold):
     # a fixed 3-point band and the automatic mesh keep every solve small
-    argv = [command, "--band", "1700:1900:100", "--length=%r" % length,
-            "--width=%r" % width, "--z0=%r" % z0, "--freq=%r" % freq,
-            "--bw-threshold=%r" % bw_threshold]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = _exit_code(argv)
-    assert code in (0, 2, 3, 4, 5), argv
-    assert "Traceback" not in err.getvalue()
+    _check_exit_code(_own_argv(
+        command, band_mhz="1700:1900:100", length_mm=repr(length),
+        width_mm=repr(width), z0_ohm=repr(z0), freq_mhz=repr(freq),
+        bw_threshold_db=repr(bw_threshold)))
 
 
 @settings(max_examples=50, deadline=None)
-@given(command=st.sampled_from(["design", "analyze", "pattern",
-                                "study-length", "study-width", "optimize"]),
+@given(command=st.sampled_from(list(_READS)),
        band=_ANY_FLOAT, length=_ANY_FLOAT, width=_ANY_FLOAT, z0=_ANY_FLOAT,
        freq=_ANY_FLOAT, bw_threshold=_ANY_FLOAT)
 @example(command="analyze", band=1.7e308, length=67.0, width=6.0,  # f in Hz
          z0=50.0, freq=1800.0, bw_threshold=-10.0)                # overflows
 @example(command="study-length", band=1.7e308, length=67.0, width=6.0,
          z0=50.0, freq=1800.0, bw_threshold=-10.0)
+@example(command="design", band=1800.0, length=67.0, width=6.0,  # each command
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)               # solves
+@example(command="analyze", band=1800.0, length=67.0, width=6.0,
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)
+@example(command="pattern", band=1800.0, length=67.0, width=6.0,
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)
+@example(command="study-length", band=1800.0, length=67.0, width=6.0,
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)
+@example(command="study-width", band=1800.0, length=67.0, width=6.0,
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)
+@example(command="optimize", band=1800.0, length=67.0, width=6.0,
+         z0=50.0, freq=1800.0, bw_threshold=-10.0)
 def test_cli_exit_codes_hold_for_any_band(command, band, length, width, z0,
                                           freq, bw_threshold):
     # a one-point band and the automatic mesh keep every solve small
-    argv = [command, "--band=%r:%r:1" % (band, band), "--length=%r" % length,
-            "--width=%r" % width, "--z0=%r" % z0, "--freq=%r" % freq,
-            "--bw-threshold=%r" % bw_threshold]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = _exit_code(argv)
-    assert code in (0, 2, 3, 4, 5), argv
-    assert "Traceback" not in err.getvalue()
+    _check_exit_code(_own_argv(
+        command, band_mhz="%r:%r:1" % (band, band), length_mm=repr(length),
+        width_mm=repr(width), z0_ohm=repr(z0), freq_mhz=repr(freq),
+        bw_threshold_db=repr(bw_threshold)))

@@ -18,7 +18,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_does_not_load_numpy_polynomial():
-    # mom computes its Gauss-Legendre rule with numpy.linalg
+    # mom holds its 16- and 8-point Gauss-Legendre rules as correctly
+    # rounded literals (_X8/_W8, _X4/_W4), not numpy.polynomial's leggauss
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
