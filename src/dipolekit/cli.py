@@ -346,7 +346,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's exit: 0 after -h, 2 for a bad flag
+        return exc.code
     flag_values = {k: v for k, v in vars(args).items()
                    if k not in ("command", "config") and v is not None}
     file_values = {}

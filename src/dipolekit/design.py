@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from math import inf, isfinite, sqrt
+from math import inf, sqrt
 
 from .errors import ConfigError, DesignRuleError
 
@@ -32,12 +32,8 @@ class Substrate:
     tan_delta: float = 0.0
 
     def __post_init__(self):
-        if not isfinite(self.eps_r) or not isfinite(self.h):
-            raise ValueError("eps_r and h must be finite")
-        if self.eps_r < 1.0:
-            raise ValueError("eps_r must be >= 1, got %g" % self.eps_r)
-        if self.h <= 0.0:
-            raise ValueError("substrate height must be > 0, got %g" % self.h)
+        check_at_least("eps_r", self.eps_r, 1.0)
+        check_positive("h", self.h)
         if not 0.0 <= self.tan_delta < 1.0:
             raise ValueError("tan_delta must be in [0, 1), got %g" % self.tan_delta)
 
@@ -52,12 +48,10 @@ class DipoleGeometry:
     T: float = DEFAULT_T_MM       # conductor thickness, mm
 
     def __post_init__(self):
-        if not all(map(isfinite, (self.L, self.W, self.g, self.T))):
-            raise ValueError("L, W, g and T must be finite")
-        if self.L <= 0 or self.W <= 0:
-            raise ValueError("L and W must be > 0")
-        if self.g < 0 or self.T < 0:
-            raise ValueError("g and T must be >= 0")
+        check_positive("L", self.L)
+        check_positive("W", self.W)
+        check_at_least("g", self.g, 0.0)
+        check_at_least("T", self.T, 0.0)
         if self.g >= self.L:
             raise ValueError("gap g must be smaller than L")
 
@@ -102,10 +96,20 @@ class SynthesisResult:
     rules: RuleCheckResult  # the rule table synthesis enforced at f
 
 
-def check_frequency(f: float) -> None:
-    """Refuse a frequency in Hz outside (0, inf), nan included."""
-    if not 0 < f < inf:
-        raise ValueError("frequency must be finite and > 0, got %g" % f)
+def check_positive(name: str, x: float) -> None:
+    """Refuse x outside (0, inf), nan included, naming it `name`."""
+    if not 0 < x < inf:
+        raise ValueError("%s must be finite and > 0, got %g" % (name, x))
+
+
+def check_at_least(name: str, x: float, low: float) -> None:
+    """Refuse x outside [low, inf), nan included, naming it `name`."""
+    if not low <= x < inf:
+        raise ValueError("%s must be finite and >= %g, got %g" % (name, low, x))
+
+
+#: refuses a frequency in Hz outside (0, inf), nan included
+check_frequency = functools.partial(check_positive, "frequency")
 
 
 def free_space_wavelength(f: float) -> float:
@@ -116,44 +120,38 @@ def free_space_wavelength(f: float) -> float:
 
 def eps_eff_average(eps_r: float) -> float:
     """Effective permittivity as the plain average of substrate and air."""
-    if eps_r < 1.0:
-        raise ValueError("eps_r must be >= 1, got %g" % eps_r)
+    check_at_least("eps_r", eps_r, 1.0)
     return (eps_r + 1.0) / 2.0
 
 
 def eps_eff_microstrip(eps_r: float, w: float, h: float) -> float:
     """Quasi-static effective permittivity with fringing-field correction."""
-    if eps_r < 1.0:
-        raise ValueError("eps_r must be >= 1, got %g" % eps_r)
-    if w <= 0 or h <= 0:
-        raise ValueError("w and h must be > 0")
+    check_at_least("eps_r", eps_r, 1.0)
+    check_positive("w", w)
+    check_positive("h", h)
     return (eps_r + 1.0) / 2.0 + (eps_r - 1.0) / 2.0 / sqrt(1.0 + 12.0 * h / w)
 
 
 def guided_wavelength(f: float, eps_e: float) -> float:
     """Wavelength in mm inside an effective medium."""
-    if eps_e < 1.0:
-        raise ValueError("eps_e must be >= 1, got %g" % eps_e)
+    check_at_least("eps_e", eps_e, 1.0)
     return free_space_wavelength(f) / sqrt(eps_e)
 
 
 def half_wave_length(lambda_d: float) -> float:
-    if lambda_d <= 0:
-        raise ValueError("wavelength must be > 0")
+    check_positive("wavelength", lambda_d)
     return lambda_d / 2.0
 
 
 def stub_fed_length(lam: float) -> float:
     """Resonant length rule for the quarter-wave open-stub feed."""
-    if lam <= 0:
-        raise ValueError("wavelength must be > 0")
+    check_positive("wavelength", lam)
     return 3.0 * lam / 4.0
 
 
 def via_fed_length(lam: float) -> float:
     """Resonant length rule for the via-hole feed."""
-    if lam <= 0:
-        raise ValueError("wavelength must be > 0")
+    check_positive("wavelength", lam)
     return 2.0 * lam / 3.0
 
 

@@ -19,7 +19,7 @@ from .mom import CurrentDistribution, SegmentMesh, wavenumber
 
 
 class DegeneratePattern(SolverError):
-    """The sampled pattern carries no power."""
+    """The sampled pattern's radiated power is not finite and > 0."""
 
 
 #: polar sampling grid, degrees (open at the poles where E = 0); read-only,
@@ -61,8 +61,9 @@ def directivity_from_intensity(theta_deg: np.ndarray, u: np.ndarray) -> float:
     """D = 2 U_max / integral(U sin(theta) dtheta), trapezoid rule."""
     theta = np.radians(np.asarray(theta_deg, dtype=float))
     p_rad = np.trapezoid(u * np.sin(theta), theta)
-    if p_rad <= 0:
-        raise DegeneratePattern("pattern has no radiated power")
+    if not 0 < p_rad < np.inf:
+        raise DegeneratePattern("radiated power must be finite and > 0, "
+                                "got %g" % p_rad)
     return float(2.0 * np.max(u) / p_rad)
 
 

@@ -5,12 +5,14 @@ beamwidth (farfield.hpbw_from_cut) alike."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .design import check_positive
 from .errors import NonPassiveError, NoResonanceError
 
 if TYPE_CHECKING:   # mom imports this module
@@ -54,15 +56,15 @@ def vswr(gamma):
 
 
 def gamma_from_vswr(s: float) -> float:
-    """|gamma| corresponding to a VSWR value."""
-    if s < 1.0:
+    """|gamma| corresponding to a VSWR value; 1 for an infinite VSWR."""
+    if not s >= 1.0:
         raise ValueError("VSWR must be >= 1, got %g" % s)
-    return (s - 1.0) / (s + 1.0)
+    return 1.0 if s == math.inf else (s - 1.0) / (s + 1.0)
 
 
 def gamma_from_return_loss(rl_db: float) -> float:
     """|gamma| corresponding to a (negative) return loss in dB."""
-    if rl_db > 0:
+    if not rl_db <= 0:
         raise ValueError("return loss follows the negative-dB convention")
     return 10.0 ** (rl_db / 20.0)
 
@@ -135,10 +137,8 @@ def level_crossings(x, y, i0: int, level: float, inside):
     return edge(range(i0 - 1, -1, -1)), edge(range(i0 + 1, len(y)))
 
 
-def check_z0(z0: float) -> None:
-    """Refuse a reference impedance not > 0 (nan too), before solving."""
-    if not z0 > 0:
-        raise ValueError("reference impedance must be > 0")
+#: refuses a reference impedance outside (0, inf), nan included
+check_z0 = functools.partial(check_positive, "reference impedance")
 
 
 def check_bw_threshold(threshold_db: float) -> None:

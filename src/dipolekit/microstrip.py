@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log, pi, sqrt
 
-from .design import Substrate, eps_eff_microstrip, guided_wavelength
+from .design import Substrate, check_positive, eps_eff_microstrip, \
+    guided_wavelength
 from .errors import BracketError
+from .metrics import DEFAULT_Z0
 
 #: search band for width synthesis, in units of w/h
 WH_MIN = 0.1
@@ -25,10 +27,11 @@ class FeedLineSpec:
     stub_length: float | None = None   # quarter-wave open stub, mm
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0 or self.z0 <= 0:
-            raise ValueError("w, h and z0 must all be > 0")
-        if self.stub_length is not None and self.stub_length <= 0:
-            raise ValueError("stub_length must be > 0 when given")
+        check_positive("w", self.w)
+        check_positive("h", self.h)
+        check_positive("z0", self.z0)
+        if self.stub_length is not None:
+            check_positive("stub_length", self.stub_length)
 
 
 def z0_microstrip(w: float, h: float, eps_r: float) -> float:
@@ -46,8 +49,7 @@ def synth_width_for_z0(z0_target: float, substrate: Substrate) -> float:
     Bisects over w/h in [0.1, 20]; z0 is strictly decreasing in w/h so the
     bracket test is just the impedance at the two edges.
     """
-    if z0_target <= 0:
-        raise ValueError("target impedance must be > 0")
+    check_positive("target impedance", z0_target)
     h, eps_r = substrate.h, substrate.eps_r
     z_hi = z0_microstrip(WH_MIN * h, h, eps_r)   # narrowest -> highest z0
     z_lo = z0_microstrip(WH_MAX * h, h, eps_r)
@@ -74,7 +76,8 @@ def quarter_wave_stub_length(f: float, eps_e: float) -> float:
     return guided_wavelength(f, eps_e) / 4.0
 
 
-def feed_spec_for(substrate: Substrate, f: float, z0: float = 50.0) -> FeedLineSpec:
+def feed_spec_for(substrate: Substrate, f: float,
+                  z0: float = DEFAULT_Z0) -> FeedLineSpec:
     """Synthesize the feed line width plus its quarter-wave stub length."""
     w = synth_width_for_z0(z0, substrate)
     eps_line = eps_eff_microstrip(substrate.eps_r, w, substrate.h)

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_frequency, \
-    check_restrictions, eps_eff_microstrip
+from .design import C_MM_PER_S, DipoleGeometry, Substrate, check_at_least, \
+    check_frequency, check_positive, check_restrictions, eps_eff_microstrip
 from .errors import MeshError, SolverError
 from .metrics import DEFAULT_Z0, SweepResult, check_z0
 
@@ -118,16 +118,12 @@ class WireModel:
     eps_e: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite,
-                       (self.total_length, self.radius, self.eps_e))):
-            raise ValueError("total_length, radius and eps_e must be finite")
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        check_positive("total_length", self.total_length)
+        check_positive("radius", self.radius)
+        check_at_least("eps_e", self.eps_e, 1.0)
         if self.total_length <= 20.0 * self.radius:
             raise ValueError("thin-wire model needs total_length > 20*radius "
                              "(L=%g, a=%g)" % (self.total_length, self.radius))
-        if self.eps_e < 1.0:
-            raise ValueError("eps_e must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +164,7 @@ class SegmentMesh:
 
 def strip_to_wire(W: float) -> float:
     """Equivalent round-wire radius of a flat strip: a = W/4."""
-    if W <= 0:
-        raise ValueError("strip width must be > 0")
+    check_positive("W", W)
     return W / 4.0
 
 
@@ -521,7 +516,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     r = even @ z
     r[p] -= 1.0
     residual = math.sqrt(2.0 * np.vdot(r, r).real - abs(r[p]) ** 2)
-    if residual > _RESIDUAL_LIMIT:
+    if not residual <= _RESIDUAL_LIMIT:   # nan too
         raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
     currents = np.concatenate((z, z[p - 1::-1]))
     currents[p] *= 2.0
@@ -583,8 +578,7 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
     check_frequency(f_stop)
     if f_start > f_stop:
         raise ValueError("f_start must be <= f_stop")
-    if not 0 < f_step < math.inf:   # an inf step would make a nan grid
-        raise ValueError("f_step must be finite and > 0, got %g" % f_step)
+    check_positive("f_step", f_step)   # an inf step would make a nan grid
     steps = (f_stop - f_start) / f_step
     if not steps < MAX_GRID_POINTS:
         raise ValueError("band has %.3g steps, limit %d" % (steps, MAX_GRID_POINTS))

@@ -1,8 +1,12 @@
 import contextlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,9 +179,7 @@ def test_each_option_is_one_flag_and_one_config_key(option):
 
 
 def test_gap_option_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--gap", "3"])
-    assert exc.value.code == 2
+    assert main(["analyze", "--gap", "3"]) == 2
     with pytest.raises(ConfigError, match="unknown key 'gap_mm'"):
         parse_config_text("gap_mm = 3\n")
     for file_values, flag_values in (({"gap_mm": 3.0}, {}),
@@ -211,13 +213,24 @@ def test_analyze_mesh_is_automatic_unless_given(monkeypatch):
 
 
 def test_help_lists_each_flag_once(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
+    assert main(["-h"]) == 0
     text = capsys.readouterr().out
     for flag in ["--config"] + [f.metadata["flag"] for f in fields(RunConfig)]:
         assert len(re.findall(r"^  %s\b(?!-)" % flag, text, re.M)) == 1, flag
     assert "--gap" not in text
+
+
+@pytest.mark.parametrize("argv, code", [(["analyze", "--gap", "3"], 2),
+                                        (["-h"], 0)])
+def test_module_entry_point_exits_with_the_code_main_returns(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "dipolekit.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 def test_options_may_precede_the_command(capsys):
@@ -266,7 +279,8 @@ def test_resolve_substrate_catalog_and_inline():
 
 
 def test_inline_substrate_eps_below_one_rejected():
-    with pytest.raises(ConfigError, match="eps_r must be >= 1"):
+    with pytest.raises(ConfigError,
+                       match="eps_r must be finite and >= 1, got 0.5$"):
         resolve_substrate(RunConfig(substrate="0.5:1.6:0"))
 
 
@@ -420,7 +434,8 @@ def test_cli_non_positive_z0_is_refused_before_any_solve(command, monkeypatch,
     assert main([command, "--z0", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: reference impedance must be > 0\n"
+    assert captured.err == ("config error: reference impedance must be "
+                            "finite and > 0, got -5\n")
     assert calls == []
 
 
@@ -432,7 +447,7 @@ def test_cli_non_positive_z0_is_refused_before_any_solve(command, monkeypatch,
         ("--band=1000:2000:1e-310", "band has inf steps, limit 1000000"),
         ("--band=1000:2000:1e308", "f_step must be finite and > 0, got inf"),
         ("--bw-threshold=0", "threshold must be negative dB"),
-        ("--z0=-5", "reference impedance must be > 0"),
+        ("--z0=-5", "reference impedance must be finite and > 0, got -5"),
         ("--freq=1e308", "frequency must be finite and > 0, got inf"))])
 @pytest.mark.parametrize("command", ["study-length", "study-width"])
 def test_cli_study_refuses_shared_inputs_once(command, flag, reason,
@@ -564,9 +579,7 @@ def test_cli_rejected_flag_leaves_the_next_call_unchanged(capsys):
     argv = ["analyze", "--band", "1800:1900:100"]
     cli._parser.cache_clear()       # the next call parses as a process's first
     first = _stdout(argv, capsys)
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--gap", "3"])
-    assert exc.value.code == 2
+    assert main(["analyze", "--gap", "3"]) == 2
     capsys.readouterr()
     assert _stdout(argv, capsys) == first
 
@@ -653,13 +666,6 @@ def test_cli_optimize(capsys):
     assert "optimize: L=" in capsys.readouterr().out
 
 
-def _exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:      # argparse rejected a flag value
-        return exc.code
-
-
 @pytest.mark.parametrize("argv", [
     ["analyze", "--length", "20", "--width", "6"],     # thin-wire limit
     ["analyze", "--z0", "-5"],
@@ -679,7 +685,7 @@ def _exit_code(argv):
     ["analyze", "--substrate", "4.3:1.6"],            # inline needs tand
 ], ids=" ".join)
 def test_cli_bad_values_exit_2(argv, capsys):
-    assert _exit_code(argv) == 2
+    assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -826,30 +832,36 @@ def test_inline_substrate_rejects_non_finite():
         resolve_substrate(RunConfig(substrate="inf:1.6:0"))
 
 
+#: why a substrate with a non-finite eps_r or h is refused, by (eps_r, h)
+_NON_FINITE_REASON = {("nan", "1.6"): "eps_r must be finite and >= 1, got nan",
+                      ("4.3", "inf"): "h must be finite and > 0, got inf"}
+
+
 @pytest.mark.parametrize("line", ["bad,nan,1.6,0", "infh,4.3,inf,0"])
 def test_cli_catalog_rejects_non_finite_values(line, tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text(line + "\n")
-    name = line.split(",")[0]
+    name, eps_r, h, _ = line.split(",")
+    reason = _NON_FINITE_REASON[eps_r, h]
     for command in ("pattern", "analyze"):
         assert main([command, "--catalog", str(cat), "--substrate", name]) == 2
-        assert ":1: eps_r and h must be finite" in capsys.readouterr().err
+        assert ":1: %s\n" % reason in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps_r, h", [("nan", "1.6"), ("4.3", "inf")])
+@pytest.mark.parametrize("eps_r, h", list(_NON_FINITE_REASON))
 def test_catalog_and_inline_substrates_are_refused_alike(eps_r, h, tmp_path,
                                                          capsys):
     # one reader: each error names its place and gives the same reason
     cat = tmp_path / "cat.txt"
     cat.write_text("bad,%s,%s,0\n" % (eps_r, h))
     inline = "%s:%s:0" % (eps_r, h)
+    reason = _NON_FINITE_REASON[eps_r, h]
     assert main(["design", "--catalog", str(cat), "--substrate", "bad"]) == 2
     assert capsys.readouterr().err == (
-        "config error: %s:1: eps_r and h must be finite\n" % cat)
+        "config error: %s:1: %s\n" % (cat, reason))
     assert main(["design", "--substrate", inline]) == 2
     assert capsys.readouterr().err == (
-        "config error: inline substrate %r: eps_r and h must be finite\n"
-        % inline)
+        "config error: inline substrate %r: %s\n" % (inline, reason))
 
 
 @pytest.mark.parametrize("command", ["analyze", "pattern", "study-length",
@@ -875,7 +887,7 @@ def test_cli_rejects_unmodelled_feed(command, tmp_path, capsys):
 def test_flag_and_config_give_the_same_reason(key, text, reason, tmp_path,
                                               capsys):
     flag = next(f.metadata["flag"] for f in fields(RunConfig) if f.name == key)
-    assert _exit_code(["analyze", flag, text]) == 2
+    assert main(["analyze", flag, text]) == 2
     assert reason in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("%s = %s\n" % (key, text))
@@ -899,10 +911,10 @@ def _own_argv(command, **texts):
                         if name in _READS[command]]
 
 
-def _check_exit_code(argv):
+def _checkmain(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        code = _exit_code(argv)
+        code = main(argv)
     assert code in (0, 2, 3, 4, 5), argv
     assert "Traceback" not in err.getvalue()
     assert " takes no " not in err.getvalue()   # only the command's options
@@ -925,7 +937,7 @@ def _check_exit_code(argv):
 def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
                                            bw_threshold):
     # a fixed 3-point band and the automatic mesh keep every solve small
-    _check_exit_code(_own_argv(
+    _checkmain(_own_argv(
         command, band_mhz="1700:1900:100", length_mm=repr(length),
         width_mm=repr(width), z0_ohm=repr(z0), freq_mhz=repr(freq),
         bw_threshold_db=repr(bw_threshold)))
@@ -954,7 +966,7 @@ def test_cli_exit_codes_hold_for_any_value(command, length, width, z0, freq,
 def test_cli_exit_codes_hold_for_any_band(command, band, length, width, z0,
                                           freq, bw_threshold):
     # a one-point band and the automatic mesh keep every solve small
-    _check_exit_code(_own_argv(
+    _checkmain(_own_argv(
         command, band_mhz="%r:%r:1" % (band, band), length_mm=repr(length),
         width_mm=repr(width), z0_ohm=repr(z0), freq_mhz=repr(freq),
         bw_threshold_db=repr(bw_threshold)))

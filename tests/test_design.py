@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import types
 from dataclasses import fields
 
@@ -27,6 +28,9 @@ from dipolekit.design import (
     via_fed_length,
 )
 from dipolekit.errors import ConfigError, DesignRuleError
+from dipolekit.metrics import check_z0
+from dipolekit.microstrip import FeedLineSpec, synth_width_for_z0
+from dipolekit.mom import WireModel, frequency_grid, strip_to_wire
 
 FR4 = Substrate("fr4", 4.3, 1.6, 0.002)
 
@@ -97,7 +101,8 @@ def test_substrate_validation():
 @pytest.mark.parametrize("eps_r, h", [(math.nan, 1.6), (math.inf, 1.6),
                                       (4.3, math.nan), (4.3, math.inf)])
 def test_substrate_must_be_finite(eps_r, h):
-    with pytest.raises(ValueError, match="eps_r and h must be finite"):
+    name = "h" if math.isfinite(eps_r) else "eps_r"
+    with pytest.raises(ValueError, match="^%s must be finite and " % name):
         Substrate("x", eps_r, h)
 
 
@@ -107,23 +112,84 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         DipoleGeometry(L=67, W=6, g=70)
     for bad in (dict(g=-1.0), dict(T=-0.1)):
-        with pytest.raises(ValueError, match="g and T must be >= 0"):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match="^%s must be finite and >= 0, "
+                           "got %g$" % (name, value)):
             DipoleGeometry(L=67, W=6, **bad)
 
 
 @pytest.mark.parametrize("rule, args, reason", [
-    (eps_eff_average, (0.5,), "eps_r must be >= 1"),
-    (eps_eff_microstrip, (0.5, 3.0, 1.6), "eps_r must be >= 1"),
-    (eps_eff_microstrip, (4.3, 0.0, 1.6), "w and h must be > 0"),
-    (eps_eff_microstrip, (4.3, 3.0, -1.6), "w and h must be > 0"),
-    (guided_wavelength, (1.8e9, 0.5), "eps_e must be >= 1"),
-    (half_wave_length, (0.0,), "wavelength must be > 0"),
-    (stub_fed_length, (-1.0,), "wavelength must be > 0"),
-    (via_fed_length, (0.0,), "wavelength must be > 0"),
+    (eps_eff_average, (0.5,), "eps_r must be finite and >= 1, got 0.5"),
+    (eps_eff_microstrip, (0.5, 3.0, 1.6),
+     "eps_r must be finite and >= 1, got 0.5"),
+    (eps_eff_microstrip, (4.3, 0.0, 1.6), "w must be finite and > 0, got 0"),
+    (eps_eff_microstrip, (4.3, 3.0, -1.6),
+     "h must be finite and > 0, got -1.6"),
+    (guided_wavelength, (1.8e9, 0.5), "eps_e must be finite and >= 1, got 0.5"),
+    (half_wave_length, (0.0,), "wavelength must be finite and > 0, got 0"),
+    (stub_fed_length, (-1.0,), "wavelength must be finite and > 0, got -1"),
+    (via_fed_length, (0.0,), "wavelength must be finite and > 0, got 0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_sizing_rules_reject_out_of_domain_inputs(rule, args, reason):
-    with pytest.raises(ValueError, match=reason):
+    with pytest.raises(ValueError, match="^%s$" % reason):
         rule(*args)
+
+
+#: each range-checked value: a call that takes x as that value alone, the
+#: name its refusal gives and the range it states, "> 0" for (0, inf) and
+#: ">= v" for [v, inf)
+_GUARDED_VALUES = {
+    "Substrate.eps_r": (lambda x: Substrate("s", x, 1.6), "eps_r", ">= 1"),
+    "Substrate.h": (lambda x: Substrate("s", 4.3, x), "h", "> 0"),
+    "DipoleGeometry.L": (lambda x: DipoleGeometry(L=x, W=6.0), "L", "> 0"),
+    "DipoleGeometry.W": (lambda x: DipoleGeometry(L=67.0, W=x), "W", "> 0"),
+    "DipoleGeometry.g": (lambda x: DipoleGeometry(L=67.0, W=6.0, g=x), "g",
+                         ">= 0"),
+    "DipoleGeometry.T": (lambda x: DipoleGeometry(L=67.0, W=6.0, T=x), "T",
+                         ">= 0"),
+    "eps_eff_average": (eps_eff_average, "eps_r", ">= 1"),
+    "eps_eff_microstrip.eps_r": (lambda x: eps_eff_microstrip(x, 3.0, 1.6),
+                                 "eps_r", ">= 1"),
+    "eps_eff_microstrip.w": (lambda x: eps_eff_microstrip(4.3, x, 1.6), "w",
+                             "> 0"),
+    "eps_eff_microstrip.h": (lambda x: eps_eff_microstrip(4.3, 3.0, x), "h",
+                             "> 0"),
+    "guided_wavelength.f": (lambda x: guided_wavelength(x, 2.65),
+                            "frequency", "> 0"),
+    "guided_wavelength.eps_e": (lambda x: guided_wavelength(1.8e9, x),
+                                "eps_e", ">= 1"),
+    "half_wave_length": (half_wave_length, "wavelength", "> 0"),
+    "stub_fed_length": (stub_fed_length, "wavelength", "> 0"),
+    "via_fed_length": (via_fed_length, "wavelength", "> 0"),
+    "WireModel.total_length": (lambda x: WireModel(x, 1.5), "total_length",
+                               "> 0"),
+    "WireModel.radius": (lambda x: WireModel(67.0, x), "radius", "> 0"),
+    "WireModel.eps_e": (lambda x: WireModel(67.0, 1.5, x), "eps_e", ">= 1"),
+    "strip_to_wire": (strip_to_wire, "W", "> 0"),
+    "frequency_grid.f_step": (lambda x: frequency_grid(1e9, 2e9, x),
+                              "f_step", "> 0"),
+    "FeedLineSpec.w": (lambda x: FeedLineSpec(x, 1.6, 50.0), "w", "> 0"),
+    "FeedLineSpec.h": (lambda x: FeedLineSpec(3.0, x, 50.0), "h", "> 0"),
+    "FeedLineSpec.z0": (lambda x: FeedLineSpec(3.0, 1.6, x), "z0", "> 0"),
+    "FeedLineSpec.stub_length": (lambda x: FeedLineSpec(3.0, 1.6, 50.0, x),
+                                 "stub_length", "> 0"),
+    "synth_width_for_z0": (lambda x: synth_width_for_z0(x, FR4),
+                           "target impedance", "> 0"),
+    "check_z0": (check_z0, "reference impedance", "> 0"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "boundary"])
+@pytest.mark.parametrize("where", _GUARDED_VALUES)
+def test_each_guarded_value_is_refused_in_one_form(where, value):
+    # the boundary is 0 for "> 0" and the double just below v for ">= v"
+    call, name, rule = _GUARDED_VALUES[where]
+    op, low = rule.split()
+    x = float(value) if value != "boundary" else (
+        0.0 if op == ">" else math.nextafter(float(low), -math.inf))
+    reason = "%s must be finite and %s, got %g" % (name, rule, x)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(reason)):
+        call(x)
 
 
 def test_synthesize_fr4():
@@ -250,10 +316,13 @@ def test_parse_catalog_refuses_a_repeated_name():
         parse_catalog("a,4.3,1.6,0\nb,3,1,0\na,2.2,1,0\n", source="cat")
 
 
-@pytest.mark.parametrize("line", ["bad,nan,1.6,0", "infh,4.3,inf,0"])
-def test_parse_catalog_rejects_non_finite_values(line):
-    with pytest.raises(ConfigError,
-                       match="^cat:2: eps_r and h must be finite$"):
+@pytest.mark.parametrize("line, reason", [
+    pytest.param("bad,nan,1.6,0", "eps_r must be finite and >= 1, got nan",
+                 id="bad,nan,1.6,0"),
+    pytest.param("infh,4.3,inf,0", "h must be finite and > 0, got inf",
+                 id="infh,4.3,inf,0")])
+def test_parse_catalog_rejects_non_finite_values(line, reason):
+    with pytest.raises(ConfigError, match="^cat:2: %s$" % reason):
         parse_catalog("fr4,4.3,1.6,0.002\n" + line + "\n", source="cat")
 
 
@@ -261,8 +330,8 @@ def test_parse_catalog_rejects_non_finite_values(line):
     (["4.3", "1.6"], "expected 3 fields eps_r, h_mm, tan_delta, got 2"),
     (["4.3", "1.6", "0", "1"], "expected 3 fields eps_r, h_mm, tan_delta, got 4"),
     (["4.3", "thick", "0"], "could not convert string to float: 'thick'"),
-    (["0.5", "1.6", "0"], "eps_r must be >= 1, got 0.5"),
-    (["4.3", "nan", "0"], "eps_r and h must be finite"),
+    (["0.5", "1.6", "0"], "eps_r must be finite and >= 1, got 0.5"),
+    (["4.3", "nan", "0"], "h must be finite and > 0, got nan"),
 ])
 def test_parse_substrate_names_its_place_and_reason(fields, reason):
     with pytest.raises(ConfigError) as info:

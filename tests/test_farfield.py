@@ -41,8 +41,13 @@ def test_hpbw_full_span_sentinel():
 
 
 def test_degenerate_pattern():
-    with pytest.raises(DegeneratePattern):
-        directivity_from_intensity(THETA, np.zeros_like(THETA))
+    # no power, a nan one, and one whose integral overflows to inf
+    for u in (np.zeros_like(THETA), np.full_like(THETA, np.nan),
+              np.full_like(THETA, 1e308)):
+        with np.errstate(over="ignore"), \
+                pytest.raises(DegeneratePattern, match="^radiated power "
+                              "must be finite and > 0, got "):
+            directivity_from_intensity(THETA, u)
 
 
 def _half_wave_cut():

@@ -60,10 +60,19 @@ def test_roundtrip_identities(mag):
 
 
 def test_gamma_conversions_reject_out_of_domain_values():
-    with pytest.raises(ValueError, match="VSWR must be >= 1"):
-        gamma_from_vswr(0.5)
-    with pytest.raises(ValueError, match="negative-dB convention"):
-        gamma_from_return_loss(3.0)
+    for s in (0.5, math.nan):
+        with pytest.raises(ValueError, match="VSWR must be >= 1"):
+            gamma_from_vswr(s)
+    for rl in (3.0, math.nan):
+        with pytest.raises(ValueError, match="negative-dB convention"):
+            gamma_from_return_loss(rl)
+
+
+@pytest.mark.parametrize("mag", [0.0, 0.5, 1.0])
+def test_gamma_conversions_invert_vswr_and_return_loss(mag):
+    # the ends map through VSWR 1 and inf, and return loss -inf and 0 dB
+    assert gamma_from_vswr(vswr(mag)) == mag
+    assert gamma_from_return_loss(return_loss_db(mag)) == mag
 
 
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False,

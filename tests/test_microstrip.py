@@ -59,17 +59,18 @@ def test_synth_width_lower_eps_is_wider():
 def test_synth_width_out_of_range():
     with pytest.raises(BracketError, match="ohm"):
         synth_width_for_z0(500.0, FR4)
-    with pytest.raises(ValueError, match="target impedance must be > 0"):
+    with pytest.raises(ValueError, match="^target impedance must be finite "
+                       "and > 0, got 0$"):
         synth_width_for_z0(0.0, FR4)
 
 
 @pytest.mark.parametrize("w, h, eps_r, reason", [
-    (0.0, 1.6, 4.3, "w and h must be > 0"),
-    (3.0, -1.6, 4.3, "w and h must be > 0"),
-    (3.0, 1.6, 0.5, "eps_r must be >= 1"),
+    (0.0, 1.6, 4.3, "w must be finite and > 0, got 0"),
+    (3.0, -1.6, 4.3, "h must be finite and > 0, got -1.6"),
+    (3.0, 1.6, 0.5, "eps_r must be finite and >= 1, got 0.5"),
 ])
 def test_z0_rejects_bad_inputs(w, h, eps_r, reason):
-    with pytest.raises(ValueError, match=reason):
+    with pytest.raises(ValueError, match="^%s$" % reason):
         z0_microstrip(w, h, eps_r)
 
 
@@ -102,5 +103,6 @@ def test_feed_spec_for():
 def test_feed_line_spec_validation():
     with pytest.raises(ValueError):
         FeedLineSpec(w=-1.0, h=1.6, z0=50.0)
-    with pytest.raises(ValueError, match="stub_length must be > 0"):
+    with pytest.raises(ValueError, match="^stub_length must be finite and "
+                       "> 0, got 0$"):
         FeedLineSpec(w=3.0, h=1.6, z0=50.0, stub_length=0.0)

@@ -915,6 +915,17 @@ def test_perturbed_even_solve_fails_residual(monkeypatch):
         solve_current(col, mesh)
 
 
+def test_overflowing_certified_column_fails_residual():
+    # the guard judges the column scale-free and proves it, but its fold
+    # overflows to inf and the LU gives nan currents: a nan residual fails
+    mesh = build_mesh(thin_half_wave(), n=21)
+    col = assemble_system(mesh, 1.8e9)
+    col *= 1e308 / np.abs(col).max()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError, match="^solve residual nan exceeds"):
+        solve_current(col, mesh)
+
+
 class RecordingLimit:
     """Stands in for the residual limit: records each residual compared
     with it, and lets every solve pass."""
@@ -922,9 +933,9 @@ class RecordingLimit:
     def __init__(self):
         self.seen = []
 
-    def __lt__(self, residual):    # residual > limit
+    def __ge__(self, residual):    # residual <= limit
         self.seen.append(residual)
-        return False
+        return True
 
 
 @pytest.mark.parametrize("n", [11, 83])
@@ -1100,7 +1111,8 @@ def test_solve_band_leaves_a_bad_grid_or_z0_to_the_result():
     mesh = build_mesh(geometry_model(DipoleGeometry(L=67, W=6), FR4))
     with pytest.raises(ValueError, match="strictly ascending"):
         solve_band(mesh, np.array([1.9e9, 1.8e9]), 50.0)
-    with pytest.raises(ValueError, match="^reference impedance must be > 0$"):
+    with pytest.raises(ValueError, match="^reference impedance must be "
+                       "finite and > 0, got 0$"):
         solve_band(mesh, np.array([1.8e9]), 0.0)
 
 

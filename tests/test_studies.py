@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,34 @@ def test_study_refuses_a_bad_threshold_before_any_row(monkeypatch):
     with pytest.raises(ValueError, match="^threshold must be negative dB$"):
         width_study([6.0, 40.0], FR4, 1.7e9, 1.9e9, 0.1e9,
                     length_mm=60.0, threshold_db=0.0)
+
+
+@pytest.mark.parametrize("route", [
+    lambda z0: mom.sweep(DipoleGeometry(L=67.0, W=6.0), FR4, *BAND, z0=z0),
+    lambda z0: length_study([65.0], FR4, *BAND, z0=z0),
+    lambda z0: width_study([6.0], FR4, *BAND, z0=z0),
+    lambda z0: optimize_length(FR4, 1.8e9, 35.0, 48.0, z0=z0),
+    lambda z0: optimize_for_max_rl(FR4, 1.8e9, 35.0, 48.0, z0=z0),
+], ids=["sweep", "length_study", "width_study", "optimize_length",
+        "optimize_for_max_rl"])
+def test_infinite_z0_is_refused_before_any_solve(route, monkeypatch):
+    # an infinite z0 would give nan S11 and VSWR for every solved sample
+    calls = []
+    solve_at = mom.solve_at
+
+    def counted(*args):
+        calls.append(args)
+        return solve_at(*args)
+
+    for module in (mom, studies):
+        monkeypatch.setattr(module, "solve_at", counted)
+    route(50.0)
+    assert calls   # the wrapper sees the route's solves
+    calls.clear()
+    with pytest.raises(ValueError, match="^reference impedance must be "
+                       "finite and > 0, got inf$"):
+        route(math.inf)
+    assert calls == []
 
 
 def test_width_study_bandwidth_trend():
