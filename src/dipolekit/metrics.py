@@ -26,8 +26,13 @@ DEFAULT_BW_THRESHOLD_DB = -10.0
 
 
 def reflection_coefficient(z_in, z0: float = DEFAULT_Z0):
-    """Gamma = (Z - Z0) / (Z + Z0) for a scalar or array Z and a real Z0 > 0."""
+    """Gamma = (Z - Z0) / (Z + Z0) for a finite scalar or array Z and a real
+    Z0 > 0."""
     check_z0(z0)
+    finite = np.isfinite(z_in)
+    if not finite.all():
+        raise ValueError("Z_in must be finite, got %s"
+                         % np.asarray(z_in)[~finite][0])
     r = np.real(z_in)
     if np.count_nonzero(r < 0):
         raise NonPassiveError("Re(Z_in) = %g < 0 is not passive" % np.min(r))
@@ -36,6 +41,9 @@ def reflection_coefficient(z_in, z0: float = DEFAULT_Z0):
 
 def _passive_magnitude(gamma):
     mag = np.abs(gamma)
+    if not (mag >= 0.0).all():   # nan, which the passivity test passes
+        raise ValueError("gamma must be a number, got %s"
+                         % np.asarray(gamma)[np.isnan(mag)][0])
     if np.count_nonzero(mag > 1.0 + 1e-12):
         raise ValueError("|gamma| = %g > 1 is not passive" % np.max(mag))
     return np.minimum(mag, 1.0)

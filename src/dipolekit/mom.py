@@ -26,6 +26,10 @@ falls short, by one real Cholesky test of its even and odd blocks. What
 it cannot prove is refused. solve_at(mesh, f), the one path from a mesh to
 its currents, also refuses segments over lambda_e/4, where the guard can fail.
 solve_band(mesh, freqs, z0) is the one band path: solve_at at each frequency.
+What a solve takes from n alone, the guard's weights, FFT length, shift and
+margin coefficients and the right-hand side e_p, is formed once per n and
+shared read-only (_solve_constants), as the quadrature layout is (_layout),
+so each frequency does only its k-dependent work.
 
 No n x n matrix is built: above n = 64 the largest block is one solve's
 workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first.
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -195,6 +200,9 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
                         % (model.total_length, model.radius))
     if n is None:
         n = default_segments(model.total_length, model.radius)
+    if not isinstance(n, numbers.Integral):   # a NumPy integer is one
+        raise MeshError("segment count must be an integer, got %r" % (n,))
+    n = int(n)
     if n % 2 == 0:
         raise MeshError("segment count must be odd, got %d" % n)
     if n < MIN_SEGMENTS:
@@ -337,9 +345,30 @@ def _fold(col: np.ndarray, out: np.ndarray) -> np.ndarray:
     s = ramp.itemsize
     toeplitz = np.ndarray(out.shape[1:], ramp.dtype, ramp, p * s, (-s, s))
     hankel = np.ndarray(out.shape[1:], ramp.dtype, ramp, (n + p - 1) * s, (-s, -s))
-    for block, op in zip(out, (np.add, np.subtract)):
-        op(toeplitz, hankel, out=block)
+    np.add(toeplitz, hankel, out=out[0])
+    if out.shape[0] == 2:
+        np.subtract(toeplitz, hankel, out=out[1])
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _solve_constants(n: int) -> tuple:
+    """What a solve at segment count n takes from n alone, shared read-only
+    by every solve of that n, as _layout is by its meshes: _certified's
+    weights of |c_k|^2 in s^2 (n, 2(n-1), ..., 2), its FFT length G = 2^k
+    >= 2n - 1, its shift coefficient 1/L + 2(m+1)^1.5 u and its margin
+    coefficient 64(k+2) sqrt(G) u, each formed as its proof states it; and
+    solve_current's right-hand side e_p, p = (n-1)/2."""
+    m = (n + 1) // 2
+    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times,
+    weights[0] = n                            # and c_0 n times
+    k = (2 * n - 2).bit_length()
+    e_p = np.zeros(m, dtype=complex)
+    e_p[-1] = 1.0
+    weights.flags.writeable = e_p.flags.writeable = False
+    return (weights, 1 << k,
+            _COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF,
+            64 * (k + 2) * 2.0 ** (k / 2) * _UNIT_ROUNDOFF, e_p)
 
 
 def _certified(col: np.ndarray, out: np.ndarray) -> bool:
@@ -446,14 +475,15 @@ def _certified(col: np.ndarray, out: np.ndarray) -> bool:
     2^-1061, far under the u s' >= 2^-54 by which either margin exceeds its
     errors. A zero column, or one holding inf or nan, stays unproven.
 
-    The Cholesky tier's blocks go into out, a C-contiguous float (2, m, m)
-    buffer, which solve_current takes from its one workspace; the circulant
-    tier writes none.
+    What the proof takes from n alone, the weights of s^2, G, the
+    coefficient 1/L + 2(m+1)^1.5 u of tau and 64(k+2) sqrt(G) u of the
+    margin, comes from _solve_constants: formed once per n in the order
+    written here, so tau and the verdict are those of a fresh computation,
+    and shared read-only. The Cholesky tier's blocks go into out, a
+    C-contiguous float (2, m, m) buffer, which solve_current takes from its
+    one workspace; the circulant tier writes none.
     """
-    n = col.size
-    m = (n + 1) // 2
-    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times,
-    weights[0] = n                            # and c_0 n times
+    weights, g, shift, margin, _ = _solve_constants(col.size)
     a = np.abs(col)   # einsum, unlike a ufunc or dot, overflows unwarned
     s2 = np.einsum("i,i,i->", weights, a, a)
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
@@ -463,16 +493,14 @@ def _certified(col: np.ndarray, out: np.ndarray) -> bool:
         e = -math.frexp(top)[1]
         return _certified(np.ldexp(col.real, e) + 1j * np.ldexp(col.imag, e), out)
     s = math.sqrt(s2)
-    x = col * _ROTATION
-    x.real[0] -= s * (_COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF)
-    k = (2 * n - 2).bit_length()   # G = 2^k >= 2n - 1
+    x = (col * _ROTATION).real   # Re(rho col), a view of the turned column
+    x[0] -= s * shift
     # the circulant's eigenvalues are 2 Re(F x') - x'_0; minimum.reduce
     # skips the Python wrapper that ndarray.min calls
-    spectrum = np.fft.rfft(x.real, 1 << k).real
-    if (2.0 * np.minimum.reduce(spectrum) - x.real[0]
-            > 64 * (k + 2) * 2.0 ** (k / 2) * _UNIT_ROUNDOFF * s):
+    spectrum = np.fft.rfft(x, g).real
+    if 2.0 * np.minimum.reduce(spectrum) - x[0] > margin * s:
         return True
-    blocks = _fold(x.real, out)
+    blocks = _fold(x, out)
     blocks[1, -1, -1] = s   # the pad's diagonal
     try:
         np.linalg.cholesky(blocks)
@@ -507,10 +535,8 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
     if not _certified(col, work[1].view(float).reshape(2, m, m)):
         raise SolverError("system condition not proven <= %.1g" % _COND_LIMIT)
     even = _fold(col, work[:1])[0]
-    b = np.zeros(m, dtype=complex)
-    b[p] = 1.0
     try:
-        z = np.linalg.solve(even, b)
+        z = np.linalg.solve(even, _solve_constants(n)[4])
     except np.linalg.LinAlgError:   # exactly singular
         raise SolverError("even-mode block is singular") from None
     r = even @ z
@@ -526,7 +552,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
 def input_impedance(current: CurrentDistribution) -> complex:
     """Z_in = 1 V / I at the feed node."""
     i_feed = current.feed_current
-    scale = np.abs(current.currents).max()
+    scale = np.maximum.reduce(np.abs(current.currents))
     if scale > 0 and abs(i_feed) < 1e-9 * scale:
         warnings.warn("feed current nearly zero: numerical antiresonance",
                       RuntimeWarning, stacklevel=2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def test_non_passive_rejected():
         return_loss_db(1.5)
     with pytest.raises(ValueError):
         vswr(1.5)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(50.0, math.nan),
+                               complex(math.inf, 0.0), complex(0.0, -math.inf)])
+def test_reflection_coefficient_refuses_a_non_finite_impedance(z):
+    for z_in in (z, np.array([50 + 0j, z])):
+        with pytest.raises(ValueError, match=r"^Z_in must be finite, got "
+                           r"%s$" % re.escape(str(np.complex128(z)))):
+            reflection_coefficient(z_in)
+
+
+@pytest.mark.parametrize("figure", [vswr, return_loss_db])
+@pytest.mark.parametrize("gamma", [math.nan, complex(math.nan, 0.0),
+                                   complex(0.5, math.nan)])
+def test_figures_refuse_a_nan_gamma(figure, gamma):
+    # refused as not a number, not as "not passive"
+    for g in (gamma, np.array([0.5, gamma])):
+        with pytest.raises(ValueError, match=r"^gamma must be a number, got "
+                           r"%s$" % re.escape(str(np.asarray(g).flat[-1]))):
+            figure(g)
 
 
 @given(st.floats(1e-8, 1 - 1e-8))

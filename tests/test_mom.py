@@ -205,6 +205,13 @@ def test_build_mesh_rejects_bad_n():
     assert max_segments(67.0, 1.5) == 43
 
 
+@pytest.mark.parametrize("n", [math.nan, 21.5, 21.0, np.float64(21.0), "21"])
+def test_build_mesh_refuses_a_count_that_is_not_an_integer(n):
+    with pytest.raises(MeshError, match="segment count must be an integer, "
+                       "got %s$" % re.escape(repr(n))):
+        build_mesh(thin_half_wave(), n=n)
+
+
 def test_build_mesh_refuses_a_count_above_max_segments():
     # refused before any array is built: the folded blocks of this n would
     # take 8 (n+1)^2 bytes
@@ -795,7 +802,25 @@ def test_solve_at_dispatch_count_does_not_grow():
     solve_at(mesh, 1.8e9)
     events = _calls_made_by(os.path.dirname(mom.__file__),
                             lambda: solve_at(mesh, 1.8e9))
-    assert sum(events.values()) <= 40, sorted(events.items())
+    assert sum(events.values()) <= 37, sorted(events.items())
+
+
+def test_solve_constants_are_shared_read_only_per_n():
+    # two meshes of one n, on different wires and given n as an int or a
+    # NumPy integer, solve with the same arrays, which no caller can write
+    wide, thin = WireModel(67.0, 1.5, 3.3), thin_half_wave()
+    for n in (21, np.int64(21), np.int32(21)):
+        assert mom._solve_constants(build_mesh(wide, n=n).n) \
+            is mom._solve_constants(build_mesh(thin, n=21).n)
+    weights, g, shift, margin, e_p = mom._solve_constants(21)
+    assert weights.tolist() == [21.0] + list(range(40, 0, -2))
+    assert g == 64 and e_p.tolist() == [0] * 10 + [1]
+    assert margin == 64 * (6 + 2) * 8 * mom._UNIT_ROUNDOFF   # G = 2^6
+    for array in (weights, e_p):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
+    solve_at(build_mesh(thin, n=21), 1.8e9)
+    assert weights[0] == 21.0 and e_p[-1] == 1.0
 
 
 def test_segments_longer_than_a_quarter_wavelength_refused():
