@@ -3,8 +3,8 @@
 The E-plane cut is built by summing the node currents as short radiators
 with the standard sin(theta) element factor and the axial phase term; by
 symmetry the H-plane cut of a z-directed dipole is flat. The wavenumber is
-that of the medium of the wire model the mesh was built for. Directivity is
-integrated on the theta grid with the trapezoid rule.
+that of current.f, the frequency the current was solved at, in its mesh's
+medium. Directivity is integrated on the theta grid with the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -39,18 +39,18 @@ class PatternCut:
     hpbw_deg: float
 
 
-def radiation_intensity(current: CurrentDistribution, mesh: SegmentMesh,
-                        f: float) -> np.ndarray:
+def radiation_intensity(current: CurrentDistribution,
+                        mesh: SegmentMesh) -> np.ndarray:
     """Unnormalized U(theta) on DEFAULT_THETA_DEG for the node currents on
-    the mesh, in the medium of mesh.model; MeshError if the current was
-    solved on another wire model or n (every build of one has one set of
-    nodes) or does not have n nodes."""
+    the mesh at current.f, in the medium of mesh.model; MeshError if the
+    current was solved on another wire model or n (every build of one has
+    one set of nodes) or does not have n nodes."""
     own, shape = current.mesh, current.currents.shape
     if (own.model, own.n, shape) != (mesh.model, mesh.n, (mesh.n,)):
         raise MeshError("current has %d nodes of %s, the mesh n = %d of %s"
                         % (current.currents.size, own.model, mesh.n,
                            mesh.model))
-    k = wavenumber(f, mesh.model.eps_e)
+    k = wavenumber(current.f, mesh.model.eps_e)
     theta = np.radians(DEFAULT_THETA_DEG)
     phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))
     e_field = np.sin(theta) * (phase @ current.currents)
@@ -83,10 +83,10 @@ def hpbw_from_cut(angles_deg: np.ndarray, field_db: np.ndarray) -> float:
     return float(right - left)
 
 
-def pattern_from_current(current: CurrentDistribution, mesh: SegmentMesh,
-                         f: float) -> PatternCut:
-    """E-plane cut with directivity and half-power beamwidth."""
-    u = radiation_intensity(current, mesh, f)
+def pattern_from_current(current: CurrentDistribution,
+                         mesh: SegmentMesh) -> PatternCut:
+    """E-plane cut at current.f with directivity and half-power beamwidth."""
+    u = radiation_intensity(current, mesh)
     d = directivity_from_intensity(DEFAULT_THETA_DEG, u)
     peak = np.max(u)   # > 0: directivity_from_intensity refused p_rad <= 0
     field_db = 10.0 * np.log10(np.maximum(u, peak * 1e-30) / peak)

@@ -317,10 +317,11 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CurrentDistribution:
-    """Complex node currents from a 1 V delta-gap solve on `mesh`."""
+    """Complex node currents of a 1 V delta-gap solve on `mesh` at `f` Hz."""
 
     currents: np.ndarray
     mesh: SegmentMesh
+    f: float
 
     @property
     def feed_current(self) -> complex:
@@ -509,13 +510,13 @@ def _certified(col: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
-    """1 V delta-gap excitation at the center node, solved in the even mode.
+def solve_current(col: np.ndarray, mesh: SegmentMesh) -> np.ndarray:
+    """Node currents of a 1 V delta gap at the center node, in the even mode.
 
     `col` must be assemble_system's column for `mesh` (another shape raises
     MeshError), the system A[i, j] = col[|i - j|]. The center feed excites
     only its even mode, so the solve runs on the (p+1) x (p+1) block T + H
-    (p = feed_index) and the current is mirrored back, exactly symmetric.
+    (p = feed_index) and the currents are mirrored back, exactly symmetric.
     The condition guard runs first and covers both blocks, whose singular
     values together are sigma(A): unless _certified proves cond(A) <=
     _COND_LIMIT, the solve is refused. For a symmetric x, (A x)[:p+1] =
@@ -546,7 +547,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> CurrentDistribution:
         raise SolverError("solve residual %.3g exceeds %.1g" % (residual, _RESIDUAL_LIMIT))
     currents = np.concatenate((z, z[p - 1::-1]))
     currents[p] *= 2.0
-    return CurrentDistribution(currents=currents, mesh=mesh)
+    return currents
 
 
 def input_impedance(current: CurrentDistribution) -> complex:
@@ -560,11 +561,11 @@ def input_impedance(current: CurrentDistribution) -> complex:
 
 
 def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
-    """1 V delta-gap currents on mesh at f; a SolverError names f once.
-    After assembly, segments longer than lambda_e/4 (kh > pi/2, the thin-wire
-    MoM rule of Burke & Poggio, NEC-2 Part I, 1981) are refused, naming the
-    smallest odd n (> mesh.n) that passes, or the limit no mesh can pass,
-    and the highest f that mesh resolves, rounded down to 4 digits."""
+    """1 V delta-gap currents on mesh at f, which they carry; a SolverError
+    names f once. After assembly, segments longer than lambda_e/4 (kh > pi/2,
+    the thin-wire MoM rule of Burke & Poggio, NEC-2 Part I, 1981) are refused,
+    naming the smallest odd n (> mesh.n) that passes, or the limit no mesh can
+    pass, and the highest f that mesh resolves, rounded down to 4 digits."""
     try:
         col = assemble_system(mesh, f)
         quarter = C_MM_PER_S / (4.0 * f * mesh.model.eps_e ** 0.5)   # mm
@@ -580,7 +581,7 @@ def solve_at(mesh: SegmentMesh, f: float) -> CurrentDistribution:
                 else "no mesh of this wire resolves f (n <= %d)" % top)
                 + ", or f <= %.4g Hz at n = %d" % (
                     max(math.ceil(f_top / unit) - 1, 0) * unit, mesh.n))
-        return solve_current(col, mesh)
+        return CurrentDistribution(solve_current(col, mesh), mesh, f)
     except SolverError as exc:
         raise type(exc)("at %g Hz: %s" % (f, exc)) from exc
 
@@ -613,9 +614,15 @@ def frequency_grid(f_start: float, f_stop: float, f_step: float) -> np.ndarray:
     return grid[grid <= f_stop * (1 + 1e-12)]
 
 
-def solve_band(mesh: SegmentMesh, freqs: np.ndarray, z0: float) -> SweepResult:
-    """Z_in and match metrics of mesh at each of freqs, by solve_at. Callers
-    refuse freqs and z0 before any solve; SweepResult still rejects both."""
+def solve_band(mesh: SegmentMesh, freqs: np.typing.ArrayLike,
+               z0: float) -> SweepResult:
+    """Z_in and match metrics of mesh at each of freqs, any 1-D sequence
+    (another shape is refused before any solve), by solve_at. Callers refuse
+    freqs and z0 before any solve; SweepResult still rejects both."""
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1:
+        raise ValueError("frequency grid must be 1-D, got shape %s"
+                         % (freqs.shape,))
     z_in = np.empty(freqs.size, dtype=complex)
     for i, f in enumerate(freqs.tolist()):
         z_in[i] = input_impedance(solve_at(mesh, f))

@@ -62,8 +62,7 @@ def _study(params: Sequence[float],
             best = s11_minimum(result)
             bw = fractional_bandwidth(result, threshold_db)
             z_probe = input_impedance(solve_at(mesh, f_probe))
-            f_dir = float(result.f[best])
-            cut = pattern_from_current(solve_at(mesh, f_dir), mesh, f_dir)
+            cut = pattern_from_current(solve_at(mesh, float(result.f[best])), mesh)
             rows.append(StudyRow(param_mm=param, z_in=z_probe,
                                  vswr=result.vswr[best],
                                  rl_db=result.s11_db[best], bw_pct=bw.percent,
@@ -137,7 +136,7 @@ def optimize_length(substrate: Substrate, f: float,
     z_lo, z_hi = z_of(l_low), z_of(l_high)
     if np.sign(z_lo.imag) == np.sign(z_hi.imag):
         raise BracketError(
-            "reactance does not change sign on [%g, %g] mm: "
+            "reactance does not change sign on [%.15g, %.15g] mm: "
             "X(low)=%.3f ohm, X(high)=%.3f ohm"
             % (l_low, l_high, z_lo.imag, z_hi.imag))
     lo, hi = l_low, l_high
@@ -220,5 +219,5 @@ def study_pattern(geometry: DipoleGeometry, substrate: Substrate,
     model = geometry_model(geometry, substrate)
     check_frequency(f)
     mesh = build_mesh(model)
-    e_cut = pattern_from_current(solve_at(mesh, f), mesh, f)
+    e_cut = pattern_from_current(solve_at(mesh, f), mesh)
     return e_cut, h_plane_cut(e_cut.directivity_dbi)

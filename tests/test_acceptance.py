@@ -167,7 +167,7 @@ def test_criterion_7_farfield():
     model = dk.WireModel(LAMBDA_18 / 2, LAMBDA_18 / 1000)
     mesh = dk.build_mesh(model, n=41)
     cur = dk.solve_at(mesh, 1.8e9)
-    cut = dk.pattern_from_current(cur, mesh, 1.8e9)
+    cut = dk.pattern_from_current(cur, mesh)
     h_cut = dk.h_plane_cut(cut.directivity_dbi)
 
     ok = (abs(d_hertz - 1.76) <= 0.02

@@ -13,9 +13,10 @@ from dipolekit.farfield import (
     pattern_from_current,
     radiation_intensity,
 )
+from dipolekit.design import DipoleGeometry, load_substrates
 from dipolekit.errors import MeshError
 from dipolekit.mom import CurrentDistribution, WireModel, build_mesh, \
-    solve_at
+    geometry_model, solve_at, wavenumber
 
 LAMBDA = 166.55136555555555   # mm at 1.8 GHz
 THETA = np.arange(0.5, 180.0, 0.5)
@@ -54,7 +55,7 @@ def _half_wave_cut():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     mesh = build_mesh(model, n=41)
     cur = solve_at(mesh, 1.8e9)
-    return pattern_from_current(cur, mesh, 1.8e9)
+    return pattern_from_current(cur, mesh)
 
 
 def test_half_wave_pattern():
@@ -87,9 +88,9 @@ def test_radiation_intensity_scales_with_current():
     model = WireModel(total_length=LAMBDA / 2, radius=LAMBDA / 1000)
     mesh = build_mesh(model, n=21)
     cur = solve_at(mesh, 1.8e9)
-    u1 = radiation_intensity(cur, mesh, 1.8e9)
+    u1 = radiation_intensity(cur, mesh)
     u2 = radiation_intensity(replace(cur, currents=2.0 * cur.currents),
-                             mesh, 1.8e9)
+                             mesh)
     assert np.allclose(u2, 4.0 * u1, rtol=1e-9)
 
 
@@ -100,15 +101,15 @@ def test_current_from_another_mesh_raises_mesh_error():
     for other in (build_mesh(model, n=41),
                   build_mesh(replace(model, total_length=120.0), n=21)):
         with pytest.raises(MeshError, match="21 nodes"):
-            radiation_intensity(cur, other, 1.8e9)
+            radiation_intensity(cur, other)
         with pytest.raises(MeshError, match="21 nodes"):
-            pattern_from_current(cur, other, 1.8e9)
+            pattern_from_current(cur, other)
     # a second build of the current's own model and n is the same mesh
-    pattern_from_current(cur, build_mesh(model, n=21), 1.8e9)
+    pattern_from_current(cur, build_mesh(model, n=21))
     # currents that do not fit the mesh they name
-    bad = CurrentDistribution(np.ones(41, dtype=complex), cur.mesh)
+    bad = CurrentDistribution(np.ones(41, dtype=complex), cur.mesh, cur.f)
     with pytest.raises(MeshError, match="41 nodes"):
-        radiation_intensity(bad, cur.mesh, 1.8e9)
+        radiation_intensity(bad, cur.mesh)
 
 
 def test_pattern_effective_medium_scaling():
@@ -119,11 +120,36 @@ def test_pattern_effective_medium_scaling():
     for eps, f in ((eps_e, 1.2e9), (1.0, 1.2e9 * np.sqrt(eps_e))):
         mesh = build_mesh(WireModel(40.0, 0.2, eps), n=31)
         cur = solve_at(mesh, f)
-        cuts.append(pattern_from_current(cur, mesh, f))
+        cuts.append(pattern_from_current(cur, mesh))
     medium, free = cuts
     assert medium.directivity_dbi == pytest.approx(free.directivity_dbi,
                                                    abs=1e-9)
     assert np.abs(medium.field_db - free.field_db).max() <= 1e-9
+
+
+def test_each_current_is_cut_at_the_frequency_it_was_solved_at():
+    # one mesh of the 67x6 mm FR4 strip (n = 21) solved at two frequencies:
+    # each cut takes k from its own current's f, so the 1.1 GHz current
+    # reads 2.13 dBi, not the 2.89 dBi that k at 2.0 GHz would give it
+    model = geometry_model(DipoleGeometry(L=67.0, W=6.0),
+                           load_substrates()["fr4"])
+    mesh = build_mesh(model, n=21)
+    theta = np.radians(DEFAULT_THETA_DEG)
+    cuts = []
+    for f in (1.1e9, 2.0e9):
+        cur = solve_at(mesh, f)
+        assert cur.f == f
+        k = wavenumber(f, model.eps_e)
+        phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))
+        u = np.abs(np.sin(theta) * (phase @ cur.currents)) ** 2
+        assert np.allclose(radiation_intensity(cur, mesh), u, rtol=1e-12,
+                           atol=0.0)
+        cut = pattern_from_current(cur, mesh)
+        d = directivity_from_intensity(DEFAULT_THETA_DEG, u)
+        assert cut.directivity_dbi == pytest.approx(10 * np.log10(d),
+                                                    rel=1e-12)
+        cuts.append(cut)
+    assert [round(c.directivity_dbi, 2) for c in cuts] == [2.13, 3.29]
 
 
 def test_h_plane_flat():

@@ -450,9 +450,9 @@ def test_even_mode_solve_matches_full_solve(n, eps_e):
         b = np.zeros(n, dtype=complex)
         b[p] = 1.0
         z_full = 1.0 / np.linalg.solve(system, b)[p]
-        cur = solve_current(col, mesh)
-        assert input_impedance(cur) == pytest.approx(z_full, rel=1e-12)
-        assert np.array_equal(cur.currents, cur.currents[::-1])
+        currents = solve_current(col, mesh)
+        assert 1.0 / currents[p] == pytest.approx(z_full, rel=1e-12)
+        assert np.array_equal(currents, currents[::-1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -764,8 +764,8 @@ def test_scaled_system_solved_silently(scale, n, capfd):
     mesh = build_mesh(model, n=n)
     system = assemble_system(mesh, 1.8e9)
     assert certify(system * scale)
-    cur = solve_current(system, mesh).currents
-    scaled = solve_current(system * scale, mesh).currents
+    cur = solve_current(system, mesh)
+    scaled = solve_current(system * scale, mesh)
     assert np.abs(scaled * scale - cur).max() <= 1e-11 * np.abs(cur).max()
     out, err = capfd.readouterr()
     assert out == "" and err == ""
@@ -978,8 +978,8 @@ def test_reported_residual_is_the_dense_residual(n, monkeypatch):
         z = solve(a, b)
         return z + 1e-6 * np.abs(z).max() * rng.standard_normal(z.shape)
     monkeypatch.setattr(np.linalg, "solve", perturbed)
-    cur = solve_current(col, mesh)
-    dense = np.linalg.norm(toeplitz(col) @ cur.currents - np.eye(n)[mesh.feed_index])
+    currents = solve_current(col, mesh)
+    dense = np.linalg.norm(toeplitz(col) @ currents - np.eye(n)[mesh.feed_index])
     assert dense > 1e-6
     assert limit.seen == [pytest.approx(dense, rel=1e-8)]
 
@@ -1061,7 +1061,7 @@ def test_input_impedance_warns_on_a_vanishing_feed_current():
     mesh = build_mesh(thin_half_wave(), n=21)
     currents = np.ones(mesh.n, dtype=complex)
     currents[mesh.feed_index] = 1e-12
-    cur = mom.CurrentDistribution(currents=currents, mesh=mesh)
+    cur = mom.CurrentDistribution(currents=currents, mesh=mesh, f=1.8e9)
     with pytest.warns(RuntimeWarning, match="feed current nearly zero"):
         assert input_impedance(cur) == pytest.approx(1e12)
 
@@ -1139,6 +1139,24 @@ def test_solve_band_leaves_a_bad_grid_or_z0_to_the_result():
     with pytest.raises(ValueError, match="^reference impedance must be "
                        "finite and > 0, got 0$"):
         solve_band(mesh, np.array([1.8e9]), 0.0)
+
+
+@pytest.mark.parametrize("grid", [list, tuple, np.array],
+                         ids=["list", "tuple", "array"])
+def test_solve_band_takes_any_1d_grid(grid, monkeypatch):
+    mesh = build_mesh(geometry_model(DipoleGeometry(L=67, W=6), FR4))
+    freqs = [1.0e9, 1.8e9, 2.0e9]
+    res = solve_band(mesh, grid(freqs), 50.0)
+    want = solve_band(mesh, np.array(freqs), 50.0)
+    for name in ("f", "z_in", "s11_db", "vswr"):
+        assert getattr(res, name).tolist() == getattr(want, name).tolist()
+
+    def no_solve(*args):
+        raise AssertionError("solved a frequency of a 2-D grid")
+    monkeypatch.setattr(mom, "solve_at", no_solve)
+    with pytest.raises(ValueError, match=r"^frequency grid must be 1-D, "
+                       r"got shape \(2, 3\)$"):
+        solve_band(mesh, grid([freqs, freqs]), 50.0)
 
 
 def test_sweep_rejects_rule_violations():

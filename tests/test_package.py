@@ -133,6 +133,16 @@ def test_one_function_makes_a_sweep_result():
     assert _functions_that(builds_a_sweep_result) == {"mom.solve_band"}
 
 
+def test_one_function_makes_a_current():
+    # solve_at holds the frequency it solved at, so a current carries its
+    # own f and no caller can pair it with another one
+    def builds_a_current(node):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) \
+            == "CurrentDistribution"
+    assert _functions_that(builds_a_current) == {"mom.solve_at"}
+
+
 def test_no_module_reads_the_environment():
     # what a run reads is named by its arguments, not by os.environ
     found = []

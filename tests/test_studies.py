@@ -117,6 +117,9 @@ def test_optimize_length_deterministic():
 def test_optimize_length_no_bracket():
     with pytest.raises(BracketError, match="ohm"):
         optimize_length(FR4, 1.8e9, 50.0, 58.0)
+    # ends 1e-7 mm apart print as two numbers, not as [40, 40]
+    with pytest.raises(BracketError, match=r"on \[40, 40\.0000001\] mm"):
+        optimize_length(FR4, 1.8e9, 40.0, 40.0000001)
 
 
 def test_optimize_max_rl():
