@@ -146,15 +146,15 @@ class SegmentMesh:
     by less than ln((m+1)/m), whatever the radius, so the _NEAR intervals
     with knots in [-2h, 3h] take the 16-point rule as two subrows (its
     left and right nodes) and each other one, spanning less than ln(4/3),
-    one subrow of the 8-point rule; a zero-weight copy of the last subrow
-    ends the table. quad_r holds the reduced distance R and quad_w the
-    weights, both (n+9, 8). Separation i = 0..n+1, d = (i - 1)h = (j - c)h
+    one subrow of the 8-point rule. quad_r holds the reduced distance R
+    and quad_w the weights, both (n+8, 8), one subrow per row in interval
+    order; flattened, interval i's terms start at quad_starts[i].
+    quad_sine_arg, (2, n+8, 8), holds h - |z - z'| at each node for the two
+    test halves that can cover its interval [mh, (m+1)h]: z - mh for the
+    lower, [0], whose test node z' is (m+1)h, and (m+1)h - z for the upper,
+    [1], whose z' is mh. Separation i = 0..n+1, d = (i - 1)h = (j - c)h
     from source knot c in {-1, 0, +1} to column entry j, integrates the
     lower test half over interval i and the upper over interval i + 1.
-    quad_sine_arg holds h - |z - z'| per (v, half, node), (n+7, 2, 8):
-    the lower half on subrow v, the upper on subrow v + 2. Flattened in
-    that order, each separation's terms are one run, starting at
-    quad_starts[i]; the zero-weight subrow closes the last one.
     """
 
     model: WireModel
@@ -215,17 +215,18 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
         raise MeshError("delta = %.4g mm < radius %.4g mm; use n <= %d"
                         % (delta, a, max_segments(L, a)))
     h = L / (n + 1)
-    knots, lower, upper, offset, weight, bounds, starts, centred = _layout(n)
-    tk = np.arcsinh(knots * (h / a))
-    lo = tk[lower]
-    span = (tk[upper] - lo)[:, None]   # each subrow's interval in t
+    left, offset, weight, starts, centred = _layout(n)
+    lo = np.arcsinh(left * (h / a))   # each subrow's interval in t
+    span = np.arcsinh((left + 1.0) * (h / a)) - lo
     t = offset * span
-    t += lo[:, None]
+    t += lo
     z = np.sinh(t)
     z *= a
-    # h - |z - z'| about the test node z': the distance to the outer knot
-    sine_arg = np.subtract(_halves(z), bounds * h)
-    np.abs(sine_arg, out=sine_arg)
+    # per test half, the distance from its outer knot: z - mh for the lower
+    # half over [mh, (m+1)h] and (m+1)h - z for the upper
+    sine_arg = np.empty((2,) + z.shape)
+    np.subtract(z, left * h, out=sine_arg[0])
+    np.subtract(h, sine_arg[0], out=sine_arg[1])
     r = np.cosh(t)
     r *= a
     return SegmentMesh(model=model, n=n, nodes=centred * h,
@@ -233,44 +234,23 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
                        quad_r=r, quad_w=weight * span, quad_starts=starts)
 
 
-def _halves(table: np.ndarray) -> np.ndarray:
-    """The (S - 2, 2, 8) view of an (S, 8) subrow table that the two test
-    halves read: [v, 0] is subrow v, the lower's, and [v, 1] subrow v + 2."""
-    row, item = table.strides
-    return np.ndarray((table.shape[0] - 2, 2, table.shape[1]), table.dtype,
-                      table, 0, (row, 2 * row, item))
-
-
 @functools.lru_cache(maxsize=16)
 def _layout(n: int) -> tuple:
     """The part of build_mesh's table that depends on n alone, shared
     read-only by the meshes of that n (a few per wire in a study or an
-    optimizer): the knot multiples m = -2..n+1; per subrow, the knot
-    indices bounding its interval and its nodes (1 + x)/2 and weights w/2
-    as fractions of the interval's span in t; per (v, half), the test
-    half's outer knot as a multiple of h; the runs' starts; and the node
-    multiples."""
+    optimizer): per subrow, its interval's left knot as a multiple m of h
+    (an (n+8, 1) column) and its nodes (1 + x)/2 and weights w/2 as
+    fractions of the interval's span in t; each interval's first term in
+    a flattened half of the table (8 per subrow); and the node multiples."""
     near = min(_NEAR, n + 3)   # n = 1, below MIN_SEGMENTS, has only four
-    lower = np.concatenate((np.repeat(np.arange(near), 2),
-                            np.arange(near, n + 3)))
+    intervals = np.arange(n + 3)
+    # each near interval takes the 16-point rule as two subrows
+    lower = np.concatenate((np.repeat(intervals[:near], 2), intervals[near:]))
     x = np.concatenate((np.tile(_XQ, near), np.tile(_XF, n + 3 - near)))
     w = np.concatenate((np.tile(_WQ, near), np.tile(_WF, n + 3 - near)))
-    x, w = x.reshape(-1, 8), w.reshape(-1, 8)
-    if near < n + 3:
-        # the upper half reads up to two subrows past the lower's last one,
-        # one past the table: a copy of the last subrow, weighted 0
-        lower = np.append(lower, n + 2)
-        x = np.concatenate((x, x[-1:]))
-        w = np.concatenate((w, np.zeros((1, 8))))
-    knots = np.arange(-2.0, n + 2.0)
-    bounds = np.stack((knots[lower[:-2]], knots[lower[2:] + 1]), axis=1)
-    # flattened by (v, half, node), the lower half of subrow s starts at
-    # 16s and the upper at 16(s - 2) + 8; separation i's run at the first
-    # of interval i's lower terms and interval i + 1's upper terms
-    first = np.searchsorted(lower, np.arange(n + 3))
-    starts = np.minimum(16 * first[:-1], 16 * first[1:] - 24)
-    layout = (knots, lower, lower + 1, (1.0 + x) / 2.0, w / 2.0,
-              bounds[:, :, None], starts, np.arange(n) - (n - 1) / 2.0)
+    layout = ((lower - 2.0)[:, None], (1.0 + x.reshape(-1, 8)) / 2.0,
+              w.reshape(-1, 8) / 2.0, 8 * np.searchsorted(lower, intervals),
+              np.arange(n) - (n - 1) / 2.0)
     for array in layout:
         array.flags.writeable = False
     return layout
@@ -299,15 +279,16 @@ def assemble_system(mesh: SegmentMesh, f: float) -> np.ndarray:
     if sk * sk == 0.0 or not math.isfinite(scale := ETA0 / math.sqrt(
             model.eps_e) / (4.0 * math.pi * sk * sk)):
         raise SolverError("sin(kh) underflows")
-    # field of one basis = three spherical-wave centers at its knots; both
-    # test halves read e through one view, the upper half two subrows on,
-    # and each separation sums one run of their products
+    # field of one basis = three spherical-wave centers at its knots; each
+    # test half sums its terms per source interval, and separation i takes
+    # the lower half over interval i and the upper over interval i + 1
     e = np.multiply(-1j * k, mesh.quad_r)
     np.exp(e, out=e)
     e *= mesh.quad_w
     sine = np.multiply(k, mesh.quad_sine_arg)
-    terms = np.multiply(np.sin(sine, out=sine), _halves(e))
-    s = np.add.reduceat(terms.reshape(-1), mesh.quad_starts)
+    terms = np.multiply(np.sin(sine, out=sine), e)
+    halves = np.add.reduceat(terms.reshape(2, -1), mesh.quad_starts, axis=1)
+    s = halves[0, :-1] + halves[1, 1:]
     col = s[1:-1] * (-2.0 * math.cos(k * h))
     col += s[2:]
     col += s[:-2]

@@ -85,16 +85,15 @@ def _functions_that(calls) -> set[str]:
     return found
 
 
-def test_only_the_fold_and_the_assembly_view_a_buffer_as_an_array():
+def test_only_the_fold_views_a_buffer_as_an_array():
     # np.ndarray(shape, dtype, buffer, ...) reads one array through another's
-    # memory: _fold's Toeplitz and Hankel views of the column's ramp, and
-    # _halves' two test halves of one subrow table, which assembly reads
+    # memory: _fold's Toeplitz and Hankel views of the column's ramp
     def views_a_buffer(node):
         return (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "ndarray"
                 and (len(node.args) >= 3
                      or any(k.arg == "buffer" for k in node.keywords)))
-    assert _functions_that(views_a_buffer) == {"mom._fold", "mom._halves"}
+    assert _functions_that(views_a_buffer) == {"mom._fold"}
 
 
 def test_one_function_builds_a_substrate_from_text():
