@@ -11,9 +11,9 @@ from dipolekit.microstrip import feed_spec_for
 F_DESIGN = 1.8e9
 
 SUBSTRATES = [
-    dk.Substrate("fr4", 4.3, 2.08, 0.002),
-    dk.Substrate("arlon_ad300", 3.0, 2.36, 0.0),
-    dk.Substrate("rogers_rt5880", 2.2, 2.64, 0.0),
+    dk.Substrate("fr4", 4.3, 2.08),
+    dk.Substrate("arlon_ad300", 3.0, 2.36),
+    dk.Substrate("rogers_rt5880", 2.2, 2.64),
 ]
 
 

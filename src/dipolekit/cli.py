@@ -83,7 +83,7 @@ class RunConfig:
     """Fully resolved run parameters, one field per option."""
 
     substrate: str = _opt("fr4", str, "--substrate",
-                          "catalog name or inline eps_r:h_mm:tand")
+                          "catalog name or inline eps_r:h_mm")
     freq_mhz: float = _opt(1800.0, _finite, "--freq", "spot frequency, MHz")
     band_mhz: tuple[float, float, float] = _opt(
         (1000.0, 2600.0, 10.0), _band, "--band", "start:stop:step, MHz")
@@ -146,7 +146,7 @@ def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
 
 
 def resolve_substrate(config: RunConfig) -> Substrate:
-    """Catalog name, or inline eps_r:h_mm:tan_delta."""
+    """Catalog name, or inline eps_r:h_mm."""
     text = config.substrate
     if ":" in text:
         return parse_substrate("inline", text.split(":"),

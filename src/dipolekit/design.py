@@ -7,7 +7,7 @@ rounded before display.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from importlib import resources
 from math import inf, sqrt
 
@@ -29,13 +29,10 @@ class Substrate:
     name: str
     eps_r: float
     h: float          # substrate height, mm
-    tan_delta: float = 0.0
 
     def __post_init__(self):
         check_at_least("eps_r", self.eps_r, 1.0)
         check_positive("h", self.h)
-        if not 0.0 <= self.tan_delta < 1.0:
-            raise ValueError("tan_delta must be in [0, 1), got %g" % self.tan_delta)
 
 
 @dataclass(frozen=True)
@@ -44,16 +41,13 @@ class DipoleGeometry:
 
     L: float                      # total length, mm
     W: float                      # strip width, mm
-    g: float = 0.0                # center gap, mm
+    _: KW_ONLY
     T: float = DEFAULT_T_MM       # conductor thickness, mm
 
     def __post_init__(self):
         check_positive("L", self.L)
         check_positive("W", self.W)
-        check_at_least("g", self.g, 0.0)
         check_at_least("T", self.T, 0.0)
-        if self.g >= self.L:
-            raise ValueError("gap g must be smaller than L")
 
 
 @dataclass(frozen=True)
@@ -219,20 +213,20 @@ def check_design_rules(geometry: DipoleGeometry, substrate: Substrate,
 
 
 def parse_substrate(name: str, fields: list[str], where: str) -> Substrate:
-    """The substrate `name` from the text fields eps_r, h_mm, tan_delta; any
-    field count, text or value it refuses is a ConfigError "<where>: why"."""
+    """The substrate `name` from the text fields eps_r, h_mm; any field
+    count, text or value it refuses is a ConfigError "<where>: why"."""
     try:
-        if len(fields) != 3:
-            raise ValueError("expected 3 fields eps_r, h_mm, tan_delta, got %d"
+        if len(fields) != 2:
+            raise ValueError("expected 2 fields eps_r, h_mm, got %d"
                              % len(fields))
-        eps_r, h, tan_delta = map(float, fields)
-        return Substrate(name=name, eps_r=eps_r, h=h, tan_delta=tan_delta)
+        eps_r, h = map(float, fields)
+        return Substrate(name=name, eps_r=eps_r, h=h)
     except ValueError as exc:
         raise ConfigError("%s: %s" % (where, exc)) from exc
 
 
 def parse_catalog(text: str, source: str = "<catalog>") -> dict[str, Substrate]:
-    """Parse a flat substrate catalog: one `name,eps_r,h_mm,tan_delta` per line."""
+    """Parse a flat substrate catalog: one `name,eps_r,h_mm` per line."""
     out: dict[str, Substrate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -101,8 +101,8 @@ class SweepResult:
             raise ValueError("f and z_in must be 1-D arrays of equal length")
         if not f.size:
             raise ValueError("empty sweep")
-        if not (np.isfinite(f).all() and np.isfinite(z).all()):
-            raise ValueError("f and z_in must be finite")
+        if not np.isfinite(f).all():
+            raise ValueError("f must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValueError("sweep samples must be strictly ascending in f")
         gamma = reflection_coefficient(z, self.z0)

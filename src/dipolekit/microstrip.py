@@ -24,14 +24,13 @@ class FeedLineSpec:
     w: float                    # trace width, mm
     h: float                    # substrate height, mm
     z0: float                   # characteristic impedance, ohm
-    stub_length: float | None = None   # quarter-wave open stub, mm
+    stub_length: float          # quarter-wave open stub, mm
 
     def __post_init__(self):
         check_positive("w", self.w)
         check_positive("h", self.h)
         check_positive("z0", self.z0)
-        if self.stub_length is not None:
-            check_positive("stub_length", self.stub_length)
+        check_positive("stub_length", self.stub_length)
 
 
 def z0_microstrip(w: float, h: float, eps_r: float) -> float:

@@ -242,12 +242,12 @@ def _layout(n: int) -> tuple:
     (an (n+8, 1) column) and its nodes (1 + x)/2 and weights w/2 as
     fractions of the interval's span in t; each interval's first term in
     a flattened half of the table (8 per subrow); and the node multiples."""
-    near = min(_NEAR, n + 3)   # n = 1, below MIN_SEGMENTS, has only four
     intervals = np.arange(n + 3)
     # each near interval takes the 16-point rule as two subrows
-    lower = np.concatenate((np.repeat(intervals[:near], 2), intervals[near:]))
-    x = np.concatenate((np.tile(_XQ, near), np.tile(_XF, n + 3 - near)))
-    w = np.concatenate((np.tile(_WQ, near), np.tile(_WF, n + 3 - near)))
+    lower = np.concatenate((np.repeat(intervals[:_NEAR], 2),
+                            intervals[_NEAR:]))
+    x = np.concatenate((np.tile(_XQ, _NEAR), np.tile(_XF, n + 3 - _NEAR)))
+    w = np.concatenate((np.tile(_WQ, _NEAR), np.tile(_WF, n + 3 - _NEAR)))
     layout = ((lower - 2.0)[:, None], (1.0 + x.reshape(-1, 8)) / 2.0,
               w.reshape(-1, 8) / 2.0, 8 * np.searchsorted(lower, intervals),
               np.arange(n) - (n - 1) / 2.0)

@@ -15,7 +15,7 @@ import dipolekit as dk
 from dipolekit.cli import main
 from dipolekit.farfield import directivity_from_intensity, hpbw_from_cut
 
-FR4 = dk.Substrate("fr4", 4.3, 1.6, 0.002)
+FR4 = dk.Substrate("fr4", 4.3, 1.6)
 LAMBDA_18 = 166.55136555555555     # mm, free space at 1.8 GHz
 
 
@@ -37,7 +37,7 @@ TABLE_SUBSTRATES = [
 def test_criterion_1_sizing_table():
     worst = 0.0
     for (eps_r, h), expected in TABLE_SUBSTRATES:
-        sub = dk.Substrate("s", eps_r, h, 0.0)
+        sub = dk.Substrate("s", eps_r, h)
         r = dk.synthesize_geometry(sub, 1.8e9)
         got = (r.eps_e, r.lambda_d, r.geometry.L, r.geometry.W,
                r.recommended_h)
@@ -118,7 +118,7 @@ def test_criterion_4_mom_oracle():
 def _length_resonances():
     out = []
     for L in (63.0, 65.0, 67.0):
-        res = dk.sweep(dk.DipoleGeometry(L=L, W=6.0, g=3.0), FR4,
+        res = dk.sweep(dk.DipoleGeometry(L=L, W=6.0), FR4,
                        1.00e9, 1.30e9, 10e6)
         out.append(dk.resonant_frequency(res))
     return out
@@ -147,7 +147,7 @@ def test_criterion_5b_width_trend():
 # --- criterion 6: resonance placement of the published geometry --------------
 
 def test_criterion_6_resonance_placement():
-    res = dk.sweep(dk.DipoleGeometry(L=67.0, W=6.0, g=3.0), FR4,
+    res = dk.sweep(dk.DipoleGeometry(L=67.0, W=6.0), FR4,
                    1.0e9, 2.6e9, 10e6)
     f_res = dk.resonant_frequency(res)
     ok = abs(f_res - 1.8e9) / 1.8e9 <= 0.08

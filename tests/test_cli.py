@@ -50,7 +50,7 @@ def test_flag_overrides_file():
 
 #: a non-default value for each option, as flag or config-file text
 _SAMPLE_TEXT = {
-    "substrate": "3.5:1.0:0.001", "freq_mhz": "1120",
+    "substrate": "3.5:1.0", "freq_mhz": "1120",
     "band_mhz": "1000:1600:20", "length_mm": "63.5", "width_mm": "5",
     "feed": "stub", "mesh": "83", "bw_threshold_db": "-6", "z0_ohm": "75",
     "plane": "h", "lengths_mm": "63,65", "widths_mm": "5,7",
@@ -272,7 +272,7 @@ def test_parse_config_refuses_a_repeated_key():
 def test_resolve_substrate_catalog_and_inline():
     sub = resolve_substrate(RunConfig())
     assert sub.eps_r == 4.3 and sub.h == 1.6
-    inline = resolve_substrate(RunConfig(substrate="3.5:1.0:0.001"))
+    inline = resolve_substrate(RunConfig(substrate="3.5:1.0"))
     assert inline.eps_r == 3.5 and inline.h == 1.0
     with pytest.raises(ConfigError, match="not in catalog"):
         resolve_substrate(RunConfig(substrate="unobtainium"))
@@ -281,7 +281,7 @@ def test_resolve_substrate_catalog_and_inline():
 def test_inline_substrate_eps_below_one_rejected():
     with pytest.raises(ConfigError,
                        match="eps_r must be finite and >= 1, got 0.5$"):
-        resolve_substrate(RunConfig(substrate="0.5:1.6:0"))
+        resolve_substrate(RunConfig(substrate="0.5:1.6"))
 
 
 def _sweep():
@@ -482,7 +482,7 @@ def test_cli_refused_analyze_writes_no_csv(tmp_path, capsys):
 
 def test_cli_repeated_catalog_name_or_config_key_exits_2(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
-    cat.write_text("a,4.3,1.6,0\na,2.2,1,0\n")
+    cat.write_text("a,4.3,1.6\na,2.2,1\n")
     assert main(["analyze", "--catalog", str(cat), "--substrate", "a"]) == 2
     assert ("%s:2: substrate 'a' is defined twice" % cat) \
         in capsys.readouterr().err
@@ -604,9 +604,9 @@ def test_cli_rereads_a_named_catalog_on_every_call(named_by, tmp_path,
         cfg = tmp_path / "run.cfg"
         cfg.write_text("%s = %s\n" % (named_by, cat))
         argv += ["--config", str(cfg)]
-    cat.write_text("mine,4.3,1.6,0.002\n")
+    cat.write_text("mine,4.3,1.6\n")
     assert "eps_e=2.6500 " in _stdout(argv, capsys)
-    cat.write_text("mine,2.2,0.8,0\n")
+    cat.write_text("mine,2.2,0.8\n")
     assert "eps_e=1.6000 " in _stdout(argv, capsys)
 
 
@@ -682,7 +682,7 @@ def test_cli_optimize(capsys):
     ["analyze", "--band", "1000:2000"],               # no step
     ["study-length", "--lengths", ","],               # empty list
     ["pattern", "--plane", "X"],
-    ["analyze", "--substrate", "4.3:1.6"],            # inline needs tand
+    ["analyze", "--substrate", "4.3:1.6:0.002"],      # inline takes two
 ], ids=" ".join)
 def test_cli_bad_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -829,7 +829,31 @@ def test_parse_config_rejects_non_finite(text):
 
 def test_inline_substrate_rejects_non_finite():
     with pytest.raises(ConfigError, match="finite"):
-        resolve_substrate(RunConfig(substrate="inf:1.6:0"))
+        resolve_substrate(RunConfig(substrate="inf:1.6"))
+
+
+def test_inline_substrate_pair_solves_as_the_catalog_substrate(tmp_path):
+    # eps_r and h are all the model reads of a substrate
+    csv = []
+    for substrate in ("fr4", "4.3:1.6"):
+        out = tmp_path / ("%d.csv" % len(csv))
+        assert main(["analyze", "--substrate", substrate, "--out",
+                     str(out)]) == 0
+        csv.append(out.read_bytes())
+    assert csv[0] == csv[1]
+
+
+def test_cli_substrate_with_a_third_field_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("old,4.3,1.6,0.002\n")
+    for argv, where in (
+            (["--substrate", "4.3:1.6:0.002"],
+             "inline substrate '4.3:1.6:0.002'"),
+            (["--catalog", str(cat), "--substrate", "old"], "%s:1" % cat)):
+        assert main(["analyze"] + argv) == 2
+        assert capsys.readouterr().err == ("config error: %s: expected 2 "
+                                           "fields eps_r, h_mm, got 3\n"
+                                           % where)
 
 
 #: why a substrate with a non-finite eps_r or h is refused, by (eps_r, h)
@@ -837,11 +861,11 @@ _NON_FINITE_REASON = {("nan", "1.6"): "eps_r must be finite and >= 1, got nan",
                       ("4.3", "inf"): "h must be finite and > 0, got inf"}
 
 
-@pytest.mark.parametrize("line", ["bad,nan,1.6,0", "infh,4.3,inf,0"])
+@pytest.mark.parametrize("line", ["bad,nan,1.6", "infh,4.3,inf"])
 def test_cli_catalog_rejects_non_finite_values(line, tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text(line + "\n")
-    name, eps_r, h, _ = line.split(",")
+    name, eps_r, h = line.split(",")
     reason = _NON_FINITE_REASON[eps_r, h]
     for command in ("pattern", "analyze"):
         assert main([command, "--catalog", str(cat), "--substrate", name]) == 2
@@ -853,8 +877,8 @@ def test_catalog_and_inline_substrates_are_refused_alike(eps_r, h, tmp_path,
                                                          capsys):
     # one reader: each error names its place and gives the same reason
     cat = tmp_path / "cat.txt"
-    cat.write_text("bad,%s,%s,0\n" % (eps_r, h))
-    inline = "%s:%s:0" % (eps_r, h)
+    cat.write_text("bad,%s,%s\n" % (eps_r, h))
+    inline = "%s:%s" % (eps_r, h)
     reason = _NON_FINITE_REASON[eps_r, h]
     assert main(["design", "--catalog", str(cat), "--substrate", "bad"]) == 2
     assert capsys.readouterr().err == (

@@ -32,7 +32,7 @@ from dipolekit.metrics import check_z0
 from dipolekit.microstrip import FeedLineSpec, synth_width_for_z0
 from dipolekit.mom import WireModel, frequency_grid, strip_to_wire
 
-FR4 = Substrate("fr4", 4.3, 1.6, 0.002)
+FR4 = Substrate("fr4", 4.3, 1.6)
 
 
 def test_speed_of_light_mm():
@@ -91,11 +91,9 @@ def test_guided_wavelength():
 
 def test_substrate_validation():
     with pytest.raises(ValueError):
-        Substrate("bad", 0.5, 1.6, 0.0)
+        Substrate("bad", 0.5, 1.6)
     with pytest.raises(ValueError):
-        Substrate("bad", 4.3, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        Substrate("bad", 4.3, 1.6, 1.5)
+        Substrate("bad", 4.3, -1.0)
 
 
 @pytest.mark.parametrize("eps_r, h", [(math.nan, 1.6), (math.inf, 1.6),
@@ -109,13 +107,16 @@ def test_substrate_must_be_finite(eps_r, h):
 def test_geometry_validation():
     with pytest.raises(ValueError):
         DipoleGeometry(L=0, W=6)
-    with pytest.raises(ValueError):
-        DipoleGeometry(L=67, W=6, g=70)
-    for bad in (dict(g=-1.0), dict(T=-0.1)):
-        (name, value), = bad.items()
-        with pytest.raises(ValueError, match="^%s must be finite and >= 0, "
-                           "got %g$" % (name, value)):
-            DipoleGeometry(L=67, W=6, **bad)
+    with pytest.raises(ValueError, match="^T must be finite and >= 0, "
+                       "got -0.1$"):
+        DipoleGeometry(L=67, W=6, T=-0.1)
+
+
+def test_geometry_thickness_is_keyword_only():
+    # a third positional argument, once the gap, cannot become T
+    with pytest.raises(TypeError):
+        DipoleGeometry(67, 6, 0.035)
+    assert DipoleGeometry(67, 6, T=0.035) == DipoleGeometry(L=67, W=6)
 
 
 @pytest.mark.parametrize("rule, args, reason", [
@@ -143,8 +144,6 @@ _GUARDED_VALUES = {
     "Substrate.h": (lambda x: Substrate("s", 4.3, x), "h", "> 0"),
     "DipoleGeometry.L": (lambda x: DipoleGeometry(L=x, W=6.0), "L", "> 0"),
     "DipoleGeometry.W": (lambda x: DipoleGeometry(L=67.0, W=x), "W", "> 0"),
-    "DipoleGeometry.g": (lambda x: DipoleGeometry(L=67.0, W=6.0, g=x), "g",
-                         ">= 0"),
     "DipoleGeometry.T": (lambda x: DipoleGeometry(L=67.0, W=6.0, T=x), "T",
                          ">= 0"),
     "eps_eff_average": (eps_eff_average, "eps_r", ">= 1"),
@@ -168,9 +167,12 @@ _GUARDED_VALUES = {
     "strip_to_wire": (strip_to_wire, "W", "> 0"),
     "frequency_grid.f_step": (lambda x: frequency_grid(1e9, 2e9, x),
                               "f_step", "> 0"),
-    "FeedLineSpec.w": (lambda x: FeedLineSpec(x, 1.6, 50.0), "w", "> 0"),
-    "FeedLineSpec.h": (lambda x: FeedLineSpec(3.0, x, 50.0), "h", "> 0"),
-    "FeedLineSpec.z0": (lambda x: FeedLineSpec(3.0, 1.6, x), "z0", "> 0"),
+    "FeedLineSpec.w": (lambda x: FeedLineSpec(x, 1.6, 50.0, 23.0), "w",
+                       "> 0"),
+    "FeedLineSpec.h": (lambda x: FeedLineSpec(3.0, x, 50.0, 23.0), "h",
+                       "> 0"),
+    "FeedLineSpec.z0": (lambda x: FeedLineSpec(3.0, 1.6, x, 23.0), "z0",
+                        "> 0"),
     "FeedLineSpec.stub_length": (lambda x: FeedLineSpec(3.0, 1.6, 50.0, x),
                                  "stub_length", "> 0"),
     "synth_width_for_z0": (lambda x: synth_width_for_z0(x, FR4),
@@ -219,7 +221,7 @@ def test_synthesize_feed_styles():
 
 def test_geometry_holds_only_dimensions():
     # the feed style is an argument of synthesis, not a geometry field
-    assert [f.name for f in fields(DipoleGeometry)] == ["L", "W", "g", "T"]
+    assert [f.name for f in fields(DipoleGeometry)] == ["L", "W", "T"]
 
 
 @pytest.mark.parametrize("style", ["ideal_center", "open_stub", "via_hole"])
@@ -240,7 +242,7 @@ def test_synthesize_checks_the_frequency_before_the_feed_style():
 
 
 def test_check_design_rules_table_iii():
-    rules = check_design_rules(DipoleGeometry(L=67, W=6, g=3), FR4, 1.8e9)
+    rules = check_design_rules(DipoleGeometry(L=67, W=6), FR4, 1.8e9)
     assert len(rules.entries) == 8
     assert rules.ok
     by_name = {e.rule: e for e in rules.entries}
@@ -249,7 +251,7 @@ def test_check_design_rules_table_iii():
 
 
 def test_check_design_rules_violation():
-    thick = DipoleGeometry(L=67, W=6, g=3, T=4.0)
+    thick = DipoleGeometry(L=67, W=6, T=4.0)
     rules = check_design_rules(thick, FR4, 1.8e9)
     assert not rules.ok
     assert any(e.rule == "t_over_w" for e in rules.violations)
@@ -257,7 +259,7 @@ def test_check_design_rules_violation():
 
 @pytest.mark.parametrize("f", [0.3e9, 1.8e9, 5e9])
 @pytest.mark.parametrize("geometry", [
-    DipoleGeometry(L=67, W=6, g=3),
+    DipoleGeometry(L=67, W=6),
     DipoleGeometry(L=67, W=0.01, T=4.0),
     DipoleGeometry(L=700, W=33),
 ], ids=["ok", "three_violations", "w_over_h"])
@@ -286,26 +288,26 @@ def test_raise_violations_names_each_restriction_in_table_order():
 
 
 def test_raise_violations_passes_an_ok_result():
-    rules = check_design_rules(DipoleGeometry(L=67, W=6, g=3), FR4, 1.8e9)
+    rules = check_design_rules(DipoleGeometry(L=67, W=6), FR4, 1.8e9)
     assert rules.raise_violations() is None
 
 
 def test_synthesize_refuses_with_the_one_rule_message():
-    thin = Substrate("inline", 4.3, 0.01, 0.0)
+    thin = Substrate("inline", 4.3, 0.01)
     with pytest.raises(DesignRuleError, match=r"^geometry violates "
                        r"restriction\(s\): w_over_h, t_over_h$"):
         synthesize_geometry(thin, 1.8e9)
 
 
 def test_parse_catalog():
-    cat = parse_catalog("# comment\nfoo,4.3,1.6,0.002\n\nbar,2.2,0.8,0\n")
+    cat = parse_catalog("# comment\nfoo,4.3,1.6\n\nbar,2.2,0.8\n")
     assert set(cat) == {"foo", "bar"}
     assert cat["foo"].eps_r == 4.3
 
 
 def test_parse_catalog_errors():
     with pytest.raises(ConfigError, match="line 2|:2"):
-        parse_catalog("foo,4.3,1.6,0.002\nbar,notanumber,1,0\n")
+        parse_catalog("foo,4.3,1.6\nbar,notanumber,1\n")
     with pytest.raises(ConfigError):
         parse_catalog("only,two\n")
 
@@ -313,25 +315,25 @@ def test_parse_catalog_errors():
 def test_parse_catalog_refuses_a_repeated_name():
     with pytest.raises(ConfigError,
                        match="^cat:3: substrate 'a' is defined twice$"):
-        parse_catalog("a,4.3,1.6,0\nb,3,1,0\na,2.2,1,0\n", source="cat")
+        parse_catalog("a,4.3,1.6\nb,3,1\na,2.2,1\n", source="cat")
 
 
 @pytest.mark.parametrize("line, reason", [
-    pytest.param("bad,nan,1.6,0", "eps_r must be finite and >= 1, got nan",
-                 id="bad,nan,1.6,0"),
-    pytest.param("infh,4.3,inf,0", "h must be finite and > 0, got inf",
-                 id="infh,4.3,inf,0")])
+    pytest.param("bad,nan,1.6", "eps_r must be finite and >= 1, got nan",
+                 id="bad,nan,1.6"),
+    pytest.param("infh,4.3,inf", "h must be finite and > 0, got inf",
+                 id="infh,4.3,inf")])
 def test_parse_catalog_rejects_non_finite_values(line, reason):
     with pytest.raises(ConfigError, match="^cat:2: %s$" % reason):
-        parse_catalog("fr4,4.3,1.6,0.002\n" + line + "\n", source="cat")
+        parse_catalog("fr4,4.3,1.6\n" + line + "\n", source="cat")
 
 
 @pytest.mark.parametrize("fields, reason", [
-    (["4.3", "1.6"], "expected 3 fields eps_r, h_mm, tan_delta, got 2"),
-    (["4.3", "1.6", "0", "1"], "expected 3 fields eps_r, h_mm, tan_delta, got 4"),
-    (["4.3", "thick", "0"], "could not convert string to float: 'thick'"),
-    (["0.5", "1.6", "0"], "eps_r must be finite and >= 1, got 0.5"),
-    (["4.3", "nan", "0"], "h must be finite and > 0, got nan"),
+    (["4.3"], "expected 2 fields eps_r, h_mm, got 1"),
+    (["4.3", "1.6", "0.002"], "expected 2 fields eps_r, h_mm, got 3"),
+    (["4.3", "thick"], "could not convert string to float: 'thick'"),
+    (["0.5", "1.6"], "eps_r must be finite and >= 1, got 0.5"),
+    (["4.3", "nan"], "h must be finite and > 0, got nan"),
 ])
 def test_parse_substrate_names_its_place_and_reason(fields, reason):
     with pytest.raises(ConfigError) as info:
@@ -341,7 +343,7 @@ def test_parse_substrate_names_its_place_and_reason(fields, reason):
 
 
 def test_parse_substrate_reads_text_fields():
-    assert parse_substrate("fr4", [" 4.3", "1.6 ", "0.002"], "x") == FR4
+    assert parse_substrate("fr4", [" 4.3", "1.6 "], "x") == FR4
 
 
 def test_bundled_catalog():
@@ -354,7 +356,7 @@ def test_bundled_catalog():
 def test_load_substrates_ignores_the_environment(tmp_path, monkeypatch):
     # a catalog is named by its path alone, never by an environment variable
     p = tmp_path / "cat.txt"
-    p.write_text("custom,3.5,1.0,0.001\n")
+    p.write_text("custom,3.5,1.0\n")
     bundled = load_substrates()
     monkeypatch.setenv("DIPOLEKIT_SUBSTRATES", str(p))
     assert load_substrates() == bundled

@@ -138,6 +138,22 @@ def test_sweep_result_refuses_non_finite_samples(f, z_in):
         SweepResult(np.array(f), np.array(z_in))
 
 
+@pytest.mark.parametrize("f, z_in, message", [
+    ([1.0, np.nan, 3.0], [50 + 0j] * 3, "f must be finite"),
+    ([-np.inf, 2.0, 3.0], [complex(np.nan, 0.0)] * 3, "f must be finite"),
+    ([1.0, 2.0, 3.0], [50 + 0j, complex(np.nan, 0.0), 50 + 0j],
+     "Z_in must be finite, got (nan+0j)"),
+    ([1.0, 2.0, 3.0], [50 + 0j, complex(50.0, np.inf), 50 + 0j],
+     "Z_in must be finite, got (50+infj)"),
+])
+def test_sweep_result_refuses_each_non_finite_value_in_one_place(f, z_in,
+                                                                 message):
+    # f in __post_init__, before the order check a nan passes; z_in where
+    # gamma is formed from it
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        SweepResult(np.array(f), np.array(z_in))
+
+
 def test_sweep_result_derived_arrays():
     sw = SweepResult([1.0e9, 1.1e9, 1.2e9], [100 + 0j, 50 + 0j, 25 + 0j])
     assert sw.gamma == pytest.approx([1 / 3, 0.0, -1 / 3])

@@ -13,7 +13,7 @@ from dipolekit.microstrip import (
     z0_microstrip,
 )
 
-FR4 = Substrate("fr4", 4.3, 1.6, 0.002)
+FR4 = Substrate("fr4", 4.3, 1.6)
 
 
 def test_z0_frozen_table_iii_line():
@@ -50,7 +50,7 @@ def test_synth_width_frozen():
 
 
 def test_synth_width_lower_eps_is_wider():
-    duroid = Substrate("duroid", 2.2, 1.6, 0.0)
+    duroid = Substrate("duroid", 2.2, 1.6)
     assert synth_width_for_z0(50.0, duroid) == pytest.approx(
         4.970973636502412, abs=1e-2)
     assert synth_width_for_z0(50.0, duroid) > synth_width_for_z0(50.0, FR4)
@@ -102,7 +102,7 @@ def test_feed_spec_for():
 
 def test_feed_line_spec_validation():
     with pytest.raises(ValueError):
-        FeedLineSpec(w=-1.0, h=1.6, z0=50.0)
+        FeedLineSpec(w=-1.0, h=1.6, z0=50.0, stub_length=23.0)
     with pytest.raises(ValueError, match="^stub_length must be finite and "
                        "> 0, got 0$"):
         FeedLineSpec(w=3.0, h=1.6, z0=50.0, stub_length=0.0)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -97,11 +98,37 @@ def test_only_the_fold_views_a_buffer_as_an_array():
 
 
 def test_one_function_builds_a_substrate_from_text():
-    # the catalog's lines and the CLI's inline triples share one reader
+    # the catalog's lines and the CLI's inline pairs share one reader
     def builds_a_substrate(node):
         func = node.func
         return getattr(func, "id", getattr(func, "attr", None)) == "Substrate"
     assert _functions_that(builds_a_substrate) == {"design.parse_substrate"}
+
+
+def test_every_input_field_is_read_outside_its_class():
+    # a field the library accepts changes a result or goes away: each one
+    # is read as an attribute somewhere in src/ beyond its own class body
+    from dipolekit.design import DipoleGeometry, Substrate
+    from dipolekit.mom import WireModel
+    classes = (Substrate, DipoleGeometry, WireModel)
+    read = {cls.__name__: set() for cls in classes}
+    for path in sorted((SRC / "dipolekit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name in read:
+                for node in ast.walk(cls):
+                    owner[node] = cls.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                for name, names in read.items():
+                    if owner.get(node) != name:
+                        names.add(node.attr)
+    unread = ["%s.%s" % (cls.__name__, f.name) for cls in classes
+              for f in dataclasses.fields(cls)
+              if f.name not in read[cls.__name__]]
+    assert unread == []
 
 
 def test_no_function_computes_a_condition_number():

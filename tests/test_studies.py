@@ -15,7 +15,7 @@ from dipolekit.studies import (
     width_study,
 )
 
-FR4 = Substrate("fr4", 4.3, 1.6, 0.002)
+FR4 = Substrate("fr4", 4.3, 1.6)
 BAND = (1.0e9, 1.6e9, 20e6)
 
 
