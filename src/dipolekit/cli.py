@@ -22,8 +22,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
-from .design import DipoleGeometry, Substrate, load_substrates, \
-    parse_substrate, synthesize_geometry
+from .design import FEED_STYLES, DipoleGeometry, Substrate, \
+    load_substrates, parse_substrate, synthesize_geometry
 from .errors import ConfigError, DesignRuleError, NoResonanceError, \
     SolverError
 from .farfield import PatternCut
@@ -34,8 +34,6 @@ from .studies import StudyRow, length_study, optimize_length, \
     study_pattern, width_study
 
 _MHZ = 1e6
-
-_FEED_NAMES = {"ideal": "ideal_center", "stub": "open_stub", "via": "via_hole"}
 
 
 def _finite(text: str) -> float:
@@ -61,8 +59,8 @@ def _band(text: str) -> tuple[float, float, float]:
 
 
 def _feed(text: str) -> str:
-    if text not in _FEED_NAMES:
-        raise ValueError("feed must be one of %s" % "|".join(_FEED_NAMES))
+    if text not in FEED_STYLES:
+        raise ValueError("feed must be one of %s" % "|".join(FEED_STYLES))
     return text
 
 
@@ -89,8 +87,8 @@ class RunConfig:
         (1000.0, 2600.0, 10.0), _band, "--band", "start:stop:step, MHz")
     length_mm: float = _opt(67.0, _finite, "--length", "strip length, mm")
     width_mm: float = _opt(6.0, _finite, "--width", "strip width, mm")
-    feed: str = _opt("ideal", _feed, "--feed", "ideal|stub|via, design only: "
-                     "the solver models only an ideal center feed")
+    feed: str = _opt("ideal", _feed, "--feed", "%s, design only: the solver "
+                     "models only an ideal center feed" % "|".join(FEED_STYLES))
     mesh: int | None = _opt(None, int, "--mesh",
                             "odd segment count, default automatic")
     bw_threshold_db: float = _opt(DEFAULT_BW_THRESHOLD_DB, _finite,
@@ -223,8 +221,7 @@ def _summary_line(result: SweepResult, threshold_db: float) -> str:
 
 
 def cmd_design(substrate: Substrate, freq_mhz, feed) -> None:
-    synth = synthesize_geometry(substrate, freq_mhz * _MHZ,
-                                feed_style=_FEED_NAMES[feed])
+    synth = synthesize_geometry(substrate, freq_mhz * _MHZ, feed_style=feed)
     g, rules = synth.geometry, synth.rules
     print("substrate %s: eps_e=%.4f lambda_d=%.4f mm" %
           (substrate.name, synth.eps_e, synth.lambda_d))

@@ -16,7 +16,7 @@ from .errors import ConfigError, DesignRuleError
 #: exact speed of light, in mm/s
 C_MM_PER_S = 2.99792458e11
 
-FEED_STYLES = ("ideal_center", "open_stub", "via_hole")
+FEED_STYLES = ("ideal", "stub", "via")
 
 #: default copper cladding thickness, mm (standard 1 oz foil)
 DEFAULT_T_MM = 0.035
@@ -154,7 +154,7 @@ WIDTH_FRACTION = 0.06
 
 
 def synthesize_geometry(substrate: Substrate, f: float,
-                        feed_style: str = "ideal_center") -> SynthesisResult:
+                        feed_style: str = "ideal") -> SynthesisResult:
     """Size a strip dipole for the target frequency on the given substrate.
 
     The design wavelength comes from the averaged effective permittivity;
@@ -166,12 +166,12 @@ def synthesize_geometry(substrate: Substrate, f: float,
     if feed_style not in FEED_STYLES:
         raise ValueError("feed_style must be one of %s" % (FEED_STYLES,))
     W = WIDTH_FRACTION * lambda_d
-    if feed_style == "ideal_center":
+    if feed_style == "ideal":
         L = half_wave_length(lambda_d)
     else:
         eps_f = eps_eff_microstrip(substrate.eps_r, W, substrate.h)
         lam_f = guided_wavelength(f, eps_f)
-        L = stub_fed_length(lam_f) if feed_style == "open_stub" else via_fed_length(lam_f)
+        L = stub_fed_length(lam_f) if feed_style == "stub" else via_fed_length(lam_f)
     geometry = DipoleGeometry(L=L, W=W)
     rules = check_design_rules(geometry, substrate, f)
     rules.raise_violations()

@@ -26,10 +26,10 @@ falls short, by one real Cholesky test of its even and odd blocks. What
 it cannot prove is refused. solve_at(mesh, f), the one path from a mesh to
 its currents, also refuses segments over lambda_e/4, where the guard can fail.
 solve_band(mesh, freqs, z0) is the one band path: solve_at at each frequency.
-What a solve takes from n alone, the guard's weights, FFT length, shift and
-margin coefficients and the right-hand side e_p, is formed once per n and
-shared read-only (_solve_constants), as the quadrature layout is (_layout),
-so each frequency does only its k-dependent work.
+What the mesh and the solve take from n alone, the quadrature layout and
+the guard's weights, FFT length, shift and margin coefficients and e_p, is
+formed in one place, _per_n, once per n and shared read-only, so each
+frequency does only its k-dependent work.
 
 No n x n matrix is built: above n = 64 the largest block is one solve's
 workspace of B = 32(p+1)^2 bytes, half a dense A. The guard runs first.
@@ -215,7 +215,7 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
         raise MeshError("delta = %.4g mm < radius %.4g mm; use n <= %d"
                         % (delta, a, max_segments(L, a)))
     h = L / (n + 1)
-    left, offset, weight, starts, centred = _layout(n)
+    left, offset, weight, starts, centred = _per_n(n)[0]
     lo = np.arcsinh(left * (h / a))   # each subrow's interval in t
     span = np.arcsinh((left + 1.0) * (h / a)) - lo
     t = offset * span
@@ -235,13 +235,17 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(n: int) -> tuple:
-    """The part of build_mesh's table that depends on n alone, shared
-    read-only by the meshes of that n (a few per wire in a study or an
-    optimizer): per subrow, its interval's left knot as a multiple m of h
-    (an (n+8, 1) column) and its nodes (1 + x)/2 and weights w/2 as
-    fractions of the interval's span in t; each interval's first term in
-    a flattened half of the table (8 per subrow); and the node multiples."""
+def _per_n(n: int) -> tuple:
+    """What the code takes from n alone, shared read-only by every mesh and
+    solve of that n (a few meshes per wire in a study or an optimizer).
+    build_mesh's layout: per subrow, its interval's left knot as a multiple
+    m of h (an (n+8, 1) column) and its nodes (1 + x)/2 and weights w/2 as
+    fractions of the interval's span in t; each interval's first term in a
+    flattened half of the table (8 per subrow); and the node multiples. The
+    solve's constants: _certified's weights of |c_k|^2 in s^2 (n, 2(n-1),
+    ..., 2), FFT length G = 2^k >= 2n - 1, shift coefficient 1/L + 2(m+1)^1.5
+    u and margin coefficient 64(k+2) sqrt(G) u, each formed as its proof
+    states it; and solve_current's right-hand side e_p, p = (n-1)/2."""
     intervals = np.arange(n + 3)
     # each near interval takes the 16-point rule as two subrows
     lower = np.concatenate((np.repeat(intervals[:_NEAR], 2),
@@ -251,9 +255,17 @@ def _layout(n: int) -> tuple:
     layout = ((lower - 2.0)[:, None], (1.0 + x.reshape(-1, 8)) / 2.0,
               w.reshape(-1, 8) / 2.0, 8 * np.searchsorted(lower, intervals),
               np.arange(n) - (n - 1) / 2.0)
-    for array in layout:
+    m = (n + 1) // 2
+    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times,
+    weights[0] = n                            # and c_0 n times
+    k = (2 * n - 2).bit_length()
+    e_p = np.zeros(m, dtype=complex)
+    e_p[-1] = 1.0
+    for array in layout + (weights, e_p):
         array.flags.writeable = False
-    return layout
+    return layout, (weights, 1 << k,
+                    _COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF,
+                    64 * (k + 2) * 2.0 ** (k / 2) * _UNIT_ROUNDOFF, e_p)
 
 
 def wavenumber(f: float, eps_e: float) -> float:
@@ -331,26 +343,6 @@ def _fold(col: np.ndarray, out: np.ndarray) -> np.ndarray:
     if out.shape[0] == 2:
         np.subtract(toeplitz, hankel, out=out[1])
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def _solve_constants(n: int) -> tuple:
-    """What a solve at segment count n takes from n alone, shared read-only
-    by every solve of that n, as _layout is by its meshes: _certified's
-    weights of |c_k|^2 in s^2 (n, 2(n-1), ..., 2), its FFT length G = 2^k
-    >= 2n - 1, its shift coefficient 1/L + 2(m+1)^1.5 u and its margin
-    coefficient 64(k+2) sqrt(G) u, each formed as its proof states it; and
-    solve_current's right-hand side e_p, p = (n-1)/2."""
-    m = (n + 1) // 2
-    weights = np.arange(2.0 * n, 0.0, -2.0)   # A holds c_k 2(n - k) times,
-    weights[0] = n                            # and c_0 n times
-    k = (2 * n - 2).bit_length()
-    e_p = np.zeros(m, dtype=complex)
-    e_p[-1] = 1.0
-    weights.flags.writeable = e_p.flags.writeable = False
-    return (weights, 1 << k,
-            _COND_LIMIT ** -1 + 2 * (m + 1) ** 1.5 * _UNIT_ROUNDOFF,
-            64 * (k + 2) * 2.0 ** (k / 2) * _UNIT_ROUNDOFF, e_p)
 
 
 def _certified(col: np.ndarray, out: np.ndarray) -> bool:
@@ -459,13 +451,13 @@ def _certified(col: np.ndarray, out: np.ndarray) -> bool:
 
     What the proof takes from n alone, the weights of s^2, G, the
     coefficient 1/L + 2(m+1)^1.5 u of tau and 64(k+2) sqrt(G) u of the
-    margin, comes from _solve_constants: formed once per n in the order
-    written here, so tau and the verdict are those of a fresh computation,
-    and shared read-only. The Cholesky tier's blocks go into out, a
+    margin, comes from _per_n: formed once per n in the order written
+    here, so tau and the verdict are those of a fresh computation, and
+    shared read-only. The Cholesky tier's blocks go into out, a
     C-contiguous float (2, m, m) buffer, which solve_current takes from its
     one workspace; the circulant tier writes none.
     """
-    weights, g, shift, margin, _ = _solve_constants(col.size)
+    weights, g, shift, margin, _ = _per_n(col.size)[1]
     a = np.abs(col)   # einsum, unlike a ufunc or dot, overflows unwarned
     s2 = np.einsum("i,i,i->", weights, a, a)
     if not _SQUARED_NORM_RANGE[0] < s2 < _SQUARED_NORM_RANGE[1]:
@@ -518,7 +510,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> np.ndarray:
         raise SolverError("system condition not proven <= %.1g" % _COND_LIMIT)
     even = _fold(col, work[:1])[0]
     try:
-        z = np.linalg.solve(even, _solve_constants(n)[4])
+        z = np.linalg.solve(even, _per_n(n)[1][4])
     except np.linalg.LinAlgError:   # exactly singular
         raise SolverError("even-mode block is singular") from None
     r = even @ z

@@ -24,7 +24,8 @@ from dipolekit.cli import (
     resolve_substrate,
 )
 from dipolekit import cli, design, mom, studies
-from dipolekit.design import DipoleGeometry, load_substrates
+from dipolekit.design import DipoleGeometry, load_substrates, \
+    synthesize_geometry
 from dipolekit.errors import ConfigError, NonPassiveError, SolverError
 from dipolekit.farfield import PatternCut
 from dipolekit.metrics import SweepResult
@@ -920,8 +921,13 @@ def test_flag_and_config_give_the_same_reason(key, text, reason, tmp_path,
 
 
 def test_cli_design_keeps_feed_styles(capsys):
+    # each --feed name is the library's feed style of that name
+    fr4 = load_substrates()["fr4"]
     for feed in ("ideal", "stub", "via"):
         assert main(["design", "--feed", feed]) == 0
+        g = synthesize_geometry(fr4, 1.8e9, feed_style=feed).geometry
+        assert "geometry: L=%.4f mm W=%.4f mm " % (g.L, g.W) \
+            in capsys.readouterr().out
 
 
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-100.0, 5000.0))

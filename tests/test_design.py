@@ -206,15 +206,15 @@ def test_synthesize_fr4():
 def test_synthesized_geometry_has_the_default_thickness():
     # the one thickness synthesis uses; DipoleGeometry.T still moves rules
     assert "T" not in inspect.signature(synthesize_geometry).parameters
-    for style in ("ideal_center", "open_stub", "via_hole"):
+    for style in ("ideal", "stub", "via"):
         assert synthesize_geometry(FR4, 1.8e9, style).geometry.T \
             == design.DEFAULT_T_MM
 
 
 def test_synthesize_feed_styles():
     # frozen: fringing eps_e at the synthesized width sets the feed lengths
-    stub = synthesize_geometry(FR4, 1.8e9, feed_style="open_stub")
-    via = synthesize_geometry(FR4, 1.8e9, feed_style="via_hole")
+    stub = synthesize_geometry(FR4, 1.8e9, feed_style="stub")
+    via = synthesize_geometry(FR4, 1.8e9, feed_style="via")
     assert stub.geometry.L == pytest.approx(67.1332, abs=1e-3)
     assert via.geometry.L == pytest.approx(59.6739, abs=1e-3)
 
@@ -224,7 +224,7 @@ def test_geometry_holds_only_dimensions():
     assert [f.name for f in fields(DipoleGeometry)] == ["L", "W", "T"]
 
 
-@pytest.mark.parametrize("style", ["ideal_center", "open_stub", "via_hole"])
+@pytest.mark.parametrize("style", ["ideal", "stub", "via"])
 def test_synthesis_returns_the_rule_table_it_enforced(style):
     r = synthesize_geometry(FR4, 1.8e9, style)
     assert r.rules == check_design_rules(r.geometry, FR4, 1.8e9)
@@ -232,8 +232,10 @@ def test_synthesis_returns_the_rule_table_it_enforced(style):
 
 
 def test_synthesize_refuses_an_unknown_feed_style():
-    with pytest.raises(ValueError, match="feed_style must be one of"):
-        synthesize_geometry(FR4, 1.8e9, feed_style="magic")
+    # the CLI's --feed names are the only ones, the old long names included
+    for style in ("magic", "ideal_center", "open_stub", "via_hole"):
+        with pytest.raises(ValueError, match="feed_style must be one of"):
+            synthesize_geometry(FR4, 1.8e9, feed_style=style)
 
 
 def test_synthesize_checks_the_frequency_before_the_feed_style():
