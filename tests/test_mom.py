@@ -795,28 +795,44 @@ def test_solve_at_dispatch_count_does_not_grow():
     assert sum(events.values()) <= 36, sorted(events.items())
 
 
-def test_per_n_table_is_shared_read_only():
+def test_solve_constants_are_shared_read_only_per_n():
     # two meshes of one n, on different wires and given n as an int or a
-    # NumPy integer, build and solve from the same arrays, which no caller
-    # can write
+    # NumPy integer, solve with the same arrays, which no caller can write
     wide, thin = WireModel(67.0, 1.5, 3.3), thin_half_wave()
     for n in (21, np.int64(21), np.int32(21)):
-        assert mom._per_n(build_mesh(wide, n=n).n) \
-            is mom._per_n(build_mesh(thin, n=21).n)
-    layout, (weights, g, shift, margin, e_p) = mom._per_n(21)
-    assert build_mesh(thin, n=21).quad_starts is layout[3]
+        assert mom._per_n(build_mesh(wide, n=n).n)[1] \
+            is mom._per_n(build_mesh(thin, n=21).n)[1]
+    weights, g, shift, margin, e_p = mom._per_n(21)[1]
     assert weights.tolist() == [21.0] + list(range(40, 0, -2))
     assert g == 64 and e_p.tolist() == [0] * 10 + [1]
     assert margin == 64 * (6 + 2) * 8 * mom._UNIT_ROUNDOFF   # G = 2^6
-    arrays = layout + (weights, e_p)
-    before = [array.copy() for array in arrays]
-    for array in arrays:
+    for array in (weights, e_p):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
+    solve_at(build_mesh(thin, n=21), 1.8e9)
+    assert weights[0] == 21.0 and e_p[-1] == 1.0
+
+
+def test_quadrature_layout_is_shared_read_only_per_n():
+    # two meshes of one n, on different wires and given n as an int or a
+    # NumPy integer, build from the same table, which no caller can write
+    wide, thin = WireModel(67.0, 1.5, 3.3), thin_half_wave()
+    for n in (21, np.int64(21), np.int32(21)):
+        assert mom._per_n(build_mesh(wide, n=n).n)[0] \
+            is mom._per_n(build_mesh(thin, n=21).n)[0]
+        assert build_mesh(wide, n=n).quad_starts \
+            is build_mesh(thin, n=21).quad_starts
+    layout = mom._per_n(21)[0]
+    starts = build_mesh(thin, n=21).quad_starts
+    assert starts is layout[3]
+    before = [array.copy() for array in layout]
+    for array in layout:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 2.0
     solve_at(build_mesh(thin, n=21), 1.8e9)
-    for array, copy in zip(arrays, before):
+    for array, copy in zip(layout, before):
         assert np.array_equal(array, copy)
-    assert weights[0] == 21.0 and e_p[-1] == 1.0 and layout[3][0] == 0
+    assert starts[0] == 0
 
 
 def test_segments_longer_than_a_quarter_wavelength_refused():
