@@ -6,7 +6,7 @@ parser that reads both the flag and the config line. A command's parameters
 after the resolved substrate name the fields it reads; it is refused any
 other but ``catalog``. Configuration is a flat ``key = value`` text file
 with '#' comments; flags override file values, file values override
-defaults. All CSV output is byte-deterministic: full-precision repr
+defaults. CSV formatting is byte-deterministic: full-precision repr
 formatting, '.' decimal, newline-terminated rows.
 
 Exit codes: 0 success, 2 config error, 3 design-rule violation,
@@ -44,10 +44,7 @@ def _finite(text: str) -> float:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    values = tuple(_finite(p) for p in text.split(",") if p.strip())
-    if not values:
-        raise ValueError("empty list")
-    return values
+    return tuple(_finite(p) for p in text.split(","))
 
 
 def _band(text: str) -> tuple[float, float, float]:
@@ -132,15 +129,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError("%s:%d: bad value for %r: %s"
                               % (source, lineno, key, exc)) from exc
     return values
-
-
-def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
-    """Merge defaults < file < flags."""
-    values = {**file_values, **flag_values}
-    for key in values:
-        if key not in _META:
-            raise ConfigError("unknown key %r" % key)
-    return RunConfig(**values)
 
 
 def resolve_substrate(config: RunConfig) -> Substrate:
@@ -355,7 +343,7 @@ def run(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError("cannot read config: %s" % exc) from exc
         file_values = parse_config_text(text, source=args.config)
-    config = resolve_config(file_values, flag_values)
+    config = RunConfig(**{**file_values, **flag_values})   # flags win
     params = _PARAMS[args.command]   # ("substrate", the fields it reads...)
     for key in [*flag_values, *file_values]:
         if key not in params and key != "catalog":

@@ -243,7 +243,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> dict[str, Substrate]:
 @functools.cache
 def _bundled_catalog() -> dict[str, Substrate]:
     """The package's own catalog, read and parsed once per process."""
-    text = resources.files("dipolekit.data").joinpath("substrates.txt").read_text()
+    text = (resources.files(__package__) / "data" / "substrates.txt").read_text()
     return parse_catalog(text, source="builtin")
 
 

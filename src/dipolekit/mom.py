@@ -138,7 +138,8 @@ class SegmentMesh:
     `model` is the wire the mesh was built for: its length, radius and
     medium are what assembly and the far field use. The current expansion
     lives on the n interior nodes `nodes` (spacing h = L/(n+1)), whose end
-    half-bases terminate exactly at the wire tips.
+    half-bases terminate exactly at the wire tips; n is odd, so the center
+    feed is node n // 2.
 
     The kernel quadrature is laid out once per mesh, over the n+3 source
     intervals i = 0..n+2 between knots mh, m = i - 2, in subrows of 8
@@ -160,7 +161,6 @@ class SegmentMesh:
     model: WireModel
     n: int
     nodes: np.ndarray
-    feed_index: int
     quad_sine_arg: np.ndarray = field(repr=False)
     quad_r: np.ndarray = field(repr=False)
     quad_w: np.ndarray = field(repr=False)
@@ -230,8 +230,8 @@ def build_mesh(model: WireModel, n: int | None = None) -> SegmentMesh:
     r = np.cosh(t)
     r *= a
     return SegmentMesh(model=model, n=n, nodes=centred * h,
-                       feed_index=(n - 1) // 2, quad_sine_arg=sine_arg,
-                       quad_r=r, quad_w=weight * span, quad_starts=starts)
+                       quad_sine_arg=sine_arg, quad_r=r, quad_w=weight * span,
+                       quad_starts=starts)
 
 
 @functools.lru_cache(maxsize=16)
@@ -318,7 +318,7 @@ class CurrentDistribution:
 
     @property
     def feed_current(self) -> complex:
-        return complex(self.currents[self.mesh.feed_index])
+        return complex(self.currents[self.mesh.n // 2])
 
 
 def _fold(col: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -489,7 +489,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> np.ndarray:
     `col` must be assemble_system's column for `mesh` (another shape raises
     MeshError), the system A[i, j] = col[|i - j|]. The center feed excites
     only its even mode, so the solve runs on the (p+1) x (p+1) block T + H
-    (p = feed_index) and the currents are mirrored back, exactly symmetric.
+    (p = n // 2) and the currents are mirrored back, exactly symmetric.
     The condition guard runs first and covers both blocks, whose singular
     values together are sigma(A): unless _certified proves cond(A) <=
     _COND_LIMIT, the solve is refused. For a symmetric x, (A x)[:p+1] =
@@ -500,7 +500,7 @@ def solve_current(col: np.ndarray, mesh: SegmentMesh) -> np.ndarray:
     (the module docstring's memory budget). `col` is never written. An
     exactly singular T + H behind a passing guard raises SolverError.
     """
-    n, p = mesh.n, mesh.feed_index
+    n, p = mesh.n, mesh.n // 2
     if col.shape != (n,):
         raise MeshError("system shape %s does not match the mesh's n = %d"
                         % (col.shape, n))

@@ -20,7 +20,6 @@ from dipolekit.cli import (
     emit_sweep_csv,
     main,
     parse_config_text,
-    resolve_config,
     resolve_substrate,
 )
 from dipolekit import cli, design, mom, studies
@@ -33,20 +32,13 @@ from dipolekit.studies import StudyRow
 
 
 def test_defaults():
-    cfg = resolve_config({}, {})
+    cfg = RunConfig()
     assert cfg.substrate == "fr4"
     assert cfg.band_mhz == (1000.0, 2600.0, 10.0)
     assert cfg.mesh is None
     assert cfg.bw_threshold_db == -10.0
     assert cfg.freq_mhz == 1800.0
     assert (cfg.length_mm, cfg.width_mm) == (67.0, 6.0)
-
-
-def test_flag_overrides_file():
-    cfg = resolve_config({"length_mm": 60.0}, {"length_mm": 63.0})
-    assert cfg.length_mm == 63.0
-    cfg2 = resolve_config({"length_mm": 60.0}, {})
-    assert cfg2.length_mm == 60.0
 
 
 #: a non-default value for each option, as flag or config-file text
@@ -183,10 +175,6 @@ def test_gap_option_is_gone(tmp_path, capsys):
     assert main(["analyze", "--gap", "3"]) == 2
     with pytest.raises(ConfigError, match="unknown key 'gap_mm'"):
         parse_config_text("gap_mm = 3\n")
-    for file_values, flag_values in (({"gap_mm": 3.0}, {}),
-                                     ({}, {"gap_mm": 3.0})):
-        with pytest.raises(ConfigError, match="unknown key 'gap_mm'"):
-            resolve_config(file_values, flag_values)
 
 
 def _mesh_sizes(monkeypatch, argv):
@@ -529,6 +517,12 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     rc = main(["analyze", "--config", str(cfg), "--length", "63",
                "--out", str(out)])
     assert rc == 0
+    # the flag's length beats the file's, and the file's band the default
+    band = ["--band", "1050:1250:50", "--out", str(tmp_path / "ref.csv")]
+    assert main(["analyze", "--length", "63", *band]) == 0
+    assert out.read_text() == (tmp_path / "ref.csv").read_text()
+    assert main(["analyze", "--length", "60", *band]) == 0
+    assert out.read_text() != (tmp_path / "ref.csv").read_text()
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):
@@ -682,6 +676,8 @@ def test_cli_optimize(capsys):
     ["pattern", "--freq=1e305"],                      # f in Hz overflows
     ["analyze", "--band", "1000:2000"],               # no step
     ["study-length", "--lengths", ","],               # empty list
+    ["study-length", "--lengths", "63,,65"],          # empty entry
+    ["study-length", "--lengths", "63,65,"],
     ["pattern", "--plane", "X"],
     ["analyze", "--substrate", "4.3:1.6:0.002"],      # inline takes two
 ], ids=" ".join)
@@ -908,6 +904,7 @@ def test_cli_rejects_unmodelled_feed(command, tmp_path, capsys):
 @pytest.mark.parametrize("key, text, reason", [
     ("feed", "bogus", "feed must be one of ideal|stub|via"),
     ("band_mhz", "1000:900:10", "f_start must be <= f_stop"),   # the library's
+    ("lengths_mm", "63,,65", "could not convert string to float: ''"),
 ])
 def test_flag_and_config_give_the_same_reason(key, text, reason, tmp_path,
                                               capsys):

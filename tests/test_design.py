@@ -386,5 +386,5 @@ def test_bundled_catalog_is_read_once(monkeypatch):
                         types.SimpleNamespace(files=files))
     design._bundled_catalog.cache_clear()
     catalogs = [load_substrates() for _ in range(3)]
-    assert reads == ["dipolekit.data"]
+    assert reads == ["dipolekit"]
     assert catalogs[0] == catalogs[2]

@@ -185,7 +185,6 @@ def test_build_mesh_basics():
     mesh = build_mesh(model, n=41)
     assert mesh.model is model
     assert mesh.n == 41
-    assert mesh.feed_index == 20
     # interior nodes symmetric about the feed, half-bases pinned to the tips
     assert mesh.nodes[20] == 0.0
     h = model.total_length / 42
@@ -422,8 +421,8 @@ def test_current_symmetric_and_peaked_at_feed():
     mags = np.abs(cur.currents)
     # the delta-gap feed leaves a small kink, so the peak may sit a node
     # or two off center; it must still be essentially at the feed
-    assert mags[mesh.feed_index] >= 0.97 * mags.max()
-    assert abs(int(np.argmax(mags)) - mesh.feed_index) <= 2
+    assert mags[mesh.n // 2] >= 0.97 * mags.max()
+    assert abs(int(np.argmax(mags)) - mesh.n // 2) <= 2
     assert np.allclose(mags, mags[::-1], rtol=1e-9)
 
 
@@ -433,7 +432,7 @@ def test_even_mode_solve_matches_full_solve(n, eps_e):
     base = thin_half_wave()
     model = WireModel(base.total_length, base.radius, eps_e)
     mesh = build_mesh(model, n=n)
-    p = mesh.feed_index
+    p = mesh.n // 2
     for f in (0.9e9, 1.8e9, 2.6e9):
         col = assemble_system(mesh, f)
         system = toeplitz(col)
@@ -930,7 +929,7 @@ def test_non_centrosymmetric_system_fails_residual():
     # even-mode solve on its dense T + H misses the full system by far more
     # than the residual limit
     mesh = build_mesh(thin_half_wave(), n=21)
-    p = mesh.feed_index
+    p = mesh.n // 2
     rng = np.random.default_rng(6)
     system = np.eye(mesh.n) + 0.1 * rng.standard_normal((mesh.n, mesh.n))
     assert np.linalg.cond(system) < 10
@@ -991,7 +990,7 @@ def test_reported_residual_is_the_dense_residual(n, monkeypatch):
         return z + 1e-6 * np.abs(z).max() * rng.standard_normal(z.shape)
     monkeypatch.setattr(np.linalg, "solve", perturbed)
     currents = solve_current(col, mesh)
-    dense = np.linalg.norm(toeplitz(col) @ currents - np.eye(n)[mesh.feed_index])
+    dense = np.linalg.norm(toeplitz(col) @ currents - np.eye(n)[mesh.n // 2])
     assert dense > 1e-6
     assert limit.seen == [pytest.approx(dense, rel=1e-8)]
 
@@ -1072,7 +1071,7 @@ def test_input_impedance_reciprocal_of_feed_current():
 def test_input_impedance_warns_on_a_vanishing_feed_current():
     mesh = build_mesh(thin_half_wave(), n=21)
     currents = np.ones(mesh.n, dtype=complex)
-    currents[mesh.feed_index] = 1e-12
+    currents[mesh.n // 2] = 1e-12
     cur = mom.CurrentDistribution(currents=currents, mesh=mesh, f=1.8e9)
     with pytest.warns(RuntimeWarning, match="feed current nearly zero"):
         assert input_impedance(cur) == pytest.approx(1e12)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,20 @@ def test_import_does_not_load_numpy_polynomial():
         [sys.executable, "-c",
          "import dipolekit, sys; assert 'numpy.polynomial' not in sys.modules"],
         env=env, check=True, timeout=120)
+
+
+def test_bundled_catalog_is_found_under_another_package_name(tmp_path):
+    # the catalog is found through the package itself, so a copy imported
+    # as dk_other reads its own data and never imports dipolekit
+    shutil.copytree(SRC / "dipolekit", tmp_path / "dk_other",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import dk_other, sys; names = sorted(dk_other.load_substrates()); "
+         "assert 'dipolekit' not in sys.modules; print(','.join(names))"],
+        env=env, check=True, timeout=120, capture_output=True, text=True)
+    assert out.stdout.split() == ["arlon_ad300,fr4,fr4_h2.08,rogers_rt5880"]
 
 
 def test_package_exports_the_one_solve_path():
@@ -109,8 +124,8 @@ def test_every_input_field_is_read_outside_its_class():
     # a field the library accepts changes a result or goes away: each one
     # is read as an attribute somewhere in src/ beyond its own class body
     from dipolekit.design import DipoleGeometry, Substrate
-    from dipolekit.mom import WireModel
-    classes = (Substrate, DipoleGeometry, WireModel)
+    from dipolekit.mom import SegmentMesh, WireModel
+    classes = (Substrate, DipoleGeometry, WireModel, SegmentMesh)
     read = {cls.__name__: set() for cls in classes}
     for path in sorted((SRC / "dipolekit").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
