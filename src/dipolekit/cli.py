@@ -19,6 +19,7 @@ import argparse
 import functools
 import inspect
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -328,9 +329,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: every flag but -h takes one value; argparse reads only -<digits> and
+#: -<digits>.<digits> as negative numbers, so a value such as -1e-3,
+#: -1e3:2600:10 or -1e1,60 would be taken for a flag and leave its own empty
+_VALUE_FLAGS = frozenset(("--config", *(m["flag"] for m in _META.values())))
+_SIGNED = re.compile(r"-[\d.]")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag -<number...>` written as `--flag=-<number...>`."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and _SIGNED.match(token):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:   # argparse's exit: 0 after -h, 2 for a bad flag
         return exc.code
     flag_values = {k: v for k, v in vars(args).items()

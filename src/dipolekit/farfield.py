@@ -5,6 +5,13 @@ with the standard sin(theta) element factor and the axial phase term; by
 symmetry the H-plane cut of a z-directed dipole is flat. The wavenumber is
 that of current.f, the frequency the current was solved at, in its mesh's
 medium. Directivity is integrated on the theta grid with the trapezoid rule.
+
+The mesh's nodes mirror exactly about the feed node p (z_{p-i} = -z_{p+i}),
+so the array factor sum_j I_j exp(j k z_j cos(theta)) is summed over mirrored
+pairs (Schelkunoff 1943; Balanis ch. 4): I_p + sum_i (I_{p+i} + I_{p-i})
+cos(phi_i) + j sum_i (I_{p+i} - I_{p-i}) sin(phi_i), phi_i = k z_{p+i}
+cos(theta). The even part takes one real cosine table; the odd part, zero
+for every solve_at current, adds its sine table only when it is not zero.
 """
 
 from __future__ import annotations
@@ -26,6 +33,11 @@ class DegeneratePattern(SolverError):
 #: because every E-plane cut shares it as its angles_deg
 DEFAULT_THETA_DEG = np.arange(0.5, 180.0, 0.5)
 DEFAULT_THETA_DEG.flags.writeable = False
+#: cos(theta) and, as a column, sin(theta) on it: formed once, read-only
+_COS_THETA = np.cos(np.radians(DEFAULT_THETA_DEG))
+_SIN_THETA = np.sin(np.radians(DEFAULT_THETA_DEG))[:, None]
+_COS_THETA.flags.writeable = False
+_SIN_THETA.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,10 +63,20 @@ def radiation_intensity(current: CurrentDistribution,
                         % (current.currents.size, own.model, mesh.n,
                            mesh.model))
     k = wavenumber(current.f, mesh.model.eps_e)
-    theta = np.radians(DEFAULT_THETA_DEG)
-    phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))
-    e_field = np.sin(theta) * (phase @ current.currents)
-    return np.abs(e_field) ** 2
+    p = mesh.n // 2
+    cur = np.asarray(current.currents, dtype=complex)
+    upper, lower = cur[p + 1:], cur[p - 1::-1]   # I_{p+i}, I_{p-i}, i = 1..p
+    phi = np.multiply.outer(_COS_THETA, k * mesh.nodes[p + 1:])
+    # complex sums as (real, imag) columns of real matrix products
+    af = np.cos(phi) @ (upper + lower).view(float).reshape(p, 2)
+    af += (cur[p].real, cur[p].imag)
+    odd = upper - lower
+    if odd.any():
+        sine = np.sin(phi) @ odd.view(float).reshape(p, 2)
+        af[:, 0] -= sine[:, 1]   # j (a + jb) = -b + ja
+        af[:, 1] += sine[:, 0]
+    af *= _SIN_THETA   # the element factor
+    return af[:, 0] ** 2 + af[:, 1] ** 2
 
 
 def directivity_from_intensity(theta_deg: np.ndarray, u: np.ndarray) -> float:
@@ -76,8 +98,11 @@ def hpbw_from_cut(angles_deg: np.ndarray, field_db: np.ndarray) -> float:
     angles = np.asarray(angles_deg, dtype=float)
     db = np.asarray(field_db, dtype=float)
     i_pk = int(np.argmax(db))
-    level = db[i_pk] - 3.0
-    left, right = level_crossings(angles, db, i_pk, level, lambda v: v > level)
+    level = float(db[i_pk]) - 3.0
+    # the walk reads the levels as Python floats, as fractional_bandwidth's
+    # does; it reads the angles only at the two edges
+    left, right = level_crossings(angles, db.tolist(), i_pk, level,
+                                  lambda v: v > level)
     if left is None or right is None:
         return float(angles[-1] - angles[0])
     return float(right - left)

@@ -23,7 +23,9 @@ class FeedLineSpec:
 
     w: float                    # trace width, mm
     h: float                    # substrate height, mm
-    z0: float                   # characteristic impedance, ohm
+    z0: float                   # requested impedance, ohm; the line's own
+                                # is within Z0_TOL_OHM (49.995 on fr4,
+                                # 50.048 on rogers_rt5880 for 50)
     stub_length: float          # quarter-wave open stub, mm
 
     def __post_init__(self):

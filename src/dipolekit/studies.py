@@ -61,7 +61,11 @@ def _study(params: Sequence[float],
             result = solve_band(mesh, freqs, z0)
             best = s11_minimum(result)
             bw = fractional_bandwidth(result, threshold_db)
-            z_probe = input_impedance(solve_at(mesh, f_probe))
+            # a probe on the band reads the band's Z_in, which a second
+            # solve_at would repeat bit for bit
+            on_band = np.flatnonzero(result.f == f_probe)
+            z_probe = complex(result.z_in[on_band[0]]) if on_band.size \
+                else input_impedance(solve_at(mesh, f_probe))
             cut = pattern_from_current(solve_at(mesh, float(result.f[best])), mesh)
             rows.append(StudyRow(param_mm=param, z_in=z_probe,
                                  vswr=result.vswr[best],

@@ -686,6 +686,31 @@ def test_cli_bad_values_exit_2(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(argv, code, err, id=" ".join(argv)) for argv, code, err in [
+        (["analyze", "--band", "1700:1900:100", "--bw-threshold", "-1e-3"],
+         0, ""),
+        (["analyze", "--z0", "-5e1"], 2,
+         "config error: reference impedance must be finite and > 0, "
+         "got -50\n"),
+        (["analyze", "--band", "-1e3:2600:10"], 2,
+         "config error: frequency must be finite and > 0, got -1e+09\n"),
+        (["study-length", "--band", "1700:1900:100", "--lengths", "-1e1,60"],
+         0, ""),
+    ]])
+def test_cli_negative_exponent_value_parses_like_the_equals_form(
+        argv, code, err, capsys):
+    # argparse takes -1e-3, -1e3:2600:10 or -1e1,60 for a flag; after its
+    # flag it is that flag's value, as in --flag=-1e-3
+    joined = argv[:-2] + ["%s=%s" % tuple(argv[-2:])]
+    outputs = []
+    for form in (argv, joined):
+        assert main(form) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == err
+
+
 @pytest.mark.parametrize("argv, guard", [
     pytest.param(argv, guard, id=" ".join(argv)) for argv, guard in [
         (["pattern", "--freq=1e-300"], "sin(kh) underflows"),

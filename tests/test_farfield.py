@@ -211,3 +211,44 @@ def test_hpbw_matches_reference_on_another_step():
     for db in _random_cuts(theta, 1000, 15):
         assert hpbw_from_cut(theta, db) == pytest.approx(
             _reference_hpbw(theta, db), rel=0, abs=1e-12)
+
+
+def _direct_intensity(current, mesh):
+    """|sin(theta) sum_j I_j exp(j k z_j cos(theta))|^2, summed node by node."""
+    k = wavenumber(current.f, mesh.model.eps_e)
+    theta = np.radians(DEFAULT_THETA_DEG)
+    phase = np.exp(1j * k * np.outer(np.cos(theta), mesh.nodes))
+    return np.abs(np.sin(theta) * (phase @ current.currents)) ** 2
+
+
+@pytest.mark.parametrize("n", [11, 13, 21, 41, 83])
+def test_radiation_intensity_is_the_direct_sum(n):
+    # the mirrored-pair sum equals the node-by-node sum, for the symmetric
+    # solved current and for an asymmetric one, whose odd part takes the
+    # sine sum
+    model = geometry_model(DipoleGeometry(L=67.0, W=2.0),
+                           load_substrates()["fr4"])
+    mesh = build_mesh(model, n=n)
+    solved = solve_at(mesh, 1.8e9)
+    rng = np.random.default_rng(n)
+    skew = CurrentDistribution(rng.normal(size=n) + 1j * rng.normal(size=n),
+                               mesh, 1.8e9)
+    p = n // 2
+    assert not np.any(solved.currents[p + 1:] - solved.currents[p - 1::-1])
+    for current in (solved, skew):
+        assert np.allclose(radiation_intensity(current, mesh),
+                           _direct_intensity(current, mesh),
+                           rtol=1e-12, atol=0.0)
+
+
+def test_radiation_intensity_of_a_real_odd_current():
+    # a real-valued, purely odd current: no even part, and a null at
+    # broadside, where cos(theta) and so every pair's sine term is ~0
+    mesh = build_mesh(WireModel(total_length=LAMBDA, radius=LAMBDA / 1000),
+                      n=21)
+    currents = np.linspace(-1.0, 1.0, 21)
+    current = CurrentDistribution(currents, mesh, 1.8e9)
+    u = radiation_intensity(current, mesh)
+    assert np.allclose(u, _direct_intensity(current, mesh), rtol=1e-12,
+                       atol=1e-12 * u.max())
+    assert u[np.flatnonzero(DEFAULT_THETA_DEG == 90.0)[0]] < 1e-20 * u.max()

@@ -6,6 +6,7 @@ import pytest
 from dipolekit import mom, studies
 from dipolekit.design import DipoleGeometry, Substrate
 from dipolekit.errors import BracketError, DesignRuleError
+from dipolekit.mom import build_mesh, geometry_model, input_impedance
 from dipolekit.studies import (
     OptimizeResult,
     StudyRow,
@@ -158,6 +159,38 @@ def test_study_row_builds_one_mesh(monkeypatch):
     assert rows[0].error is None
     # the band sweep's mesh also serves the probe and pattern solves
     assert len(meshes) == 1
+
+
+@pytest.fixture
+def solve_freqs(monkeypatch):
+    """The frequency of every solve_at call a study makes."""
+    freqs = []
+    solve = mom.solve_at
+
+    def counted(mesh, f):
+        freqs.append(f)
+        return solve(mesh, f)
+
+    monkeypatch.setattr(mom, "solve_at", counted)
+    monkeypatch.setattr(studies, "solve_at", counted)
+    return freqs
+
+
+@pytest.mark.parametrize("f_probe, probe_solves", [(1.3e9, 0), (1.31e9, 1)],
+                         ids=["on_band", "off_band"])
+def test_study_row_solves_its_probe_only_off_the_band(f_probe, probe_solves,
+                                                      solve_freqs):
+    # F band solves and one pattern solve; a probe on the band reads the
+    # band's Z_in, one off it solves once more
+    rows = length_study([65.0], FR4, *BAND, f_probe=f_probe)
+    assert rows[0].error is None
+    band = mom.frequency_grid(*BAND)
+    assert len(solve_freqs) == band.size + 1 + probe_solves
+    assert solve_freqs.count(f_probe) == (f_probe in band) + probe_solves
+    mesh = build_mesh(geometry_model(DipoleGeometry(L=65.0, W=6.0), FR4))
+    z_fresh = input_impedance(mom.solve_at(mesh, f_probe))
+    assert type(rows[0].z_in) is complex
+    assert rows[0].z_in == z_fresh   # bit for bit
 
 
 def test_study_checks_its_band_and_z0_once(monkeypatch):
